@@ -37,12 +37,10 @@ from .errors import (
 )
 from .model import (
     EPS_BETA,
-    FieldState,
     PumpSpec,
     RegimeParams,
     TemporalGrid,
     hermite_gauss_basis,
-    interaction_support,
 )
 from .solver import Propagator
 
@@ -111,12 +109,12 @@ class GreenFunction:
             m = getattr(self, f"g_{b}")
             if m is None:
                 continue
-            m = np.asarray(m, dtype=complex)
+            # a C-contiguous private copy, so transposed blocks are fine too
+            m = np.array(m, dtype=complex, order="C")
             if m.ndim != 2:
                 raise DataError(f"block {b} must be a 2-D array")
             if not np.all(np.isfinite(m.view(float))):
                 raise DataError(f"block {b} contains non-finite entries")
-            m = m.copy()
             m.setflags(write=False)
             object.__setattr__(self, f"g_{b}", m)
         if self.form == "grid":
@@ -264,10 +262,11 @@ def assemble_gf(
 ) -> GreenFunction:
     """Assemble the basis-form Green function by propagating test signals.
 
-    Each s-channel input basis function is propagated through the medium and
-    projected onto the r/s output bases, giving one column of ``g_rs`` and
-    ``g_ss``; r-channel inputs give ``g_rr`` and ``g_sr``.  Projections use
-    the grid quadrature against the (real, orthonormal) output bases.
+    Every input basis function is propagated through the medium in one
+    batch and projected onto the r/s output bases: s-channel inputs give the
+    columns of ``g_rs`` and ``g_ss``, r-channel inputs those of ``g_rr`` and
+    ``g_sr``.  Projections use the grid quadrature against the (real,
+    orthonormal) output bases.
 
     Parameters default to the layout of :func:`default_basis_layout`.
     ``tol_leak`` bounds the per-column energy not captured by the output
@@ -288,50 +287,24 @@ def assemble_gf(
                 f"grid [{grid.t_min}, {grid.t_max}] does not contain the basis "
                 f"tails [{lo:.3g}, {hi:.3g}]"
             )
-    t = grid.times
     dt = grid.dt
-    bases = {k: spec.sample(t) for k, spec in layout.items()}
-    prop = Propagator(params, pump, grid)
+    bases = {k: spec.sample(grid.times) for k, spec in layout.items()}
+    n_s_in = layout["in_s"].n
 
-    n_s_eff = layout["in_s"].n
-    n_r_eff = layout["in_r"].n
-    g_rs = np.empty((layout["out_r"].n, n_s_eff), dtype=complex)
-    g_ss = np.empty((layout["out_s"].n, n_s_eff), dtype=complex)
-    g_rr = np.empty((layout["out_r"].n, n_r_eff), dtype=complex)
-    g_sr = np.empty((layout["out_s"].n, n_r_eff), dtype=complex)
-    leak_s = np.empty(n_s_eff)
-    leak_r = np.empty(n_r_eff)
+    # one batch: the s-input columns first, then the r-input columns
+    zeros_s = np.zeros((n_s_in, grid.n_t))
+    zeros_r = np.zeros((layout["in_r"].n, grid.n_t))
+    out = Propagator(params, pump, grid).run(np.vstack([zeros_s, bases["in_r"]]),
+                                             np.vstack([bases["in_s"], zeros_r]))
+    proj_r = (out.a_r @ bases["out_r"].T) * dt
+    proj_s = (out.a_s @ bases["out_s"].T) * dt
+    energy_r = dt * np.sum(np.abs(out.a_r) ** 2, axis=1)
+    energy_s = dt * np.sum(np.abs(out.a_s) ** 2, axis=1)
+    captured = np.sum(np.abs(proj_r) ** 2, axis=1) + np.sum(np.abs(proj_s) ** 2, axis=1)
+    leak = np.maximum(0.0, 1.0 - captured / (energy_r + energy_s))
+    leak_s, leak_r = leak[:n_s_in], leak[n_s_in:]
 
-    conv_s = np.empty(n_s_eff)
-    trans_s = np.empty(n_s_eff)
-    conv_r = np.empty(n_r_eff)
-    trans_r = np.empty(n_r_eff)
-
-    zero = np.zeros(grid.n_t, dtype=complex)
-    for col in range(n_s_eff):
-        out = prop.run(zero, bases["in_s"][col])
-        g_rs[:, col] = bases["out_r"] @ out.a_r * dt
-        g_ss[:, col] = bases["out_s"] @ out.a_s * dt
-        conv_s[col] = dt * np.sum(np.abs(out.a_r) ** 2)
-        trans_s[col] = dt * np.sum(np.abs(out.a_s) ** 2)
-        total = conv_s[col] + trans_s[col]
-        captured = np.sum(np.abs(g_rs[:, col]) ** 2) + np.sum(np.abs(g_ss[:, col]) ** 2)
-        leak_s[col] = max(0.0, 1.0 - captured / total)
-    for col in range(n_r_eff):
-        out = prop.run(bases["in_r"][col], zero)
-        g_rr[:, col] = bases["out_r"] @ out.a_r * dt
-        g_sr[:, col] = bases["out_s"] @ out.a_s * dt
-        conv_r[col] = dt * np.sum(np.abs(out.a_s) ** 2)
-        trans_r[col] = dt * np.sum(np.abs(out.a_r) ** 2)
-        total = conv_r[col] + trans_r[col]
-        captured = np.sum(np.abs(g_rr[:, col]) ** 2) + np.sum(np.abs(g_sr[:, col]) ** 2)
-        leak_r[col] = max(0.0, 1.0 - captured / total)
-
-    worst_side, worst_col = max(
-        (("s", int(np.argmax(leak_s))), ("r", int(np.argmax(leak_r)))),
-        key=lambda sc: leak_s[sc[1]] if sc[0] == "s" else leak_r[sc[1]],
-    )
-    worst = float(leak_s[worst_col] if worst_side == "s" else leak_r[worst_col])
+    worst_side, worst_col, worst = _worst_leak(leak_s, leak_r)
     if worst > tol_leak:
         raise TruncationError(
             f"basis truncation: {worst_side}-input column {worst_col} leaks "
@@ -352,11 +325,12 @@ def assemble_gf(
         # unprojected per-column output energies: these see the full grid,
         # so their sums estimate the Hilbert-Schmidt weights of the blocks
         # without the output-basis truncation of the coefficient matrices
-        "conv_energy_s": conv_s, "trans_energy_s": trans_s,
-        "conv_energy_r": conv_r, "trans_energy_r": trans_r,
+        "conv_energy_s": energy_r[:n_s_in], "trans_energy_s": energy_s[:n_s_in],
+        "conv_energy_r": energy_s[n_s_in:], "trans_energy_r": energy_r[n_s_in:],
     }
     return GreenFunction(
-        form="basis", g_rr=g_rr, g_rs=g_rs, g_sr=g_sr, g_ss=g_ss,
+        form="basis", g_rr=proj_r[n_s_in:].T, g_rs=proj_r[:n_s_in].T,
+        g_sr=proj_s[n_s_in:].T, g_ss=proj_s[:n_s_in].T,
         basis_in_r=layout["in_r"], basis_in_s=layout["in_s"],
         basis_out_r=layout["out_r"], basis_out_s=layout["out_s"],
         grid=grid, metadata=meta,
@@ -369,12 +343,18 @@ def leakage_report(gf: GreenFunction) -> Dict:
         raise ConfigurationError("leakage is only recorded for numerically assembled GFs")
     leak_s = np.asarray(gf.metadata["leak_s"])
     leak_r = np.asarray(gf.metadata["leak_r"])
-    if leak_r.size and leak_r.max() > leak_s.max():
-        worst = ("r", int(np.argmax(leak_r)), float(leak_r.max()))
-    else:
-        worst = ("s", int(np.argmax(leak_s)), float(leak_s.max()))
+    side, col, worst = _worst_leak(leak_s, leak_r)
     return {"s": leak_s, "r": leak_r,
-            "max": worst[2], "worst_side": worst[0], "worst_column": worst[1]}
+            "max": worst, "worst_side": side, "worst_column": col}
+
+
+def _worst_leak(leak_s: np.ndarray, leak_r: np.ndarray) -> Tuple[str, int, float]:
+    """(side, column, leak) of the leakiest column; ties go to the s side."""
+    leak = np.concatenate([leak_s, leak_r])
+    idx = int(np.argmax(leak))
+    if idx < leak_s.size:
+        return "s", idx, float(leak[idx])
+    return "r", idx - leak_s.size, float(leak[idx])
 
 
 def composite_matrix(gf: GreenFunction) -> np.ndarray:

@@ -148,20 +148,7 @@ def _cmd_run(args) -> int:
         cfg = yaml.safe_load(fh)
     spec = spec_from_config(cfg)
     result = run_sweep(spec, workers=args.workers)
-    if args.out is None:
-        import tempfile, os
-
-        with tempfile.NamedTemporaryFile("w", suffix=f".{args.format}",
-                                         delete=False) as tmp:
-            tmp_path = tmp.name
-        try:
-            export_result(result, args.format, tmp_path)
-            with open(tmp_path) as fh:
-                sys.stdout.write(fh.read())
-        finally:
-            os.unlink(tmp_path)
-    else:
-        export_result(result, args.format, args.out)
+    export_result(result, args.format, sys.stdout if args.out is None else args.out)
     failures = [r for r in result.records if r["error"]]
     if failures:
         sys.stderr.write(f"{len(failures)} of {len(result.records)} points "

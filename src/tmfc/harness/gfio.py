@@ -9,8 +9,8 @@ blocks, each as row-major complex samples written as pairs of 64-bit
 floats (real, imaginary).
 """
 
+import contextlib
 import csv
-import io
 import json
 from typing import List, Optional, Tuple
 
@@ -34,10 +34,22 @@ def _param_columns(records: List[dict]) -> List[str]:
     return [c for c in cols if any(c in r for r in records)] or cols
 
 
-def export_csv(result: SweepResult, path: str) -> None:
+@contextlib.contextmanager
+def _sink(target, newline=None):
+    """Open the path ``target`` for writing, or pass an open text stream
+    through (left open)."""
+    if hasattr(target, "write"):
+        yield target
+    else:
+        with open(target, "w", newline=newline) as fh:
+            yield fh
+
+
+def export_csv(result: SweepResult, path) -> None:
     """One row per sweep point: parameters, rho_1..N, ce_1..N, selectivity,
     separability, error tag.  Floats carry 12 significant digits.  An empty
-    result writes the header row only."""
+    result writes the header row only.  ``path`` is a file path or an open
+    text stream; rows end in ``\\r\\n`` either way."""
     n = result.spec.n_report
     params = _param_columns(result.records)
     header = params + [f"rho_{i + 1}" for i in range(n)] \
@@ -49,7 +61,7 @@ def export_csv(result: SweepResult, path: str) -> None:
             return x
         return "%.12g" % float(x)
 
-    with open(path, "w", newline="") as fh:
+    with _sink(path, newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(header)
         for rec in result.records:
@@ -66,10 +78,11 @@ def export_csv(result: SweepResult, path: str) -> None:
             writer.writerow(row)
 
 
-def export_json(result: SweepResult, path: str) -> None:
+def export_json(result: SweepResult, path) -> None:
     """Full structured result: spec echo, records (modes included when they
     were requested), and provenance.  Records serialize identically between
-    runs; only the provenance carries timestamps."""
+    runs; only the provenance carries timestamps.  ``path`` is a file path
+    or an open text stream."""
     payload = {
         "spec": {
             "engine": result.spec.engine,
@@ -90,7 +103,7 @@ def export_json(result: SweepResult, path: str) -> None:
         "records": result.records,
         "provenance": result.provenance,
     }
-    with open(path, "w") as fh:
+    with _sink(path) as fh:
         json.dump(payload, fh, indent=2, allow_nan=True)
         fh.write("\n")
 
@@ -101,7 +114,7 @@ def import_json(path: str) -> dict:
         return json.load(fh)
 
 
-def export_result(result: SweepResult, fmt: str, path: str) -> None:
+def export_result(result: SweepResult, fmt: str, path) -> None:
     if fmt == "csv":
         export_csv(result, path)
     elif fmt == "json":

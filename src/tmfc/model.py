@@ -528,7 +528,11 @@ class TemporalGrid:
 
 @dataclass(frozen=True)
 class FieldState:
-    """Complex envelopes of both signal channels at one position ``z``."""
+    """Complex envelopes of both signal channels at one position ``z``.
+
+    Each channel holds one envelope ``(n_t,)`` or a stack ``(n_cols, n_t)``
+    of independent envelopes, as propagated together by the solver.
+    """
 
     a_r: np.ndarray
     a_s: np.ndarray
@@ -537,8 +541,8 @@ class FieldState:
     def __post_init__(self):
         a_r = np.asarray(self.a_r, dtype=complex)
         a_s = np.asarray(self.a_s, dtype=complex)
-        if a_r.ndim != 1 or a_s.shape != a_r.shape:
-            raise DataError("a_r and a_s must be 1-D arrays of equal length")
+        if a_r.ndim not in (1, 2) or a_s.shape != a_r.shape:
+            raise DataError("a_r and a_s must be 1-D or 2-D arrays of equal shape")
         a_r = a_r.copy()
         a_s = a_s.copy()
         a_r.setflags(write=False)

@@ -154,19 +154,24 @@ def decompose(gf: GreenFunction, n_report: int = 10,
     modes_out_s = None
     modes_in_r = None
 
-    if gf.block("ss") is not None and (gf.form == "basis" or gf.delta_ss is None
-                                       or _delta_applicable(gf)):
-        tau_abs, tau_phase, phi_out_s = _tau_from_ss(gf, in_vecs, w_in, w_out)
+    basis = gf.form == "basis"
+    use_ss = gf.block("ss") is not None and (basis or gf.delta_ss is None
+                                             or _delta_applicable(gf))
+    use_rr = gf.block("rr") is not None and (basis or gf.delta_rr is None
+                                             or _delta_applicable(gf))
+    if use_ss:
+        # G_ss phi_n = tau_n* Phi_n with unit Phi_n
+        imgs = (gf.g_ss @ in_vecs.T).T if basis else \
+            _apply_grid(gf, "ss", in_vecs, w_in, w_out, adjoint=False)
+        tau_abs, tau_phase, modes_out_s = _pair_tau(imgs)
         tau_source = "gss"
-        modes_out_s = phi_out_s
-    elif gf.block("rr") is not None and (gf.form == "basis" or gf.delta_rr is None
-                                         or _delta_applicable(gf)):
-        tau_abs, tau_phase, psi_in_r = _tau_from_rr(gf, out_vecs, w_in, w_out)
-        tau_source = "grr"
-        modes_in_r = psi_in_r
-    if tau_source == "gss" and gf.block("rr") is not None and \
-            (gf.form == "basis" or gf.delta_rr is None or _delta_applicable(gf)):
-        _, _, modes_in_r = _tau_from_rr(gf, out_vecs, w_in, w_out)
+    if use_rr:
+        # G_rr^H Psi_n = tau_n* psi_n with unit psi_n
+        imgs = (gf.g_rr.conj().T @ out_vecs.T).T if basis else \
+            _apply_grid(gf, "rr", out_vecs, w_out, w_in, adjoint=True)
+        rr_abs, rr_phase, modes_in_r = _pair_tau(imgs)
+        if not use_ss:
+            tau_abs, tau_phase, tau_source = rr_abs, rr_phase, "grr"
 
     result_modes = {}
     if want_modes:
@@ -220,13 +225,9 @@ def _apply_grid(gf: GreenFunction, name: str, vecs: np.ndarray,
     return out
 
 
-def _tau_from_ss(gf: GreenFunction, in_vecs: np.ndarray,
-                 w_in: float, w_out: float):
-    """``G_ss phi_n = tau_n* Phi_n`` with unit ``Phi_n``."""
-    if gf.form == "basis":
-        imgs = (gf.g_ss @ in_vecs.T).T
-    else:
-        imgs = _apply_grid(gf, "ss", in_vecs, w_in, w_out, adjoint=False)
+def _pair_tau(imgs: np.ndarray):
+    """Split images ``tau_n* X_n`` into ``|tau_n|``, the phase of ``tau_n``
+    and canonical unit ``X_n`` (zero where the image vanishes)."""
     n = imgs.shape[0]
     tau_abs = np.linalg.norm(imgs, axis=1)
     tau_phase = np.zeros(n)
@@ -236,27 +237,7 @@ def _tau_from_ss(gf: GreenFunction, in_vecs: np.ndarray,
             continue
         ph = _canonical_phase(imgs[k])
         out[k] = imgs[k] / (tau_abs[k] * ph)
-        # imgs = tau* Phi with Phi canonical, so tau* carries the phase ph
-        tau_phase[k] = -np.angle(ph)
-    return tau_abs, tau_phase, out
-
-
-def _tau_from_rr(gf: GreenFunction, out_vecs: np.ndarray,
-                 w_in: float, w_out: float):
-    """``G_rr^H Psi_n = tau_n* psi_n`` with unit ``psi_n``."""
-    if gf.form == "basis":
-        imgs = (gf.g_rr.conj().T @ out_vecs.T).T
-    else:
-        imgs = _apply_grid(gf, "rr", out_vecs, w_out, w_in, adjoint=True)
-    n = imgs.shape[0]
-    tau_abs = np.linalg.norm(imgs, axis=1)
-    tau_phase = np.zeros(n)
-    out = np.zeros_like(imgs)
-    for k in range(n):
-        if tau_abs[k] <= 1e-300:
-            continue
-        ph = _canonical_phase(imgs[k])
-        out[k] = imgs[k] / (tau_abs[k] * ph)
+        # imgs = tau* X with X canonical, so tau* carries the phase ph
         tau_phase[k] = -np.angle(ph)
     return tau_abs, tau_phase, out
 

@@ -59,7 +59,7 @@ from tmfc import (
     ssvm_to_ecop_limit_check,
 )
 from tmfc.model import QuadraticChirp
-from tmfc.harness import SweepSpec, run_sweep
+from tmfc.harness import SweepSpec, cases, run_sweep
 from tmfc.harness.cases import fig6_spec, low_ce_spec, scup_opt_spec, ssvm_limit_spec
 
 GBAR_WEAK = 0.01
@@ -75,6 +75,12 @@ SEPARABILITY = {
     "table1-d": 0.610, "fig2": 0.913, "fig3a": 0.967, "fig3b": 0.967,
     "fig5": 0.936,
 }
+
+
+def test_catalog_constants_match_published():
+    """The catalog checks the same published figures as criteria 1 and 2."""
+    assert cases._TABLE1_RATIOS == TABLE1_RATIOS
+    assert cases._SEPARABILITY == SEPARABILITY
 
 
 def _verdict(capsys, num: int, label: str, ok: bool, detail: str) -> None:

@@ -10,6 +10,7 @@ from tmfc import (
     DataError,
     DeltaLine,
     GreenFunction,
+    Propagator,
     PumpSpec,
     RegimeParams,
     TruncationError,
@@ -81,6 +82,44 @@ def test_green_function_validation():
     assert gf.block("sr") is None
     with pytest.raises(ConfigurationError):
         gf.block("g_rs")
+
+
+def test_green_function_accepts_transposed_block():
+    t_out = np.linspace(0.0, 1.0, 3)
+    t_in = np.linspace(0.0, 1.0, 5)
+    m = np.arange(15.0).reshape(5, 3) + 1j
+    gf = GreenFunction(form="grid", g_rs=m.T, t_out=t_out, t_in=t_in)
+    assert np.array_equal(gf.g_rs, m.T)
+    assert gf.g_rs.flags.c_contiguous and not gf.g_rs.flags.writeable
+    bad = m.copy()
+    bad[1, 2] = np.inf
+    with pytest.raises(DataError):
+        GreenFunction(form="grid", g_rs=bad.T, t_out=t_out, t_in=t_in)
+
+
+def test_leakage_report_ties_go_to_s_side():
+    spec = BasisSpec(n=2, width=1.0, center=0.0)
+    gf = GreenFunction(form="basis", g_rs=np.eye(2), basis_out_r=spec,
+                       basis_in_s=spec,
+                       metadata={"leak_s": np.array([0.1, 0.3]),
+                                 "leak_r": np.array([0.3, 0.2])})
+    report = leakage_report(gf)
+    assert (report["worst_side"], report["worst_column"]) == ("s", 1)
+    assert report["max"] == 0.3
+
+
+def test_assembly_propagates_one_batch(monkeypatch):
+    calls = []
+    run = Propagator.run
+
+    def counting_run(self, a_r, a_s):
+        calls.append(np.shape(a_r))
+        return run(self, a_r, a_s)
+
+    monkeypatch.setattr(Propagator, "run", counting_run)
+    gf = assemble_gf(SSVM, PUMP, n_r=6, n_s=4, tol_leak=0.5)
+    assert len(calls) == 1 and calls[0][0] == 10
+    assert gf.g_rs.shape == (6, 4) and gf.g_sr.shape == (4, 6)
 
 
 def test_assembly_column_energies(gf_small):

@@ -260,6 +260,24 @@ def test_cli_run_matches_library(tmp_path):
     assert out.read_bytes() == lib.read_bytes()
 
 
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_cli_run_stdout_matches_out_file(tmp_path, capsysbinary, fmt):
+    cfg = _write_config(tmp_path)
+    out = tmp_path / f"sweep.{fmt}"
+    assert main(["run", str(cfg), "--format", fmt, "--out", str(out)]) == 0
+    capsysbinary.readouterr()
+    assert main(["run", str(cfg), "--format", fmt]) == 0
+    printed = capsysbinary.readouterr().out
+    if fmt == "json":
+        # only the provenance (timestamps, wall time) differs between runs
+        printed, written = json.loads(printed), json.loads(out.read_bytes())
+        del printed["provenance"], written["provenance"]
+        assert printed == written
+    else:
+        assert printed == out.read_bytes()
+        assert printed.count(b"\r\n") == 3
+
+
 def test_cli_reproduce_unknown_exits_config(capsys):
     code = main(["reproduce", "no-such-case"])
     assert code == 2

@@ -51,8 +51,46 @@ def test_energy_conservation():
     out = propagate(PARAMS, PUMP, GRID, state)
     e_in = energy(state, GRID)
     e_out = energy(out, GRID)
-    # spectral advection and RK4 coupling: drift far below the 1e-6 contract
+    # spectral advection and the exact coupling rotation are both unitary:
+    # drift far below the 1e-6 contract
     assert abs(e_out / e_in - 1.0) < 1e-9
+
+
+def test_exact_unitarity_at_strong_coupling():
+    """|kappa| dz reaches 1.9 per slice: a Taylor step loses energy here, the
+    slice rotation cannot."""
+    params = RegimeParams(beta_r=0.0, beta_s=0.0, beta_p=0.0, gamma=40.0)
+    grid = TemporalGrid(-9.0, 9.0, 1024, 16)
+    a_r, a_s = _inputs(grid)
+    out = Propagator(params, PUMP, grid, check_coverage=False).run(a_r, a_s)
+    e_in = energy(FieldState(a_r, a_s), grid)
+    assert abs(energy(out, grid) / e_in - 1.0) <= 1e-12
+
+
+def test_batch_matches_column_runs():
+    prop = Propagator(PARAMS, PUMP, GRID)
+    cols = [_inputs(GRID, seed=k) for k in range(5)]
+    batch = prop.run(np.array([c[0] for c in cols]), np.array([c[1] for c in cols]))
+    assert batch.a_r.shape == (5, GRID.n_t)
+    for k, (a_r, a_s) in enumerate(cols):
+        single = prop.run(a_r, a_s)
+        scale = np.linalg.norm(single.a_r) + np.linalg.norm(single.a_s)
+        err = (np.linalg.norm(batch.a_r[k] - single.a_r)
+               + np.linalg.norm(batch.a_s[k] - single.a_s)) / scale
+        assert err <= 1e-13
+
+
+def test_batch_shape_validation():
+    prop = Propagator(PARAMS, PUMP, GRID)
+    stack = np.zeros((3, GRID.n_t))
+    with pytest.raises(DataError):
+        prop.run(stack, np.zeros((2, GRID.n_t)))
+    with pytest.raises(DataError):
+        prop.run(stack, np.zeros(GRID.n_t))
+    with pytest.raises(DataError):
+        prop.run(np.zeros((3, GRID.n_t - 1)), np.zeros((3, GRID.n_t - 1)))
+    with pytest.raises(DataError):
+        prop.run(np.zeros((2, 3, GRID.n_t)), np.zeros((2, 3, GRID.n_t)))
 
 
 def test_zero_coupling_is_pure_advection():
