@@ -41,9 +41,13 @@ from .model import (
     pump_cumulative_intensity,
     pump_spectrum,
 )
-from .gf_numeric import DeltaLine, GreenFunction, _spectral_shift
-
-_BLOCKS = ("rr", "rs", "sr", "ss")
+from .gf_numeric import (
+    _BLOCKS,
+    DeltaLine,
+    GreenFunction,
+    _run_metadata,
+    _spectral_shift,
+)
 
 
 def _require_real_gamma(params: RegimeParams, what: str) -> float:
@@ -133,17 +137,11 @@ def sample_low_ce(params: RegimeParams, pump: PumpSpec,
     data = {}
     for b in blocks:
         data[f"g_{b}"] = low_ce_gf(params, pump, tt, pp, block=b) * weight
-    meta = {"engine": "low-ce", "beta_r": params.beta_r, "beta_s": params.beta_s,
-            "beta_p": params.beta_p, "L": params.L,
-            "gamma_re": complex(params.gamma).real,
-            "gamma_im": complex(params.gamma).imag,
-            "pump_shape": pump.shape, "tau_p": pump.tau_p,
-            "pump_center": pump.center, "chirped": pump.chirp is not None}
     return GreenFunction(
         form="grid", t_out=t_out, t_in=t_in,
         delta_rr=DeltaLine(params.beta_r * params.L),
         delta_ss=DeltaLine(params.beta_s * params.L),
-        metadata=meta, **data,
+        metadata=_run_metadata("low-ce", params, pump), **data,
     )
 
 
@@ -232,7 +230,6 @@ def ssvm_kernel_variables(params: RegimeParams, pump: PumpSpec,
 def _j1_over_x(x: np.ndarray) -> np.ndarray:
     """``2 J1(x) / x``, continuous through x = 0."""
     x = np.asarray(x, dtype=float)
-    out = np.empty_like(x)
     small = np.abs(x) < 1e-8
     xs = np.where(small, 1.0, x)
     out = 2.0 * special.j1(xs) / xs
@@ -276,11 +273,8 @@ def ssvm_gf(params: RegimeParams, pump: PumpSpec,
     if "ss" in blocks:
         data["g_ss"] = np.where(
             kv.mask, -(gbar ** 2) * kv.xi * ap_out_c * ap_in * _j1_over_x(kv.x), 0.0)
-    meta = {"engine": "analytic-ssvm", "beta_r": params.beta_r,
-            "beta_s": params.beta_s, "beta_p": params.beta_p, "L": params.L,
-            "gamma_re": gamma_real, "gamma_im": 0.0,
-            "pump_shape": pump.shape, "tau_p": pump.tau_p,
-            "pump_center": pump.center, "chirped": pump.chirp is not None}
+    # gamma passed the real-coupling check: record it as exactly real
+    meta = {**_run_metadata("analytic-ssvm", params, pump), "gamma_im": 0.0}
     return GreenFunction(
         form="grid", t_out=t_out, t_in=t_in,
         delta_rr=DeltaLine(params.beta_r * params.L) if "rr" in blocks else None,

@@ -148,54 +148,78 @@ class GreenFunction:
     def dt_in(self) -> float:
         return float(self.t_in[1] - self.t_in[0])
 
+    @property
+    def deltas_applicable(self) -> bool:
+        """Whether the delta lines can be applied.  A delta line shifts a
+        function sampled on one axis onto the other, so grid form needs
+        in/out axes of equal size and step; basis form never applies them."""
+        return self.form == "basis" or (
+            self.t_out.size == self.t_in.size
+            and abs(self.dt_out - self.dt_in) <= 1e-12 * self.dt_in)
+
     def block(self, name: str) -> Optional[np.ndarray]:
         if name not in _BLOCKS:
             raise ConfigurationError(f"unknown block {name!r}")
         return getattr(self, f"g_{name}")
 
+    def delta(self, name: str) -> Optional[DeltaLine]:
+        """The delta line of block ``name`` (only rr and ss can carry one)."""
+        return {"rr": self.delta_rr, "ss": self.delta_ss}.get(name)
+
 
 def _spectral_shift(v: np.ndarray, delay: float, dt: float) -> np.ndarray:
-    """Evaluate ``v(t - delay)`` for a sampled band-limited function."""
+    """Evaluate ``v(t - delay)`` for band-limited functions sampled along
+    the last axis."""
     if delay == 0.0:
         return v.astype(complex)
-    omega = 2.0 * math.pi * np.fft.fftfreq(v.size, dt)
+    omega = 2.0 * math.pi * np.fft.fftfreq(v.shape[-1], dt)
     return np.fft.ifft(np.fft.fft(v) * np.exp(-1j * omega * delay))
 
 
 def apply_block(gf: GreenFunction, name: str, vec: np.ndarray,
                 adjoint: bool = False) -> np.ndarray:
-    """Apply one block (including any delta part) to an input function.
+    """Apply one block (including any delta part) to one input function
+    ``(n,)`` or to a stack of them ``(k, n)``, along the last axis.
 
-    For grid form, ``vec`` is sampled on ``t_in`` (``t_out`` when
+    For grid form, functions are sampled on ``t_in`` (``t_out`` when
     ``adjoint``) and the continuous integral is approximated with the grid
-    quadrature.  For basis form, ``vec`` holds basis coefficients.
+    quadrature.  For basis form, they hold basis coefficients.  ``adjoint``
+    applies the conjugate-transposed block; its delta part is the reverse
+    shift with the conjugate weight.
     """
     m = gf.block(name)
     if m is None:
         raise ConfigurationError(f"block {name} is not present")
     vec = np.asarray(vec, dtype=complex)
+    mt = m.conj() if adjoint else m.T
     if gf.form == "basis":
-        return (m.conj().T if adjoint else m) @ vec
-    delta = gf.delta_rr if name == "rr" else gf.delta_ss if name == "ss" else None
-    if not adjoint:
-        out = (m @ vec) * gf.dt_in
-        if delta is not None:
-            if gf.t_out.size != gf.t_in.size or abs(gf.dt_out - gf.dt_in) > 1e-12 * gf.dt_in:
-                raise ConfigurationError("delta part needs matching in/out axes")
-            shifted = _spectral_shift(vec, delta.delay + (gf.t_in[0] - gf.t_out[0]), gf.dt_in)
-            out = out + delta.weight * shifted
-        return out
-    out = (m.conj().T @ vec) * gf.dt_out
+        return vec @ mt
+    dt = gf.dt_out if adjoint else gf.dt_in
+    out = (vec @ mt) * dt
+    delta = gf.delta(name)
     if delta is not None:
-        if gf.t_out.size != gf.t_in.size or abs(gf.dt_out - gf.dt_in) > 1e-12 * gf.dt_in:
+        if not gf.deltas_applicable:
             raise ConfigurationError("delta part needs matching in/out axes")
-        shifted = _spectral_shift(vec, -delta.delay + (gf.t_out[0] - gf.t_in[0]), gf.dt_out)
-        out = out + np.conj(delta.weight) * shifted
+        shift = delta.delay + (gf.t_in[0] - gf.t_out[0])
+        weight = delta.weight
+        if adjoint:
+            shift, weight = -shift, np.conj(weight)
+        out = out + weight * _spectral_shift(vec, shift, dt)
     return out
 
 
 # ---------------------------------------------------------------------------
 # numeric assembly
+
+
+def _run_metadata(engine: str, params: RegimeParams, pump: PumpSpec) -> Dict:
+    """The run description each engine records with its Green function."""
+    gamma = complex(params.gamma)
+    return {"engine": engine, "beta_r": params.beta_r, "beta_s": params.beta_s,
+            "beta_p": params.beta_p, "L": params.L,
+            "gamma_re": gamma.real, "gamma_im": gamma.imag,
+            "pump_shape": pump.shape, "tau_p": pump.tau_p,
+            "pump_center": pump.center, "chirped": pump.chirp is not None}
 
 
 def default_basis_layout(params: RegimeParams, pump: PumpSpec,
@@ -313,12 +337,7 @@ def assemble_gf(
         )
 
     meta = {
-        "engine": "numeric",
-        "beta_r": params.beta_r, "beta_s": params.beta_s, "beta_p": params.beta_p,
-        "L": params.L, "gamma_re": complex(params.gamma).real,
-        "gamma_im": complex(params.gamma).imag,
-        "pump_shape": pump.shape, "tau_p": pump.tau_p, "pump_center": pump.center,
-        "chirped": pump.chirp is not None,
+        **_run_metadata("numeric", params, pump),
         "n_t": grid.n_t, "n_z": grid.n_z,
         "t_min": grid.t_min, "t_max": grid.t_max,
         "leak_s": leak_s, "leak_r": leak_r,

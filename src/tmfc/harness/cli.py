@@ -25,7 +25,7 @@ from ..errors import (
 from ..model import PumpSpec, QuadraticChirp, RegimeParams, TemporalGrid
 from ..schmidt import decompose
 from .cases import CATALOG, CaseReport, case_ids, reproduce
-from .gfio import export_result, load_gf
+from .gfio import _sink, export_result, load_gf
 from .sweep import SweepSpec, run_sweep
 
 EXIT_OK = 0
@@ -135,14 +135,6 @@ def spec_from_config(cfg: dict) -> SweepSpec:
 # verbs
 
 
-def _emit(path, text: str) -> None:
-    if path is None:
-        sys.stdout.write(text)
-    else:
-        with open(path, "w") as fh:
-            fh.write(text)
-
-
 def _cmd_run(args) -> int:
     with open(args.config) as fh:
         cfg = yaml.safe_load(fh)
@@ -195,14 +187,16 @@ def _cmd_decompose(args) -> int:
             "sum_rho_sq": float(res.sum_rho_sq),
             "tau_source": res.tau_source,
         }
-        _emit(args.out, json.dumps(payload, indent=2) + "\n")
+        text = json.dumps(payload, indent=2) + "\n"
     else:
         n = len(res.rho)
         header = [f"rho_{i + 1}" for i in range(n)] \
             + [f"ce_{i + 1}" for i in range(n)] + ["selectivity", "separability"]
         row = ["%.12g" % v for v in list(res.rho) + list(res.ce)
                + [res.selectivity, res.separability]]
-        _emit(args.out, ",".join(header) + "\n" + ",".join(row) + "\n")
+        text = ",".join(header) + "\n" + ",".join(row) + "\n"
+    with _sink(sys.stdout if args.out is None else args.out) as fh:
+        fh.write(text)
     return EXIT_OK
 
 

@@ -137,18 +137,19 @@ def _gf_for_point(spec: SweepSpec, params: RegimeParams, pump: PumpSpec):
     if spec.engine == "numeric":
         kwargs = dict(spec.basis or {})
         return assemble_gf(params, pump, grid=spec.grid, **kwargs)
+    # the analytic engines sample only the rs block, the one records read
     if spec.engine == "analytic-ssvm":
         if abs(params.beta_sp) > EPS_BETA:
             raise RegimeError(
                 "analytic-ssvm engine requires the s channel matched to the "
                 f"pump (beta_sp = {params.beta_sp:g})")
         t_out, t_in = default_ssvm_grids(params, pump)
-        return ssvm_gf(params, pump, t_out, t_in)
+        return ssvm_gf(params, pump, t_out, t_in, blocks=("rs",))
     (o_lo, o_hi), (i_lo, i_hi) = conversion_support(
         params, pump, margin=spec.low_ce_margin)
     t_out = np.linspace(o_lo, o_hi, spec.low_ce_n)
     t_in = np.linspace(i_lo, i_hi, spec.low_ce_n)
-    return sample_low_ce(params, pump, t_out, t_in)
+    return sample_low_ce(params, pump, t_out, t_in, blocks=("rs",))
 
 
 def evaluate_point(spec: SweepSpec, index: int, values: Dict[str, float]) -> dict:

@@ -25,7 +25,7 @@ from typing import Optional, Tuple
 import numpy as np
 
 from .errors import ConfigurationError, DataError, UnsupportedConfigurationError
-from .gf_numeric import GreenFunction, to_grid_form
+from .gf_numeric import GreenFunction, apply_block, to_grid_form
 
 _PHASE_TOL = 1e-6
 
@@ -92,45 +92,45 @@ def separability(rho: np.ndarray) -> float:
     return float(rho[0] ** 2 / total)
 
 
-def _canonical_phase(vec: np.ndarray) -> complex:
-    """Phase factor making the first significant component positive real."""
-    mags = np.abs(vec)
-    peak = mags.max()
-    if peak == 0.0:
-        return 1.0
-    idx = int(np.argmax(mags > 0.5 * peak))
-    z = vec[idx]
-    return z / abs(z)
+def _canonical_phase(vecs: np.ndarray) -> np.ndarray:
+    """Per-row phase factors making the first significant component of each
+    row positive real (1 for a zero row)."""
+    mags = np.abs(vecs)
+    idx = np.argmax(mags > 0.5 * mags.max(axis=1, keepdims=True), axis=1)
+    z = vecs[np.arange(vecs.shape[0]), idx]
+    z = np.where(z == 0.0, 1.0, z)
+    return z / np.abs(z)
 
 
 def decompose(gf: GreenFunction, n_report: int = 10,
               want_modes: bool = True) -> SchmidtResult:
     """Schmidt-decompose the rs block and pair the transmission amplitudes.
 
-    ``tau_n`` is recovered by applying the ss block (or the adjoint rr
-    block) to the matched input (output) function; when neither diagonal
-    block is applicable the unitarity value ``sqrt(1 - rho_n^2)`` is used
-    and ``tau_source`` says so.
+    ``tau_n`` is recovered by applying the ss block to the matched input
+    function or, failing that, the adjoint rr block to the matched output
+    function, both as one batched :func:`apply_block` call; a block is
+    skipped when absent or when its delta line cannot be applied on the
+    grid.  When neither applies, the unitarity value ``sqrt(1 - rho_n^2)``
+    is used and ``tau_source`` says so.  The pairing is the same for both
+    forms: grid-form vectors carry the quadrature weight ``sqrt(dt)``,
+    basis-form ones a weight of 1.
     """
     if gf.block("rs") is None:
         raise ConfigurationError("decomposition needs the rs block")
 
-    if gf.form == "basis":
-        m = gf.g_rs
+    basis = gf.form == "basis"
+    if basis:
         w_out = w_in = 1.0
-        t_in = t_out = None
-        if gf.grid is not None:
-            t_in = t_out = gf.grid.times
+        t_in = t_out = None if gf.grid is None else gf.grid.times
     else:
         w_out = math.sqrt(gf.dt_out)
         w_in = math.sqrt(gf.dt_in)
-        m = gf.g_rs * (w_out * w_in)
         t_in, t_out = gf.t_in, gf.t_out
 
-    u, sig, vh = np.linalg.svd(m, full_matrices=False)
+    u, sig, vh = np.linalg.svd(gf.g_rs * (w_out * w_in), full_matrices=False)
     n_report = min(n_report, sig.size)
     rho_full = sig.copy()
-    if gf.form == "basis" and "conv_energy_s" in gf.metadata:
+    if basis and "conv_energy_s" in gf.metadata:
         # include the conversion weight past the finite output basis: the
         # unprojected column energies sum to the Hilbert-Schmidt weight of
         # the rs block over the spanned inputs
@@ -142,59 +142,43 @@ def decompose(gf: GreenFunction, n_report: int = 10,
     # canonical phases: first significant component of each input function
     # positive real, the partner output function rotated with it
     in_vecs = vh[:n_report].conj()
-    out_vecs = u[:, :n_report].T.copy()
-    for n in range(n_report):
-        ph = _canonical_phase(in_vecs[n])
-        in_vecs[n] = in_vecs[n] / ph
-        out_vecs[n] = out_vecs[n] / ph
+    ph = _canonical_phase(in_vecs)[:, None]
+    in_vecs = in_vecs / ph
+    out_vecs = u[:, :n_report].T / ph
 
     tau_abs = np.sqrt(np.clip(1.0 - rho ** 2, 0.0, None))
     tau_phase = np.zeros(n_report)
     tau_source = "unitarity"
-    modes_out_s = None
-    modes_in_r = None
+    paired = {}
 
-    basis = gf.form == "basis"
-    use_ss = gf.block("ss") is not None and (basis or gf.delta_ss is None
-                                             or _delta_applicable(gf))
-    use_rr = gf.block("rr") is not None and (basis or gf.delta_rr is None
-                                             or _delta_applicable(gf))
-    if use_ss:
-        # G_ss phi_n = tau_n* Phi_n with unit Phi_n
-        imgs = (gf.g_ss @ in_vecs.T).T if basis else \
-            _apply_grid(gf, "ss", in_vecs, w_in, w_out, adjoint=False)
-        tau_abs, tau_phase, modes_out_s = _pair_tau(imgs)
-        tau_source = "gss"
-    if use_rr:
+    def applicable(name: str) -> bool:
+        return gf.block(name) is not None and (
+            gf.delta(name) is None or gf.deltas_applicable)
+
+    if applicable("rr"):
         # G_rr^H Psi_n = tau_n* psi_n with unit psi_n
-        imgs = (gf.g_rr.conj().T @ out_vecs.T).T if basis else \
-            _apply_grid(gf, "rr", out_vecs, w_out, w_in, adjoint=True)
-        rr_abs, rr_phase, modes_in_r = _pair_tau(imgs)
-        if not use_ss:
-            tau_abs, tau_phase, tau_source = rr_abs, rr_phase, "grr"
+        imgs = apply_block(gf, "rr", out_vecs / w_out, adjoint=True) * w_in
+        tau_abs, tau_phase, paired["in_r"] = _pair_tau(imgs)
+        tau_source = "grr"
+    if applicable("ss"):
+        # G_ss phi_n = tau_n* Phi_n with unit Phi_n; preferred over rr
+        imgs = apply_block(gf, "ss", in_vecs / w_in) * w_out
+        tau_abs, tau_phase, paired["out_s"] = _pair_tau(imgs)
+        tau_source = "gss"
 
     result_modes = {}
     if want_modes:
-        if gf.form == "basis":
-            if gf.grid is None:
-                raise ConfigurationError(
-                    "time-domain modes need a grid; pass want_modes=False")
-            t = gf.grid.times
-            b_in_s = gf.basis_in_s.sample(t)
-            b_out_r = gf.basis_out_r.sample(t)
-            result_modes["modes_in_s"] = in_vecs @ b_in_s
-            result_modes["modes_out_r"] = out_vecs @ b_out_r
-            if modes_out_s is not None:
-                result_modes["modes_out_s"] = modes_out_s @ gf.basis_out_s.sample(t)
-            if modes_in_r is not None:
-                result_modes["modes_in_r"] = modes_in_r @ gf.basis_in_r.sample(t)
-        else:
-            result_modes["modes_in_s"] = in_vecs / w_in
-            result_modes["modes_out_r"] = out_vecs / w_out
-            if modes_out_s is not None:
-                result_modes["modes_out_s"] = modes_out_s / w_out
-            if modes_in_r is not None:
-                result_modes["modes_in_r"] = modes_in_r / w_in
+        if basis and gf.grid is None:
+            raise ConfigurationError(
+                "time-domain modes need a grid; pass want_modes=False")
+        families = {"in_s": in_vecs, "out_r": out_vecs, **paired}
+        for side, vecs in families.items():
+            if basis:
+                result_modes[f"modes_{side}"] = \
+                    vecs @ getattr(gf, f"basis_{side}").sample(t_in)
+            else:
+                result_modes[f"modes_{side}"] = \
+                    vecs / (w_in if side.startswith("in") else w_out)
 
     sel = float(rho[0] ** 4 / sum_rho_sq) if sum_rho_sq > 0.0 else 0.0
     sep = float(rho[0] ** 2 / sum_rho_sq) if sum_rho_sq > 0.0 else 0.0
@@ -206,40 +190,16 @@ def decompose(gf: GreenFunction, n_report: int = 10,
     )
 
 
-def _delta_applicable(gf: GreenFunction) -> bool:
-    return gf.t_out.size == gf.t_in.size and \
-        abs(gf.dt_out - gf.dt_in) <= 1e-12 * gf.dt_in
-
-
-def _apply_grid(gf: GreenFunction, name: str, vecs: np.ndarray,
-                w_from: float, w_to: float, adjoint: bool) -> np.ndarray:
-    """Apply a grid block to weighted unit vectors, returning weighted
-    unit-normalized images times their amplitudes."""
-    from .gf_numeric import apply_block
-    out = np.empty((vecs.shape[0],
-                    gf.t_in.size if adjoint else gf.t_out.size), dtype=complex)
-    for n in range(vecs.shape[0]):
-        func = vecs[n] / w_from
-        img = apply_block(gf, name, func, adjoint=adjoint)
-        out[n] = img * w_to
-    return out
-
-
 def _pair_tau(imgs: np.ndarray):
     """Split images ``tau_n* X_n`` into ``|tau_n|``, the phase of ``tau_n``
     and canonical unit ``X_n`` (zero where the image vanishes)."""
-    n = imgs.shape[0]
     tau_abs = np.linalg.norm(imgs, axis=1)
-    tau_phase = np.zeros(n)
-    out = np.zeros_like(imgs)
-    for k in range(n):
-        if tau_abs[k] <= 1e-300:
-            continue
-        ph = _canonical_phase(imgs[k])
-        out[k] = imgs[k] / (tau_abs[k] * ph)
-        # imgs = tau* X with X canonical, so tau* carries the phase ph
-        tau_phase[k] = -np.angle(ph)
-    return tau_abs, tau_phase, out
+    live = tau_abs > 1e-300
+    ph = _canonical_phase(imgs)
+    out = np.where(live[:, None],
+                   imgs / (np.where(live, tau_abs, 1.0) * ph)[:, None], 0.0)
+    # imgs = tau* X with X canonical, so tau* carries the phase ph
+    return tau_abs, np.where(live, -np.angle(ph), 0.0), out
 
 
 def beamsplitter_apply(result: SchmidtResult, coeffs_r: np.ndarray,
@@ -350,8 +310,7 @@ def gf_fourier(gf: GreenFunction, block: str = "rs") -> FrequencyKernel:
     m = gf.block(block)
     if m is None:
         raise ConfigurationError(f"block {block} is not present")
-    delta = gf.delta_rr if block == "rr" else gf.delta_ss if block == "ss" else None
-    if delta is not None:
+    if gf.delta(block) is not None:
         raise UnsupportedConfigurationError(
             "cannot Fourier transform a block with a delta line; "
             "transform the smooth blocks only"

@@ -213,6 +213,24 @@ def test_apply_block_adjoint_pairing():
     assert np.isclose(lhs, rhs, rtol=1e-12)
 
 
+def test_apply_block_stack_matches_rows():
+    """A (k, n) stack gives the row-by-row images, delta line included, in
+    both directions."""
+    rng = np.random.default_rng(5)
+    t_in = np.linspace(-4.0, 4.0, 256, endpoint=False)
+    t_out = t_in + 1.3
+    n = t_in.size
+    m = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+    gf = GreenFunction(form="grid", g_ss=m, t_out=t_out, t_in=t_in,
+                       delta_ss=DeltaLine(delay=0.9, weight=0.6 - 0.8j))
+    vecs = rng.normal(size=(3, n)) + 1j * rng.normal(size=(3, n))
+    for adjoint in (False, True):
+        stack = apply_block(gf, "ss", vecs, adjoint=adjoint)
+        rows = np.array([apply_block(gf, "ss", v, adjoint=adjoint) for v in vecs])
+        assert stack.shape == (3, n)
+        assert np.max(np.abs(stack - rows)) <= 1e-13 * np.max(np.abs(rows))
+
+
 def test_assembly_is_deterministic():
     a = assemble_gf(SSVM, PUMP, n_r=10, n_s=10, tol_leak=0.05)
     b = assemble_gf(SSVM, PUMP, n_r=10, n_s=10, tol_leak=0.05)

@@ -11,8 +11,11 @@ from tmfc import (
     DataError,
     PumpSpec,
     RegimeParams,
+    conversion_support,
     decompose,
+    default_ssvm_grids,
     sample_low_ce,
+    ssvm_gf,
 )
 from tmfc.gf_numeric import assemble_gf
 from tmfc.harness import (
@@ -115,6 +118,31 @@ def test_run_sweep_workers_match_serial():
     serial = run_sweep(spec, workers=1)
     parallel = run_sweep(spec, workers=2)
     assert serial.records == parallel.records
+
+
+@pytest.mark.parametrize("engine", ["analytic-ssvm", "low-ce"])
+def test_analytic_sweep_records_match_full_block_gf(engine):
+    """Analytic sweeps sample the rs block alone; their records equal those
+    of the Green function with every block sampled."""
+    if engine == "analytic-ssvm":
+        base = RegimeParams(beta_r=2.0, beta_s=0.0, beta_p=0.0,
+                            L=2.0).with_gamma_bar(0.8)
+        spec = SweepSpec(params=base, pump=PUMP, engine=engine, n_report=3)
+        params, pump = spec.point_config({})
+        gf = ssvm_gf(params, pump, *default_ssvm_grids(params, pump))
+    else:
+        spec = _tiny_spec(axes=())
+        params, pump = spec.point_config({})
+        (o_lo, o_hi), (i_lo, i_hi) = conversion_support(
+            params, pump, margin=spec.low_ce_margin)
+        gf = sample_low_ce(params, pump, np.linspace(o_lo, o_hi, spec.low_ce_n),
+                           np.linspace(i_lo, i_hi, spec.low_ce_n))
+    (rec,) = run_sweep(spec).records
+    res = decompose(gf, n_report=3, want_modes=False)
+    assert rec["error"] == ""
+    assert rec["rho"] == [float(x) for x in res.rho]
+    assert rec["selectivity"] == res.selectivity
+    assert rec["separability"] == res.separability
 
 
 def test_export_csv_layout(tmp_path):

@@ -76,6 +76,20 @@ def test_decompose_pairs_transmission(gf_small):
     assert np.max(np.abs(res.tau_phase)) < 1e-6
 
 
+def test_decompose_pairs_through_delta_line():
+    """On square axes the ss block applies together with its delta line.
+
+    Without the delta line |tau|^2 + rho^2 would fall short of 1 by 0.73
+    or more.  What remains is the first-order error of sampling the
+    kernel's jump edges: 2.5e-3 on this grid, 1.3e-3 at twice the points
+    and 1.0e-3 at four times."""
+    t = np.linspace(-8.0, 9.0, 1025)
+    gf = ssvm_gf(SSVM.with_gamma_bar(0.8), PUMP, t, t)
+    res = decompose(gf, n_report=4, want_modes=False)
+    assert res.tau_source == "gss"
+    assert np.max(np.abs(res.tau_abs ** 2 + res.rho ** 2 - 1.0)) < 5e-3
+
+
 def test_decompose_grid_reconstruction(gf_weak_grid):
     n_full = min(gf_weak_grid.t_out.size, gf_weak_grid.t_in.size)
     res = decompose(gf_weak_grid, n_report=n_full)
