@@ -26,6 +26,7 @@ from ..gf_analytic import (
     default_ssvm_grids,
     ecop_bessel_identity_error,
     ecop_output,
+    short_pump_limit_peak,
     ssvm_gf,
     ssvm_to_ecop_limit_check,
 )
@@ -66,15 +67,15 @@ def _report(case_id: str, checks: Sequence[Check],
 def _rel_check(name: str, measured: float, target: float, tol: float) -> Check:
     err = abs(measured / target - 1.0)
     return Check(name, err <= tol,
-                 f"measured {measured:.5g}, target {target:g}, "
-                 f"rel err {err:.2e} (tol {tol:g})")
+                 f"measured {measured:.5g}, target {target:g}, rel err "
+                 f"{err:.2e} (tol {tol:g}, {100.0 * err / tol:.1f} % used)")
 
 
 def _abs_check(name: str, measured: float, target: float, tol: float) -> Check:
     err = abs(measured - target)
     return Check(name, err <= tol,
-                 f"measured {measured:.5g}, target {target:g}, "
-                 f"abs err {err:.2e} (tol {tol:g})")
+                 f"measured {measured:.5g}, target {target:g}, abs err "
+                 f"{err:.2e} (tol {tol:g}, {100.0 * err / tol:.1f} % used)")
 
 
 # ---------------------------------------------------------------------------
@@ -231,6 +232,22 @@ def _case_ssvm_limit(workers: int = 1):
     return result, _report("ssvm-limit-0.85", checks, notes)
 
 
+def _case_ssvm_limit_exact(workers: int = 1):
+    s_star, gbar_star = short_pump_limit_peak(ssvm_limit_spec().params)
+    checks = [
+        _abs_check("limit peak selectivity", s_star, 0.829644, 1e-5),
+        _abs_check("limit peak coupling", gbar_star, 1.1272, 1e-3),
+    ]
+    notes = ("exact tau_p -> 0 limit of the velocity-matched rs kernel, "
+             "g J0(2 g sqrt((1 - u) v)) on the unit square with "
+             "g = gamma_bar sqrt(beta_rs L) (short_pump_limit_peak): "
+             "S* 0.829644 at gamma_bar* 1.1272 for beta_rs L = 2; the grid "
+             "approaches it from below, S 0.7993 at tau_p 0.1 and 0.8260 at "
+             "tau_p 0.01 (gamma_bar 1.15)",)
+    payload = {"s_star": s_star, "gamma_bar_star": gbar_star}
+    return payload, _report("ssvm-limit-exact", checks, notes)
+
+
 def scup_opt_spec() -> SweepSpec:
     params = RegimeParams(beta_r=4.0, beta_s=0.0, beta_p=2.0).with_gamma_bar(1.0)
     return SweepSpec(
@@ -342,6 +359,8 @@ CATALOG: Dict[str, Tuple[str, Callable]] = {
     "fig6": ("selectivity vs coupling, exact kernel", _case_fig6),
     "scup-opt": ("symmetric counter-propagating optimum", _case_scup_opt),
     "ssvm-limit-0.85": ("short-pump limiting selectivity", _case_ssvm_limit),
+    "ssvm-limit-exact": ("exact short-pump limit of the selectivity peak",
+                         _case_ssvm_limit_exact),
     "betap-symmetry": ("pump-slowness reflection symmetry", _case_betap_symmetry),
     "chirp-invariance": ("pump chirp leaves the spectrum unchanged",
                          _case_chirp_invariance),

@@ -114,6 +114,14 @@ def decompose(gf: GreenFunction, n_report: int = 10,
     is used and ``tau_source`` says so.  The pairing is the same for both
     forms: grid-form vectors carry the quadrature weight ``sqrt(dt)``,
     basis-form ones a weight of 1.
+
+    Only what is read gets computed.  Singular vectors are computed when
+    ``want_modes`` is set or an ss or rr block can pair ``tau``; otherwise
+    the SVD returns singular values alone.  An rs block with an identically
+    zero real part (``i`` times a real kernel, as every sampled kernel at
+    real coupling with an unchirped pump is) or zero imaginary part is
+    decomposed as the real matrix, with the factor ``i`` carried by the
+    output functions; any other block takes the complex SVD.
     """
     if gf.block("rs") is None:
         raise ConfigurationError("decomposition needs the rs block")
@@ -127,7 +135,25 @@ def decompose(gf: GreenFunction, n_report: int = 10,
         w_in = math.sqrt(gf.dt_in)
         t_in, t_out = gf.t_in, gf.t_out
 
-    u, sig, vh = np.linalg.svd(gf.g_rs * (w_out * w_in), full_matrices=False)
+    def applicable(name: str) -> bool:
+        return gf.block(name) is not None and (
+            gf.delta(name) is None or gf.deltas_applicable)
+
+    pair_rr, pair_ss = applicable("rr"), applicable("ss")
+    vectors = want_modes or pair_rr or pair_ss
+    g = gf.g_rs
+    # a real kernel up to the factor i: the real SVD, i rides on the outputs
+    if not g.real.any():
+        mat, unit = g.imag, 1j
+    elif not g.imag.any():
+        mat, unit = g.real, 1.0 + 0j
+    else:
+        mat, unit = g, 1.0 + 0j
+    mat = mat * (w_out * w_in)
+    if vectors:
+        u, sig, vh = np.linalg.svd(mat, full_matrices=False)
+    else:
+        sig = np.linalg.svd(mat, compute_uv=False)
     n_report = min(n_report, sig.size)
     rho_full = sig.copy()
     if basis and "conv_energy_s" in gf.metadata:
@@ -139,28 +165,25 @@ def decompose(gf: GreenFunction, n_report: int = 10,
         sum_rho_sq = float(np.sum(sig ** 2))
     rho = sig[:n_report]
 
-    # canonical phases: first significant component of each input function
-    # positive real, the partner output function rotated with it
-    in_vecs = vh[:n_report].conj()
-    ph = _canonical_phase(in_vecs)[:, None]
-    in_vecs = in_vecs / ph
-    out_vecs = u[:, :n_report].T / ph
+    if vectors:
+        # canonical phases: first significant component of each input
+        # function positive real, the partner output function rotated with it
+        in_vecs = vh[:n_report].conj().astype(complex)
+        ph = _canonical_phase(in_vecs)[:, None]
+        in_vecs = in_vecs / ph
+        out_vecs = u[:, :n_report].T * unit / ph
 
     tau_abs = np.sqrt(np.clip(1.0 - rho ** 2, 0.0, None))
     tau_phase = np.zeros(n_report)
     tau_source = "unitarity"
     paired = {}
 
-    def applicable(name: str) -> bool:
-        return gf.block(name) is not None and (
-            gf.delta(name) is None or gf.deltas_applicable)
-
-    if applicable("rr"):
+    if pair_rr:
         # G_rr^H Psi_n = tau_n* psi_n with unit psi_n
         imgs = apply_block(gf, "rr", out_vecs / w_out, adjoint=True) * w_in
         tau_abs, tau_phase, paired["in_r"] = _pair_tau(imgs)
         tau_source = "grr"
-    if applicable("ss"):
+    if pair_ss:
         # G_ss phi_n = tau_n* Phi_n with unit Phi_n; preferred over rr
         imgs = apply_block(gf, "ss", in_vecs / w_in) * w_out
         tau_abs, tau_phase, paired["out_s"] = _pair_tau(imgs)

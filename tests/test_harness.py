@@ -22,6 +22,7 @@ from tmfc.harness import (
     SweepResult,
     SweepSpec,
     case_ids,
+    cases,
     export_csv,
     export_json,
     import_json,
@@ -245,6 +246,21 @@ def test_reproduce_ecop_limit():
     assert report.passed
     assert report.lines()[0] == "ecop-limit: PASS"
     assert all(c.ok for c in report.checks)
+
+
+def test_reproduce_ssvm_limit_exact():
+    payload, report = reproduce("ssvm-limit-exact")
+    assert report.passed
+    assert abs(payload["s_star"] - 0.829644) <= 1e-5
+    assert abs(payload["gamma_bar_star"] - 1.1272) <= 1e-3
+    assert any("0.829644" in n and "1.1272" in n for n in report.notes)
+
+
+def test_check_detail_reports_tolerance_share():
+    rel = cases._rel_check("x", 1.0199, 1.0, 0.02)
+    assert rel.ok and rel.detail.endswith("(tol 0.02, 99.5 % used)")
+    over = cases._abs_check("y", 0.5, 0.2, 0.1)
+    assert not over.ok and over.detail.endswith("(tol 0.1, 300.0 % used)")
 
 
 def _write_config(tmp_path):

@@ -1,6 +1,7 @@
 """Schmidt decomposition, figures of merit, and the frequency view."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -88,6 +89,59 @@ def test_decompose_pairs_through_delta_line():
     res = decompose(gf, n_report=4, want_modes=False)
     assert res.tau_source == "gss"
     assert np.max(np.abs(res.tau_abs ** 2 + res.rho ** 2 - 1.0)) < 5e-3
+
+
+def test_decompose_values_only_when_no_vector_is_read(monkeypatch):
+    """An rs-only grid Green function pairs tau by unitarity, so without
+    modes no singular vector is read and the SVD returns values alone."""
+    params = RegimeParams(beta_r=1.0, beta_s=-1.0, beta_p=1.0).with_gamma_bar(0.01)
+    (o_lo, o_hi), (i_lo, i_hi) = conversion_support(params, PUMP)
+    gf = sample_low_ce(params, PUMP, np.linspace(o_lo - 1.0, o_hi + 1.0, 257),
+                       np.linspace(i_lo - 1.0, i_hi + 1.0, 241), blocks=("rs",))
+    full = decompose(gf, n_report=8, want_modes=True)
+    calls = []
+    svd = np.linalg.svd
+
+    def spy(*args, **kwargs):
+        calls.append(kwargs.get("compute_uv", True))
+        return svd(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", spy)
+    lean = decompose(gf, n_report=8, want_modes=False)
+    assert calls == [False]
+    assert lean.modes_in_s is None and lean.tau_source == "unitarity"
+    # relative to the largest value: the tail of rho_full sits at round-off
+    for name in ("rho", "rho_full"):
+        a, b = getattr(lean, name), getattr(full, name)
+        assert a.shape == b.shape
+        assert np.max(np.abs(a - b)) <= 1e-13 * b[0]
+    for name in ("selectivity", "separability", "sum_rho_sq"):
+        assert math.isclose(getattr(lean, name), getattr(full, name),
+                            rel_tol=1e-13)
+
+
+def test_decompose_real_kernel_path_matches_complex_path():
+    """Real coupling and an unchirped pump make the rs block i times a real
+    kernel, which takes the real SVD; a global phase on the block forces the
+    complex one.  Both must give the same values and pairing, and output
+    functions that differ only by that phase."""
+    t = np.linspace(-6.0, 7.0, 513)
+    gf = ssvm_gf(SSVM.with_gamma_bar(0.8), PUMP, t, t)
+    assert not gf.g_rs.real.any()
+    phase = np.exp(0.3j)
+    rotated = replace(gf, g_rs=gf.g_rs * phase)
+    assert rotated.g_rs.real.any() and rotated.g_rs.imag.any()
+    real = decompose(gf, n_report=4)
+    cplx = decompose(rotated, n_report=4)
+    assert real.tau_source == cplx.tau_source == "gss"
+    for name in ("rho", "tau_abs"):
+        assert np.max(np.abs(getattr(real, name) - getattr(cplx, name))) < 1e-13
+    assert np.max(np.abs(real.tau_phase - cplx.tau_phase)) < 1e-13
+    scale_in = np.max(np.abs(real.modes_in_s))
+    scale_out = np.max(np.abs(real.modes_out_r))
+    assert np.max(np.abs(real.modes_in_s - cplx.modes_in_s)) < 1e-12 * scale_in
+    assert np.max(np.abs(real.modes_out_r * phase - cplx.modes_out_r)) \
+        < 1e-12 * scale_out
 
 
 def test_decompose_grid_reconstruction(gf_weak_grid):
