@@ -64,18 +64,22 @@ def _report(case_id: str, checks: Sequence[Check],
                       checks=tuple(checks), notes=tuple(notes))
 
 
+def _bound_check(name: str, err: float, tol: float, detail: str) -> Check:
+    """``err <= tol``, with the share of the tolerance used ending the detail."""
+    return Check(name, err <= tol,
+                 f"{detail} (tol {tol:g}, {100.0 * err / tol:.1f} % used)")
+
+
 def _rel_check(name: str, measured: float, target: float, tol: float) -> Check:
     err = abs(measured / target - 1.0)
-    return Check(name, err <= tol,
-                 f"measured {measured:.5g}, target {target:g}, rel err "
-                 f"{err:.2e} (tol {tol:g}, {100.0 * err / tol:.1f} % used)")
+    return _bound_check(name, err, tol, f"measured {measured:.5g}, target "
+                                        f"{target:g}, rel err {err:.2e}")
 
 
 def _abs_check(name: str, measured: float, target: float, tol: float) -> Check:
     err = abs(measured - target)
-    return Check(name, err <= tol,
-                 f"measured {measured:.5g}, target {target:g}, abs err "
-                 f"{err:.2e} (tol {tol:g}, {100.0 * err / tol:.1f} % used)")
+    return _bound_check(name, err, tol, f"measured {measured:.5g}, target "
+                                        f"{target:g}, abs err {err:.2e}")
 
 
 # ---------------------------------------------------------------------------
@@ -301,8 +305,8 @@ def _case_chirp_invariance(workers: int = 1):
     n = min(rho0.size, rho1.size)
     diff = float(np.max(np.abs(rho0[:n] - rho1[:n])))
     checks = [
-        Check("spectrum invariance", diff <= 1e-6,
-              f"max |delta rho| {diff:.2e} (tol 1e-6) over {n} values"),
+        _bound_check("spectrum invariance", diff, 1e-6,
+                     f"max |delta rho| {diff:.2e} over {n} values"),
     ]
     payload = {"max_abs_diff": diff, "n_values": int(n)}
     return payload, _report("chirp-invariance", checks)
@@ -319,8 +323,8 @@ def _case_ecop_limit(workers: int = 1):
     ]
     for g in (0.5, 2.0, 10.0):
         err = ecop_bessel_identity_error(g)
-        checks.append(Check(f"band integral identity g={g:g}", err <= 1e-8,
-                            f"residual {err:.2e} (tol 1e-8)"))
+        checks.append(_bound_check(f"band integral identity g={g:g}", err, 1e-8,
+                                   f"residual {err:.2e}"))
     params = RegimeParams(beta_r=0.3, beta_s=0.3, beta_p=1.0, gamma=1.2)
     pump = PumpSpec(tau_p=0.5)
     grid = TemporalGrid(-6.0, 6.0, 2048, 400)
@@ -331,8 +335,8 @@ def _case_ecop_limit(workers: int = 1):
     ref = ecop_output(params, pump, grid, FieldState(a_r=a_r0, a_s=a_s0))
     err_r = np.linalg.norm(out.a_r - ref.a_r) / np.linalg.norm(ref.a_r)
     err_s = np.linalg.norm(out.a_s - ref.a_s) / np.linalg.norm(ref.a_s)
-    checks.append(Check("solver vs closed form", max(err_r, err_s) <= 1e-4,
-                        f"rel L2 r {err_r:.2e}, s {err_s:.2e} (tol 1e-4)"))
+    checks.append(_bound_check("solver vs closed form", max(err_r, err_s), 1e-4,
+                               f"rel L2 r {err_r:.2e}, s {err_s:.2e}"))
     payload = {"limit_rows": [[b, e] for b, e in rows],
                "solver_rel_l2": [float(err_r), float(err_s)]}
     return payload, _report("ecop-limit", checks)

@@ -6,18 +6,25 @@ by the (non-depleting, analytically known) pump:
     (d/dz + beta_r d/dt) a_r = i kappa a_s,    kappa = gamma A_p(t - beta_p z)
     (d/dz + beta_s d/dt) a_s = i kappa* a_r
 
-The scheme is symmetrized operator splitting per z-slice: each channel's
-advection is applied exactly in the Fourier domain (a pure phase, hence
-exactly energy conserving and dispersion free), and the local two-level
-coupling across the slice is the exact rotation for the pump sampled at
-the slice midpoint::
+The solver carries ``(a_r, b_s = i a_s)``.  The scheme is symmetrized
+operator splitting per z-slice: each channel's advection is applied exactly
+in the Fourier domain (a pure phase, hence exactly energy conserving and
+dispersion free), and the local two-level coupling across the slice is the
+exact rotation for the pump sampled at the slice midpoint::
 
-    a_r' = cos(|kappa| dz) a_r + i (kappa / |kappa|) sin(|kappa| dz) a_s
-    a_s' = cos(|kappa| dz) a_s + i (kappa* / |kappa|) sin(|kappa| dz) a_r
+    a_r' = cos(|kappa| dz) a_r + (kappa / |kappa|) sin(|kappa| dz) b_s
+    b_s' = cos(|kappa| dz) b_s - (kappa* / |kappa|) sin(|kappa| dz) a_r
 
 Both sub-steps are unitary to round-off, so energy is conserved for any
 step size; the splitting and the midpoint sample make the scheme second
 order in dz.
+
+For real ``kappa`` (real ``gamma``, real pump) the rotation is real, so the
+real and imaginary input rows propagate apart in real dtype with ``rfft``
+advection; rows zero in both channels are skipped.  Otherwise (chirp,
+complex ``gamma``) the same loop runs in complex dtype with ``fft``.  For
+even ``n_t``, ``irfft`` keeps only the real part of the Nyquist bin after
+each shift: a round-off-level difference for resolved fields.
 
 The time window is treated as periodic; the grid coverage contract (five
 pump widths of margin beyond every exit delay) keeps wrap-around at the
@@ -34,7 +41,7 @@ from .errors import ConfigurationError, DataError, NumericalError
 from .model import FieldState, PumpSpec, RegimeParams, TemporalGrid, eval_pump
 
 _FINITE_CHECK_STRIDE = 16
-_PRECOMPUTE_LIMIT = 8_000_000  # complex samples; ~128 MB
+_PRECOMPUTE_LIMIT = 8_000_000  # samples; ~128 MB complex, half that real
 
 
 class Propagator:
@@ -44,7 +51,8 @@ class Propagator:
     coupling ``kappa`` at every slice midpoint, so repeated propagations of
     different inputs only pay for FFTs and vector arithmetic.  :meth:`run`
     takes one envelope per channel or a ``(n_cols, n_t)`` stack of them and
-    propagates every row in the same pass (as in Green-function assembly).
+    propagates every row in the same pass (as in Green-function assembly);
+    the pass runs in real dtype when ``kappa`` is real (module docstring).
     """
 
     def __init__(self, params: RegimeParams, pump: PumpSpec, grid: TemporalGrid,
@@ -64,7 +72,9 @@ class Propagator:
         self.grid = grid
         self.dz = dz
         t = grid.times
-        omega = 2.0 * math.pi * np.fft.fftfreq(grid.n_t, grid_dt)
+        self._real = np.imag(params.gamma) == 0 and pump.is_real
+        freq = np.fft.rfftfreq if self._real else np.fft.fftfreq
+        omega = 2.0 * math.pi * freq(grid.n_t, grid_dt)
         self._half_r = np.exp(-0.5j * omega * params.beta_r * dz)
         self._half_s = np.exp(-0.5j * omega * params.beta_s * dz)
         self._full_r = self._half_r ** 2
@@ -104,36 +114,51 @@ class Propagator:
             raise DataError("input envelopes contain non-finite entries")
 
         dz = self.dz
+        n_t = self.grid.n_t
         couple = self._gamma != 0
+        shape = a_r.shape
+        b_s = 1j * a_s
+        if self._real:
+            # real and imaginary parts evolve apart; all-zero rows stay zero
+            rows = np.stack([a_r.real, a_r.imag, b_s.real, b_s.imag]).reshape(2, -1, n_t)
+            live = np.flatnonzero(rows.any(axis=(0, 2)))
+            a_r, b_s = rows[:, live]
+            fwd, inv = np.fft.rfft, lambda f: np.fft.irfft(f, n_t)
+        else:
+            fwd, inv = np.fft.fft, np.fft.ifft
 
         def shift(v, phase):
-            return np.fft.ifft(np.fft.fft(v) * phase)
+            return inv(fwd(v) * phase)
 
         if self._shift_r:
             a_r = shift(a_r, self._half_r)
         if self._shift_s:
-            a_s = shift(a_s, self._half_s)
+            b_s = shift(b_s, self._half_s)
 
         for k in range(self.grid.n_z):
             if couple:
                 kappa = self._kappa(k)
                 theta = np.abs(kappa) * dz
-                # i (kappa/|kappa|) sin(|kappa| dz), finite as kappa -> 0
-                off = 1j * dz * kappa * np.sinc(theta / math.pi)
+                # (kappa/|kappa|) sin(|kappa| dz), finite as kappa -> 0
+                off = dz * kappa * np.sinc(theta / math.pi)
                 cos = np.cos(theta)
-                a_r, a_s = cos * a_r + off * a_s, cos * a_s - np.conj(off) * a_r
+                a_r, b_s = cos * a_r + off * b_s, cos * b_s - np.conj(off) * a_r
             last = k == self.grid.n_z - 1
             if self._shift_r:
                 a_r = shift(a_r, self._half_r if last else self._full_r)
             if self._shift_s:
-                a_s = shift(a_s, self._half_s if last else self._full_s)
+                b_s = shift(b_s, self._half_s if last else self._full_s)
             if k % _FINITE_CHECK_STRIDE == 0 or last:
-                if not (np.all(np.isfinite(a_r.view(float))) and np.all(np.isfinite(a_s.view(float)))):
+                if not (np.all(np.isfinite(a_r.view(float))) and np.all(np.isfinite(b_s.view(float)))):
                     raise NumericalError(
                         f"numerical blow-up: non-finite field after z-step {k + 1}"
                         f" of {self.grid.n_z}"
                     )
-        return FieldState(a_r, a_s, z=self.params.L)
+        if self._real:
+            rows[:, live] = a_r, b_s  # the other rows are still zero
+            parts = rows.reshape((2, 2) + shape)
+            a_r, b_s = parts[:, 0] + 1j * parts[:, 1]
+        return FieldState(a_r, -1j * b_s, z=self.params.L)
 
 
 def propagate(params: RegimeParams, pump: PumpSpec, grid: TemporalGrid,

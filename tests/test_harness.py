@@ -2,6 +2,7 @@
 
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -261,6 +262,15 @@ def test_check_detail_reports_tolerance_share():
     assert rel.ok and rel.detail.endswith("(tol 0.02, 99.5 % used)")
     over = cases._abs_check("y", 0.5, 0.2, 0.1)
     assert not over.ok and over.detail.endswith("(tol 0.1, 300.0 % used)")
+    # the hand-written checks of two cases carry the same tail
+    bounded = {"chirp-invariance": ["spectrum invariance"],
+               "ecop-limit": ["band integral identity g=0.5", "band integral identity g=2",
+                              "band integral identity g=10", "solver vs closed form"]}
+    for case_id, names in bounded.items():
+        _, report = reproduce(case_id)
+        details = {c.name: c.detail for c in report.checks}
+        for name in names:
+            assert re.search(r"\(tol [0-9.e+-]+, [0-9.]+ % used\)$", details[name]), name
 
 
 def _write_config(tmp_path):

@@ -1,5 +1,7 @@
 """Solver tests: linearity, conservation, convergence, guard rails."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -10,11 +12,14 @@ from tmfc import (
     FieldState,
     Propagator,
     PumpSpec,
+    QuadraticChirp,
     RegimeParams,
     TemporalGrid,
+    dechirp_transform,
     energy,
     propagate,
 )
+from tmfc import solver
 
 PARAMS = RegimeParams(beta_r=1.0, beta_s=-0.5, beta_p=0.3, gamma=1.1)
 PUMP = PumpSpec(tau_p=1.0)
@@ -78,6 +83,54 @@ def test_batch_matches_column_runs():
         err = (np.linalg.norm(batch.a_r[k] - single.a_r)
                + np.linalg.norm(batch.a_s[k] - single.a_s)) / scale
         assert err <= 1e-13
+
+
+def _rel_diff(out, ref):
+    scale = np.linalg.norm(ref.a_r) + np.linalg.norm(ref.a_s)
+    return (np.linalg.norm(out.a_r - ref.a_r) + np.linalg.norm(out.a_s - ref.a_s)) / scale
+
+
+def test_chirp_gauge_identity():
+    """With beta_s = beta_p = 0 the chirp phase moves onto the s channel:
+    the chirped run (complex dtype) on s input e^{-i theta} a_s equals the
+    plain run (real dtype) with its s output multiplied by e^{-i theta}."""
+    params = RegimeParams(beta_r=1.0, beta_s=0.0, beta_p=0.0, gamma=1.1)
+    chirped = PumpSpec(tau_p=1.0, chirp=QuadraticChirp(0.7))
+    plain, theta = dechirp_transform(chirped)
+    phase = np.exp(-1j * theta(GRID.times))
+    a_r, a_s = _inputs(GRID)
+    out = Propagator(params, chirped, GRID).run(a_r, phase * a_s)
+    ref = Propagator(params, plain, GRID).run(a_r, a_s)
+    assert _rel_diff(out, FieldState(ref.a_r, phase * ref.a_s)) <= 1e-12
+
+
+@pytest.mark.parametrize("n_t", [1024, 1023])
+def test_real_and_complex_dtype_agree(n_t):
+    """A vanishing imaginary coupling switches the pass to complex dtype; a
+    complex input stack (with an s-only and an all-zero row) must give the
+    same fields, with and without a Nyquist bin."""
+    grid = TemporalGrid(-9.0, 9.0, n_t, 128)
+    cols = [_inputs(grid, seed=k) for k in range(3)]
+    a_r = np.array([cols[0][0], cols[1][0], np.zeros(n_t), np.zeros(n_t)])
+    a_s = np.array([1j * c[1] for c in cols] + [np.zeros(n_t)])
+    a_s[0] += 0.3 * cols[1][0]
+    real = replace(PARAMS, gamma=1.3)
+    cplx = replace(PARAMS, gamma=complex(1.3, 1e-300))
+    out = Propagator(real, PUMP, grid).run(a_r, a_s)
+    ref = Propagator(cplx, PUMP, grid).run(a_r, a_s)
+    assert _rel_diff(out, ref) <= 1e-12
+    assert not out.a_r[-1].any() and not out.a_s[-1].any()
+
+
+@pytest.mark.parametrize("gamma", [1.1, complex(1.1, 0.4)])
+def test_unprecomputed_stages_match(monkeypatch, gamma):
+    params = replace(PARAMS, gamma=gamma)
+    a_r, a_s = _inputs(GRID)
+    ref = Propagator(params, PUMP, GRID).run(a_r, a_s)
+    monkeypatch.setattr(solver, "_PRECOMPUTE_LIMIT", 0)
+    prop = Propagator(params, PUMP, GRID)
+    assert prop._stages is None
+    assert _rel_diff(prop.run(a_r, a_s), ref) <= 1e-13
 
 
 def test_batch_shape_validation():
