@@ -123,20 +123,20 @@ def sample_low_ce(params: RegimeParams, pump: PumpSpec,
     Samples landing exactly on a band edge carry quadrature weight 1/2
     (trapezoid treatment of the jump); without it, grids commensurate with
     the walk-off delays overweight the edge and bias singular values at
-    first order in the grid step.
+    first order in the grid step.  Kernel and edge test run on broadcast
+    axes; only the pump at the crossing time is sampled on the full grid.
     """
     t_out = np.asarray(t_out, dtype=float)
     t_in = np.asarray(t_in, dtype=float)
-    tt, pp = np.meshgrid(t_out, t_in, indexing="ij")
+    tt, pp = t_out[:, None], t_in[None, :]
     steps = [g[1] - g[0] for g in (t_out, t_in) if g.size > 1]
     tol = 1e-6 * min(steps) if steps else 0.0
     L = params.L
     on_edge = (np.abs(pp - (tt - params.beta_r * L)) <= tol) \
         | (np.abs((tt - params.beta_s * L) - pp) <= tol)
     weight = np.where(on_edge, 0.5, 1.0)
-    data = {}
-    for b in blocks:
-        data[f"g_{b}"] = low_ce_gf(params, pump, tt, pp, block=b) * weight
+    data = {f"g_{b}": low_ce_gf(params, pump, tt, pp, block=b) * weight
+            for b in blocks}
     return GreenFunction(
         form="grid", t_out=t_out, t_in=t_in,
         delta_rr=DeltaLine(params.beta_r * params.L),
@@ -187,7 +187,8 @@ class SSVMKernelParams:
     ``tau``/``tau_prime`` are the pump-frame arrival times of the output and
     input rays, ``xi`` the r-channel walk-through duration, ``eta`` the pump
     intensity accumulated between the two arrival times, and ``mask`` the
-    causal support ``tau >= tau_prime``, ``xi >= 0``.
+    causal support ``tau >= tau_prime``, ``xi >= 0``.  ``tau``/``tau_prime``
+    keep their input shapes; the other fields broadcast to ``(n_out, n_in)``.
     """
 
     tau: np.ndarray
@@ -211,18 +212,17 @@ def _check_ssvm(params: RegimeParams) -> float:
 
 def ssvm_kernel_variables(params: RegimeParams, pump: PumpSpec,
                           t, t_prime) -> SSVMKernelParams:
+    """:class:`SSVMKernelParams` of broadcasting times; pump terms per axis."""
     _check_ssvm(params)
     t = np.asarray(t, dtype=float)
-    t_prime = np.asarray(t_prime, dtype=float)
+    tau_prime = np.asarray(t_prime, dtype=float)
     L = params.L
     tau = t - params.beta_s * L
-    tau_prime = t_prime + np.zeros_like(tau)
-    xi = params.beta_r * L - t + t_prime
+    xi = params.beta_r * L - t + tau_prime
     eta = pump_cumulative_intensity(pump, tau) - pump_cumulative_intensity(pump, tau_prime)
     eta = np.maximum(eta, 0.0)
     mask = (tau - tau_prime >= 0.0) & (xi >= 0.0)
-    gbar = params.gamma_bar
-    x = 2.0 * abs(gbar) * np.sqrt(np.maximum(eta * xi, 0.0))
+    x = 2.0 * abs(params.gamma_bar) * np.sqrt(np.maximum(eta * xi, 0.0))
     return SSVMKernelParams(tau=tau, tau_prime=tau_prime, xi=xi, eta=eta,
                             mask=mask, x=x)
 
@@ -251,28 +251,28 @@ def ssvm_gf(params: RegimeParams, pump: PumpSpec,
     A complex pump phase enters only through the explicit amplitude factors;
     the accumulated intensity ``eta`` is phase blind, so chirping the pump
     rotates the s-side functions without changing any conversion magnitude.
+    The pump factors are evaluated per axis, when a requested block reads
+    them; ``J0(x)`` and ``2 J1(x) / x`` are each sampled at most once.
     """
     gamma_real = _check_ssvm(params)
     t_out = np.asarray(t_out, dtype=float)
     t_in = np.asarray(t_in, dtype=float)
-    tt, pp = np.meshgrid(t_out, t_in, indexing="ij")
-    kv = ssvm_kernel_variables(params, pump, tt, pp)
+    kv = ssvm_kernel_variables(params, pump, t_out[:, None], t_in[None, :])
     gbar = gamma_real / params.beta_rs
+    need = set(blocks)
+    ap_in = eval_pump(pump, kv.tau_prime) if need & {"rs", "ss"} else None
+    ap_out_c = np.conj(eval_pump(pump, kv.tau)) if need & {"sr", "ss"} else None
+    j0 = special.j0(kv.x) if need & {"rs", "sr"} else None
+    j1x = _j1_over_x(kv.x) if need & {"rr", "ss"} else None
     data = {}
-    if "rs" in blocks or "ss" in blocks:
-        ap_in = eval_pump(pump, kv.tau_prime)
-    if "sr" in blocks or "ss" in blocks:
-        ap_out_c = np.conj(eval_pump(pump, kv.tau))
     if "rs" in blocks:
-        data["g_rs"] = np.where(kv.mask, 1j * gbar * ap_in * special.j0(kv.x), 0.0)
+        data["g_rs"] = np.where(kv.mask, 1j * gbar * ap_in * j0, 0.0)
     if "sr" in blocks:
-        data["g_sr"] = np.where(kv.mask, 1j * gbar * ap_out_c * special.j0(kv.x), 0.0)
+        data["g_sr"] = np.where(kv.mask, 1j * gbar * ap_out_c * j0, 0.0)
     if "rr" in blocks:
-        data["g_rr"] = np.where(
-            kv.mask, -(gbar ** 2) * kv.eta * _j1_over_x(kv.x), 0.0)
+        data["g_rr"] = np.where(kv.mask, -(gbar ** 2) * kv.eta * j1x, 0.0)
     if "ss" in blocks:
-        data["g_ss"] = np.where(
-            kv.mask, -(gbar ** 2) * kv.xi * ap_out_c * ap_in * _j1_over_x(kv.x), 0.0)
+        data["g_ss"] = np.where(kv.mask, -(gbar ** 2) * kv.xi * ap_out_c * ap_in * j1x, 0.0)
     # gamma passed the real-coupling check: record it as exactly real
     meta = {**_run_metadata("analytic-ssvm", params, pump), "gamma_im": 0.0}
     return GreenFunction(

@@ -221,7 +221,7 @@ def _piecewise_linear_sq_cumulative(x: np.ndarray, y: np.ndarray, t) -> np.ndarr
     b = y[1:]
     seg = h / 3.0 * (np.abs(a) ** 2 + (np.conj(a) * b).real + np.abs(b) ** 2)
     nodes = np.concatenate([[0.0], np.cumsum(seg.real)])
-    t = np.atleast_1d(np.asarray(t, dtype=float))
+    t = np.asarray(t, dtype=float)
     idx = np.clip(np.searchsorted(x, t, side="right") - 1, 0, len(x) - 2)
     u_loc = np.clip((t - x[idx]) / h[idx], 0.0, 1.0)
     aa = np.abs(a[idx]) ** 2
@@ -234,8 +234,7 @@ def _piecewise_linear_sq_cumulative(x: np.ndarray, y: np.ndarray, t) -> np.ndarr
     )
     out = nodes[idx] + np.where(t < x[0], 0.0, partial)
     out = np.where(t >= x[-1], nodes[-1], out)
-    out = np.where(t < x[0], 0.0, out)
-    return out.reshape(np.shape(t))
+    return np.where(t < x[0], 0.0, out)
 
 
 def pump_cumulative_amplitude(pump: PumpSpec, t) -> np.ndarray:

@@ -28,6 +28,7 @@ from tmfc import (
     eval_pump,
     low_ce_gf,
     low_ce_gf_freq,
+    pump_cumulative_intensity,
     ridge_slope,
     sample_low_ce,
     short_pump_limit,
@@ -36,6 +37,8 @@ from tmfc import (
     ssvm_kernel_variables,
     ssvm_to_ecop_limit_check,
 )
+import tmfc.gf_analytic
+from tmfc.gf_analytic import _j1_over_x
 from tmfc.gf_numeric import apply_block
 
 PUMP = PumpSpec(tau_p=1.0)
@@ -156,6 +159,30 @@ def test_sample_low_ce_delta_lines_and_edge_weight():
     assert np.isclose(halved[0, 0], 0.5 * full[0, 0])
 
 
+def test_sample_low_ce_matches_meshgrid_reference():
+    """Broadcast-axis sampling is bit-identical to the kernel on meshgrid
+    arrays times the half-weight mask, on dyadic axes whose samples fall
+    exactly on both band edges."""
+    t_out = np.arange(-16, 17) * 0.25
+    t_in = np.arange(-10, 11) * 0.25
+    tt, pp = np.meshgrid(t_out, t_in, indexing="ij")
+    cases = [
+        (RegimeParams(beta_r=1.0, beta_s=-1.0, beta_p=0.5).with_gamma_bar(0.01), PUMP),
+        (RegimeParams(beta_r=1.0, beta_s=-1.0, beta_p=0.25, gamma=0.02 + 0.01j),
+         PumpSpec(tau_p=0.5, chirp=QuadraticChirp(0.7))),
+    ]
+    for params, pump in cases:
+        L = params.L
+        slow_edge = pp == tt - params.beta_s * L
+        fast_edge = pp == tt - params.beta_r * L
+        assert slow_edge.any() and fast_edge.any()
+        weight = np.where(slow_edge | fast_edge, 0.5, 1.0)
+        gf = sample_low_ce(params, pump, t_out, t_in)
+        for b in ("rs", "sr"):
+            ref = low_ce_gf(params, pump, tt, pp, block=b) * weight
+            assert np.array_equal(gf.block(b).view(float), ref.view(float))
+
+
 def test_low_ce_freq_kernel_against_quadrature():
     """Spot-check the closed frequency kernel against double quadrature."""
     params = RegimeParams(beta_r=1.0, beta_s=-1.0, beta_p=1.0).with_gamma_bar(0.01)
@@ -232,6 +259,77 @@ def test_ssvm_regime_guards():
                                  gamma=1.0 + 0.5j)
     with pytest.raises(UnsupportedConfigurationError):
         ssvm_gf(complex_gamma, PUMP, np.linspace(0, 1, 4), np.linspace(0, 1, 4))
+
+
+def _ssvm_meshgrid_reference(params, pump, t_out, t_in):
+    """The documented ``ssvm_gf`` formulas evaluated elementwise on full
+    ``meshgrid`` arrays."""
+    tt, pp = np.meshgrid(t_out, t_in, indexing="ij")
+    L = params.L
+    tau = tt - params.beta_s * L
+    xi = params.beta_r * L - tt + pp
+    eta = np.maximum(pump_cumulative_intensity(pump, tau)
+                     - pump_cumulative_intensity(pump, pp), 0.0)
+    mask = (tau - pp >= 0.0) & (xi >= 0.0)
+    x = 2.0 * abs(params.gamma_bar) * np.sqrt(np.maximum(eta * xi, 0.0))
+    gbar = complex(params.gamma).real / params.beta_rs
+    ap_in = eval_pump(pump, pp)
+    ap_out_c = np.conj(eval_pump(pump, tau))
+    blocks = {
+        "rs": np.where(mask, 1j * gbar * ap_in * special.j0(x), 0.0),
+        "sr": np.where(mask, 1j * gbar * ap_out_c * special.j0(x), 0.0),
+        "rr": np.where(mask, -(gbar ** 2) * eta * _j1_over_x(x), 0.0),
+        "ss": np.where(mask, -(gbar ** 2) * xi * ap_out_c * ap_in * _j1_over_x(x), 0.0),
+    }
+    # a GreenFunction stores every block as complex
+    return {b: v.astype(complex) for b, v in blocks.items()}
+
+
+def test_ssvm_gf_matches_meshgrid_reference():
+    """Per-axis pump factors and shared Bessel factors leave every block
+    bit-identical to the meshgrid evaluation."""
+    params = RegimeParams(beta_r=1.0, beta_s=0.0, beta_p=0.0).with_gamma_bar(0.8)
+    grid = np.linspace(-2.0, 2.0, 41)
+    tabulated = PumpSpec(shape="custom-tabulated", tau_p=0.5,
+                         table=(grid, np.exp(-grid ** 2) * np.exp(0.4j * grid)))
+    pumps = (PUMP, PumpSpec(shape="hermite-gauss-1", tau_p=0.7), tabulated,
+             PumpSpec(tau_p=0.6, chirp=QuadraticChirp(0.7)))
+    square = np.linspace(-4.0, 5.0, 181)
+    axes = ((square, square), (np.linspace(-4.0, 6.0, 203), np.linspace(-3.0, 3.0, 97)))
+    for pump in pumps:
+        for t_out, t_in in axes:
+            ref = _ssvm_meshgrid_reference(params, pump, t_out, t_in)
+            full = ssvm_gf(params, pump, t_out, t_in)
+            for b in ("rs", "sr", "rr", "ss"):
+                assert np.array_equal(full.block(b).view(float), ref[b].view(float))
+            assert full.delta_rr.delay == params.beta_r * params.L
+            assert full.delta_ss.delay == params.beta_s * params.L
+            rs_only = ssvm_gf(params, pump, t_out, t_in, blocks=("rs",))
+            assert np.array_equal(rs_only.g_rs.view(float), ref["rs"].view(float))
+            assert rs_only.delta_rr is None and rs_only.delta_ss is None
+
+
+def test_ssvm_gf_pump_terms_stay_one_dimensional(monkeypatch):
+    """On the fig6 grid an rs-only block evaluates the pump terms on the
+    axes, never on the (n_out, n_in) grid, and samples the pump once."""
+    sizes = {"eval_pump": [], "pump_cumulative_intensity": []}
+    for name in sizes:
+        real = getattr(tmfc.gf_analytic, name)
+
+        def spy(pump, t, _real=real, _seen=sizes[name]):
+            _seen.append(np.size(t))
+            return _real(pump, t)
+
+        monkeypatch.setattr(tmfc.gf_analytic, name, spy)
+    params = RegimeParams(beta_r=2.0, beta_s=0.0, beta_p=0.0).with_gamma_bar(1.0)
+    pump = PumpSpec(tau_p=0.1)
+    t_out, t_in = default_ssvm_grids(params, pump)
+    assert (t_out.size, t_in.size) == (1153, 513)
+    ssvm_gf(params, pump, t_out, t_in, blocks=("rs",))
+    assert len(sizes["eval_pump"]) == 1
+    assert sizes["pump_cumulative_intensity"]
+    for seen in sizes.values():
+        assert max(seen) <= max(t_out.size, t_in.size)
 
 
 def test_short_pump_limit_node_convergence():

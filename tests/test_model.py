@@ -77,6 +77,26 @@ def test_cumulative_amplitude_matches_quadrature():
         pump_cumulative_amplitude(chirped, 0.0)
 
 
+def test_cumulative_functions_keep_input_shape():
+    """Scalars stay 0-d and columns/rows keep their shape for every pump
+    shape, with the values of the flat evaluation."""
+    grid = np.linspace(-2.0, 2.0, 41)
+    tabulated = PumpSpec(shape="custom-tabulated", tau_p=0.5,
+                         table=(grid, np.exp(-grid ** 2)))
+    pumps = (PumpSpec(tau_p=0.6, center=0.1),
+             PumpSpec(shape="hermite-gauss-1", tau_p=0.6), tabulated)
+    t = np.linspace(-3.0, 3.0, 7)
+    for pump in pumps:
+        for fn in (pump_cumulative_intensity, pump_cumulative_amplitude):
+            flat = fn(pump, t)
+            assert np.shape(fn(pump, 0.3)) == ()
+            assert fn(pump, 0.3) == fn(pump, np.array([0.3]))[0]
+            for arg in (t, t[:, None], t[None, :]):
+                out = fn(pump, arg)
+                assert np.shape(out) == arg.shape
+                assert np.array_equal(np.ravel(out), flat)
+
+
 def test_pump_spectrum_against_direct_transform():
     pump = PumpSpec(tau_p=0.9, center=0.15)
     omegas = np.array([-2.0, -0.5, 0.0, 0.7, 3.1])
