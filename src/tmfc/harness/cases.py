@@ -66,7 +66,7 @@ def _report(case_id: str, checks: Sequence[Check],
 
 def _bound_check(name: str, err: float, tol: float, detail: str) -> Check:
     """``err <= tol``, with the share of the tolerance used ending the detail."""
-    return Check(name, err <= tol,
+    return Check(name, bool(err <= tol),
                  f"{detail} (tol {tol:g}, {100.0 * err / tol:.1f} % used)")
 
 

@@ -167,10 +167,11 @@ def _cmd_reproduce(args) -> int:
         for line in report.lines():
             print(line)
     if args.out is not None:
-        payload = {"reports": [_report_payload(r) for r in reports]}
+        # encode before opening: a failed encoding must not truncate the file
+        text = json.dumps({"reports": [_report_payload(r) for r in reports]},
+                          indent=2) + "\n"
         with open(args.out, "w") as fh:
-            json.dump(payload, fh, indent=2)
-            fh.write("\n")
+            fh.write(text)
     return EXIT_OK if all(r.passed for r in reports) else EXIT_TOLERANCE
 
 

@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import partial
 from typing import Optional, Tuple
 
 import numpy as np
@@ -28,11 +29,48 @@ from .errors import ConfigurationError, DataError, UnsupportedConfigurationError
 from .gf_numeric import GreenFunction, apply_block, to_grid_form
 
 _PHASE_TOL = 1e-6
+# subspace iteration for the leading singular values: sweep cap before the
+# full reduction takes over, and the Ritz-value change that counts as settled
+_MAX_SWEEPS = 40
+_SETTLED = math.sqrt(np.finfo(float).eps)
+
+
+def _frozen(value) -> np.ndarray:
+    value = np.asarray(value)
+    value.setflags(write=False)
+    return value
+
+
+class _OnFirstRead:
+    """Array field that may be given as a zero-argument callable: the
+    callable runs on the first read and its result is kept, read-only.
+
+    As a dataclass field it has no default: ``__get__`` on the class raises
+    ``AttributeError``, which is how a descriptor declines one."""
+
+    def __set_name__(self, owner, name):
+        self.name = name
+
+    def __get__(self, obj, owner=None):
+        if obj is None:
+            raise AttributeError(self.name)
+        value = obj.__dict__[self.name]
+        if callable(value):
+            value = obj.__dict__[self.name] = _frozen(value())
+        return value
+
+    def __set__(self, obj, value):
+        obj.__dict__[self.name] = value if callable(value) else _frozen(value)
 
 
 @dataclass(frozen=True)
 class SchmidtResult:
-    """Decomposition summary; arrays are ordered by decreasing ``rho``."""
+    """Decomposition summary; arrays are ordered by decreasing ``rho``.
+
+    ``rho_full`` holds every singular value of the weighted rs block.  When
+    :func:`decompose` found the leading values by subspace iteration it is
+    computed on first read, by the full values-only SVD.
+    """
 
     rho: np.ndarray
     tau_abs: np.ndarray
@@ -41,7 +79,7 @@ class SchmidtResult:
     selectivity: float
     separability: float
     sum_rho_sq: float
-    rho_full: np.ndarray
+    rho_full: np.ndarray = _OnFirstRead()
     tau_source: str
     t_in: Optional[np.ndarray] = None
     t_out: Optional[np.ndarray] = None
@@ -51,15 +89,12 @@ class SchmidtResult:
     modes_out_s: Optional[np.ndarray] = None
 
     def __post_init__(self):
-        for name in ("rho", "tau_abs", "tau_phase", "ce", "rho_full",
+        for name in ("rho", "tau_abs", "tau_phase", "ce",
                      "t_in", "t_out", "modes_in_s", "modes_out_r",
                      "modes_in_r", "modes_out_s"):
             v = getattr(self, name)
-            if v is None:
-                continue
-            v = np.asarray(v)
-            v.setflags(write=False)
-            object.__setattr__(self, name, v)
+            if v is not None:
+                object.__setattr__(self, name, _frozen(v))
 
     @property
     def tau(self) -> np.ndarray:
@@ -115,13 +150,22 @@ def decompose(gf: GreenFunction, n_report: int = 10,
     forms: grid-form vectors carry the quadrature weight ``sqrt(dt)``,
     basis-form ones a weight of 1.
 
-    Only what is read gets computed.  Singular vectors are computed when
-    ``want_modes`` is set or an ss or rr block can pair ``tau``; otherwise
-    the SVD returns singular values alone.  An rs block with an identically
-    zero real part (``i`` times a real kernel, as every sampled kernel at
-    real coupling with an unchirped pump is) or zero imaginary part is
-    decomposed as the real matrix, with the factor ``i`` carried by the
-    output functions; any other block takes the complex SVD.
+    Only what is read gets computed.  Singular vectors are computed, by the
+    full SVD, when ``want_modes`` is set or an ss or rr block can pair
+    ``tau``.  Otherwise only the leading ``n_report`` values are found, by
+    block subspace iteration with a Rayleigh-Ritz finish (Halko, Martinsson
+    and Tropp, SIAM Rev. 53, 217 (2011); see :func:`_leading_values`), and
+    ``sum_rho_sq`` is the squared Frobenius norm of the weighted block,
+    which equals the sum of all squared singular values; ``rho_full`` is
+    then computed on first read.  Where the iteration block would span the
+    smaller side of the matrix, or the iteration has not settled within its
+    sweep cap, the full values-only SVD runs instead.  Either way
+    ``conv_energy_s`` of a basis-form Green function takes precedence for
+    ``sum_rho_sq``.  An rs block with an identically zero real part (``i``
+    times a real kernel, as every sampled kernel at real coupling with an
+    unchirped pump is) or zero imaginary part is decomposed as the real
+    matrix, with the factor ``i`` carried by the output functions; any
+    other block takes the complex SVD.
     """
     if gf.block("rs") is None:
         raise ConfigurationError("decomposition needs the rs block")
@@ -144,25 +188,32 @@ def decompose(gf: GreenFunction, n_report: int = 10,
     g = gf.g_rs
     # a real kernel up to the factor i: the real SVD, i rides on the outputs
     if not g.real.any():
-        mat, unit = g.imag, 1j
+        part, unit = np.imag, 1j
     elif not g.imag.any():
-        mat, unit = g.real, 1.0 + 0j
+        part, unit = np.real, 1.0 + 0j
     else:
-        mat, unit = g, 1.0 + 0j
-    mat = mat * (w_out * w_in)
-    if vectors:
-        u, sig, vh = np.linalg.svd(mat, full_matrices=False)
+        part, unit = np.asarray, 1.0 + 0j
+    scale = w_out * w_in
+    mat = part(g) * scale
+    n_report = min(n_report, min(mat.shape))
+    sig = None if vectors else _leading_values(mat, n_report)
+    if sig is not None:
+        sum_rho_sq = float(np.vdot(mat, mat).real)
+        # recomputed from the block the Green function holds, so no copy of
+        # the weighted block outlives this call
+        rho_full = partial(_all_values, g, part, scale)
     else:
-        sig = np.linalg.svd(mat, compute_uv=False)
-    n_report = min(n_report, sig.size)
-    rho_full = sig.copy()
+        if vectors:
+            u, sig, vh = np.linalg.svd(mat, full_matrices=False)
+        else:
+            sig = np.linalg.svd(mat, compute_uv=False)
+        sum_rho_sq = float(np.sum(sig ** 2))
+        rho_full = sig.copy()
     if basis and "conv_energy_s" in gf.metadata:
         # include the conversion weight past the finite output basis: the
         # unprojected column energies sum to the Hilbert-Schmidt weight of
         # the rs block over the spanned inputs
         sum_rho_sq = float(np.sum(gf.metadata["conv_energy_s"]))
-    else:
-        sum_rho_sq = float(np.sum(sig ** 2))
     rho = sig[:n_report]
 
     if vectors:
@@ -211,6 +262,45 @@ def decompose(gf: GreenFunction, n_report: int = 10,
         sum_rho_sq=sum_rho_sq, rho_full=rho_full, tau_source=tau_source,
         t_in=t_in, t_out=t_out, **result_modes,
     )
+
+
+def _all_values(g: np.ndarray, part, scale: float) -> np.ndarray:
+    return np.linalg.svd(part(g) * scale, compute_uv=False)
+
+
+def _leading_values(mat: np.ndarray, k: int) -> Optional[np.ndarray]:
+    """The ``k`` leading singular values of ``mat`` by block subspace
+    iteration, or ``None`` where the full SVD should run instead.
+
+    A fixed-seed Gaussian block of ``b = 2k + 16`` orthonormal columns is
+    swept through ``mat`` and back; the leading ``k`` Ritz values, the
+    eigenvalues of ``y^H y`` for ``y = mat q``, are tracked until they
+    change by at most ``sqrt(eps)`` of the largest between sweeps.  As many
+    sweeps again follow: the error shrinks geometrically, so doubling the
+    sweeps squares it, to round-off.  The values returned are the singular
+    values of the last ``y``, the exact Ritz values of the subspace.  ``None``
+    when ``b`` columns would span the smaller side of ``mat`` or the sweeps
+    reach ``_MAX_SWEEPS``.
+    """
+    b = 2 * k + 16
+    if b >= min(mat.shape):
+        return None
+    rng = np.random.default_rng(0)
+    q = np.linalg.qr(rng.standard_normal((mat.shape[1], b)))[0]
+    last, stop = None, None
+    for sweep in range(1, _MAX_SWEEPS + 1):
+        y = mat @ q
+        if sweep == stop:
+            return np.linalg.svd(y, compute_uv=False)[:k]
+        if stop is None:
+            ritz = np.linalg.eigvalsh(y.conj().T @ y)[-k:]
+            if last is not None and \
+                    np.max(np.abs(ritz - last)) <= _SETTLED * ritz[-1]:
+                stop = 2 * sweep
+            last = ritz
+        # q = orth(mat^H y), formed without a conjugated copy of mat
+        q = np.linalg.qr((y.conj().T @ mat).conj().T)[0]
+    return None
 
 
 def _pair_tau(imgs: np.ndarray):

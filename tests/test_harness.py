@@ -338,6 +338,15 @@ def test_cli_reproduce_unknown_exits_config(capsys):
     assert "no-such-case" in capsys.readouterr().err
 
 
+def test_cli_reproduce_writes_json_report(tmp_path, capsys):
+    """Every check's ``ok`` reaches the report file as a JSON boolean."""
+    out = tmp_path / "report.json"
+    assert main(["reproduce", "table1-a", "--out", str(out)]) == 0
+    reports = json.loads(out.read_text())["reports"]
+    oks = [c["ok"] for r in reports for c in r["checks"]]
+    assert oks and all(ok is True for ok in oks)
+
+
 def test_cli_decompose_missing_file(capsys):
     assert main(["decompose", "/no/such/file.gf"]) == 2
     assert "error" in capsys.readouterr().err

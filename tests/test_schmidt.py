@@ -1,6 +1,8 @@
 """Schmidt decomposition, figures of merit, and the frequency view."""
 
 import math
+import pickle
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -11,6 +13,7 @@ from tmfc import (
     ConfigurationError,
     DataError,
     PumpSpec,
+    QuadraticChirp,
     RegimeParams,
     SchmidtResult,
     UnsupportedConfigurationError,
@@ -26,6 +29,7 @@ from tmfc import (
     shape_fidelity,
     ssvm_gf,
 )
+from tmfc import schmidt
 
 PUMP = PumpSpec(tau_p=1.0)
 SSVM = RegimeParams(beta_r=1.0, beta_s=0.0, beta_p=0.0).with_gamma_bar(0.5)
@@ -118,6 +122,134 @@ def test_decompose_values_only_when_no_vector_is_read(monkeypatch):
     for name in ("selectivity", "separability", "sum_rho_sq"):
         assert math.isclose(getattr(lean, name), getattr(full, name),
                             rel_tol=1e-13)
+
+
+WEAK = RegimeParams(beta_r=1.0, beta_s=-1.0, beta_p=1.0).with_gamma_bar(0.01)
+
+
+def _weak_block(pump, n_out, n_in):
+    """The weighted rs matrix ``decompose`` works on, and its Green function."""
+    (o_lo, o_hi), (i_lo, i_hi) = conversion_support(WEAK, pump)
+    gf = sample_low_ce(WEAK, pump, np.linspace(o_lo, o_hi, n_out),
+                       np.linspace(i_lo, i_hi, n_in), blocks=("rs",))
+    g, scale = gf.g_rs, math.sqrt(gf.dt_out) * math.sqrt(gf.dt_in)
+    return (g.imag if not g.real.any() else g) * scale, gf
+
+
+def _with_spectrum(sig, m, n, seed=5):
+    rng = np.random.default_rng(seed)
+    u = np.linalg.qr(rng.standard_normal((m, sig.size)))[0]
+    v = np.linalg.qr(rng.standard_normal((n, sig.size)))[0]
+    return (u * sig) @ v.T
+
+
+def _leading_error(mat, k=8):
+    """Largest deviation of the iterated leading values from LAPACK's,
+    relative to the largest value; ``None`` when the iteration declined."""
+    got = schmidt._leading_values(mat, k)
+    ref = np.linalg.svd(mat, compute_uv=False)[:k]
+    if got is None:
+        return None
+    assert got.shape == ref.shape
+    return float(np.max(np.abs(got - ref))) / ref[0]
+
+
+@pytest.mark.parametrize("chirp", [None, QuadraticChirp(5.0)], ids=["real", "complex"])
+@pytest.mark.parametrize("shape", [(321, 201), (201, 321), (257, 257)],
+                         ids=["tall", "wide", "square"])
+def test_leading_values_match_full_svd_on_kernel_blocks(chirp, shape):
+    """Real (plain pump) and complex (chirped pump) weak blocks, tall, wide
+    and square: the iteration runs and its values agree with LAPACK's to
+    round-off of the largest one."""
+    mat, _ = _weak_block(PumpSpec(tau_p=1.0, chirp=chirp), *shape)
+    assert np.iscomplexobj(mat) == (chirp is not None)
+    err = _leading_error(mat)
+    assert err is not None and err <= 1e-14
+
+
+@pytest.mark.parametrize("sig", [
+    1.0 / np.arange(1, 201),
+    np.r_[np.geomspace(1.0, 0.1, 8), np.geomspace(0.1, 1e-4, 192)],
+    np.r_[1.0, 0.5, 0.2, np.zeros(197)],
+], ids=["one-over-j", "tie-at-k", "rank-3"])
+def test_leading_values_on_hard_spectra(sig):
+    """Small gaps, a tie between the k-th and (k+1)-th value and a rank
+    below k: either round-off agreement or the LAPACK fallback."""
+    err = _leading_error(_with_spectrum(sig, 300, 200))
+    assert err is None or err <= 1e-14
+
+
+def test_decompose_values_path_zero_block():
+    _, gf = _weak_block(PUMP, 257, 241)
+    zero = replace(gf, g_rs=np.zeros_like(gf.g_rs))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        res = decompose(zero, n_report=8, want_modes=False)
+    assert res.selectivity == 0.0 and res.separability == 0.0
+    assert res.sum_rho_sq == 0.0 and not res.rho.any()
+
+
+@pytest.mark.parametrize("chirp", [None, QuadraticChirp(5.0)], ids=["real", "complex"])
+def test_decompose_values_path_norm_and_determinism(chirp):
+    """``sum_rho_sq`` is the Frobenius norm, equal to the full spectrum's
+    weight; two calls agree bit for bit (fixed-seed start block), also
+    across a pickle round trip."""
+    _, gf = _weak_block(PumpSpec(tau_p=1.0, chirp=chirp), 257, 241)
+    a = decompose(gf, n_report=8, want_modes=False)
+    # pickled before rho_full is read, as a process pool would
+    b = pickle.loads(pickle.dumps(decompose(gf, n_report=8, want_modes=False)))
+    assert math.isclose(a.sum_rho_sq, float(np.sum(a.rho_full ** 2)),
+                        rel_tol=1e-13)
+    for name in ("rho", "tau_abs", "rho_full"):
+        assert np.array_equal(getattr(a, name), getattr(b, name))
+    assert a.selectivity == b.selectivity and a.sum_rho_sq == b.sum_rho_sq
+
+
+def _svd_spy(monkeypatch):
+    calls = []
+    svd = np.linalg.svd
+
+    def spy(a, *args, **kwargs):
+        calls.append((np.shape(a), kwargs.get("compute_uv", True)))
+        return svd(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", spy)
+    return calls
+
+
+@pytest.mark.parametrize("n_in, max_sweeps", [(32, None), (241, 1)],
+                         ids=["block-spans-input", "sweep-cap"])
+def test_decompose_values_path_falls_back_to_full_svd(monkeypatch, n_in, max_sweeps):
+    """b = 2*8 + 16 = 32 columns would span a 32-point input side, and a
+    capped iteration has not settled: both take one full values-only SVD,
+    with exactly today's values."""
+    mat, gf = _weak_block(PUMP, 257, n_in)
+    ref = np.linalg.svd(mat, compute_uv=False)
+    if max_sweeps is not None:
+        monkeypatch.setattr(schmidt, "_MAX_SWEEPS", max_sweeps)
+    calls = _svd_spy(monkeypatch)
+    res = decompose(gf, n_report=8, want_modes=False)
+    assert calls == [(mat.shape, False)]
+    assert np.array_equal(res.rho_full, ref) and np.array_equal(res.rho, ref[:8])
+    assert res.sum_rho_sq == float(np.sum(ref ** 2))
+
+
+def test_decompose_values_path_reduces_only_a_thin_block(monkeypatch):
+    """A 1024 x 1024 weak block, as the weak-conversion catalog samples it:
+    no SVD inside ``decompose`` sees more than b = 32 columns or asks for
+    vectors; ``rho_full`` costs one full values-only SVD on first read,
+    returns exactly today's values, and is kept."""
+    mat, gf = _weak_block(PUMP, 1024, 1024)
+    ref = np.linalg.svd(mat, compute_uv=False)
+    calls = _svd_spy(monkeypatch)
+    res = decompose(gf, n_report=8, want_modes=False)
+    assert calls and all(shape[1] <= 32 and not uv for shape, uv in calls)
+    n_calls = len(calls)
+    full = res.rho_full
+    assert calls[n_calls:] == [(mat.shape, False)]
+    assert np.array_equal(full, ref) and not full.flags.writeable
+    assert res.rho_full is full and len(calls) == n_calls + 1
+    assert np.max(np.abs(res.rho - ref[:8])) <= 1e-14 * ref[0]
 
 
 def test_decompose_real_kernel_path_matches_complex_path():
