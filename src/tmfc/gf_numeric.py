@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Dict, Optional, Tuple
+from typing import Dict, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -283,21 +283,33 @@ def assemble_gf(
     tol_leak: float = 1e-2,
     n_t: Optional[int] = None,
     n_z: Optional[int] = None,
+    blocks: Sequence[str] = _BLOCKS,
 ) -> GreenFunction:
     """Assemble the basis-form Green function by propagating test signals.
 
-    Every input basis function is propagated through the medium in one
-    batch and projected onto the r/s output bases: s-channel inputs give the
-    columns of ``g_rs`` and ``g_ss``, r-channel inputs those of ``g_rr`` and
-    ``g_sr``.  Projections use the grid quadrature against the (real,
-    orthonormal) output bases.
+    The input basis functions of every channel that ``blocks`` read (the
+    second letter of each block name) are propagated through the medium in
+    one batch and projected onto the r/s output bases: s-channel inputs
+    give the columns of ``g_rs`` and ``g_ss``, r-channel inputs those of
+    ``g_rr`` and ``g_sr``.  Only the requested blocks, and the basis specs
+    they use, are kept; a sweep that reads rs and ss propagates half the
+    columns of the full assembly.  Projections use the grid quadrature
+    against the (real, orthonormal) output bases.
 
     Parameters default to the layout of :func:`default_basis_layout`.
     ``tol_leak`` bounds the per-column energy not captured by the output
     bases; exceeding it raises a truncation error naming the worst column.
-    Column order is fixed, so the result is bit-reproducible for identical
-    inputs.
+    The leak check and the ``leak_*`` and ``*_energy_*`` metadata cover the
+    propagated columns only (an input side not propagated has empty
+    arrays).  Column order is fixed, so the result is bit-reproducible for
+    identical inputs, and each block is the same whichever other blocks
+    are requested.
     """
+    blocks = tuple(blocks)
+    if not blocks or any(b not in _BLOCKS for b in blocks):
+        raise ConfigurationError(
+            f"blocks must be a non-empty subset of {_BLOCKS}, got {blocks!r}")
+    inputs = {f"in_{b[1]}" for b in blocks}
     if layout is None:
         layout = default_basis_layout(params, pump, n_r=n_r, n_s=n_s,
                                       width_r=width_r, width_s=width_s)
@@ -312,12 +324,14 @@ def assemble_gf(
                 f"tails [{lo:.3g}, {hi:.3g}]"
             )
     dt = grid.dt
-    bases = {k: spec.sample(grid.times) for k, spec in layout.items()}
-    n_s_in = layout["in_s"].n
+    # an input basis no requested block reads contributes no columns
+    bases = {k: spec.sample(grid.times) if k in inputs or k.startswith("out_")
+             else np.zeros((0, grid.n_t)) for k, spec in layout.items()}
+    n_s_in = bases["in_s"].shape[0]
 
     # one batch: the s-input columns first, then the r-input columns
-    zeros_s = np.zeros((n_s_in, grid.n_t))
-    zeros_r = np.zeros((layout["in_r"].n, grid.n_t))
+    zeros_s = np.zeros_like(bases["in_s"])
+    zeros_r = np.zeros_like(bases["in_r"])
     out = Propagator(params, pump, grid).run(np.vstack([zeros_s, bases["in_r"]]),
                                              np.vstack([bases["in_s"], zeros_r]))
     proj_r = (out.a_r @ bases["out_r"].T) * dt
@@ -347,13 +361,12 @@ def assemble_gf(
         "conv_energy_s": energy_r[:n_s_in], "trans_energy_s": energy_s[:n_s_in],
         "conv_energy_r": energy_s[n_s_in:], "trans_energy_r": energy_r[n_s_in:],
     }
-    return GreenFunction(
-        form="basis", g_rr=proj_r[n_s_in:].T, g_rs=proj_r[:n_s_in].T,
-        g_sr=proj_s[n_s_in:].T, g_ss=proj_s[:n_s_in].T,
-        basis_in_r=layout["in_r"], basis_in_s=layout["in_s"],
-        basis_out_r=layout["out_r"], basis_out_s=layout["out_s"],
-        grid=grid, metadata=meta,
-    )
+    proj = {"r": proj_r, "s": proj_s}
+    cols = {"s": slice(None, n_s_in), "r": slice(n_s_in, None)}
+    kept = {f"g_{b}": proj[b[0]][cols[b[1]]].T for b in blocks}
+    kept.update({f"basis_{side}_{c}": layout[f"{side}_{c}"]
+                 for b in blocks for side, c in (("out", b[0]), ("in", b[1]))})
+    return GreenFunction(form="basis", grid=grid, metadata=meta, **kept)
 
 
 def leakage_report(gf: GreenFunction) -> Dict:
@@ -376,20 +389,36 @@ def _worst_leak(leak_s: np.ndarray, leak_r: np.ndarray) -> Tuple[str, int, float
     return "r", idx - leak_s.size, float(leak[idx])
 
 
+def _input_columns(gf: GreenFunction) -> np.ndarray:
+    """The basis-form columns of every input channel present (r before s),
+    each column its r outputs over its s outputs."""
+    if gf.form != "basis":
+        raise ConfigurationError(
+            "the composite matrix and unitarity are defined for basis form")
+    cols = []
+    for c in "rs":
+        pair = [gf.block(f"r{c}"), gf.block(f"s{c}")]
+        present = [m is not None for m in pair]
+        if all(present):
+            cols.append(np.vstack(pair))
+        elif any(present):
+            raise ConfigurationError(
+                f"the {c}-input columns need both output blocks")
+    return np.hstack(cols)
+
+
 def composite_matrix(gf: GreenFunction) -> np.ndarray:
     """Stack the four basis-form blocks into one (r followed by s) matrix."""
-    if gf.form != "basis":
-        raise ConfigurationError("composite matrix is defined for basis form")
     if any(gf.block(b) is None for b in _BLOCKS):
         raise ConfigurationError("composite matrix needs all four blocks")
-    top = np.hstack([gf.g_rr, gf.g_rs])
-    bot = np.hstack([gf.g_sr, gf.g_ss])
-    return np.vstack([top, bot])
+    return _input_columns(gf)
 
 
 def unitarity_defect(gf: GreenFunction) -> float:
-    """Normalized Frobenius deviation ``|U^H U - I|_F / sqrt(N)``."""
-    u = composite_matrix(gf)
+    """Normalized Frobenius deviation ``|U^H U - I|_F / sqrt(n)`` over the
+    ``n`` input columns present: the composite matrix for all four blocks,
+    the stacked rs and ss blocks for an s-input-only assembly."""
+    u = _input_columns(gf)
     n = u.shape[1]
     return float(np.linalg.norm(u.conj().T @ u - np.eye(n)) / math.sqrt(n))
 
@@ -408,19 +437,17 @@ def to_grid_form(gf: GreenFunction, grid: Optional[TemporalGrid] = None) -> Gree
     if grid is None:
         raise ConfigurationError("no grid available for synthesis")
     t = grid.times
-    samples = {
-        "in_r": gf.basis_in_r.sample(t), "in_s": gf.basis_in_s.sample(t),
-        "out_r": gf.basis_out_r.sample(t), "out_s": gf.basis_out_s.sample(t),
-    }
+    # only the bases of the blocks present: a partial assembly lacks the rest
+    samples = {key: spec.sample(t) for key in
+               ("in_r", "in_s", "out_r", "out_s")
+               if (spec := getattr(gf, f"basis_{key}")) is not None}
     blocks = {}
     for b in _BLOCKS:
         m = gf.block(b)
         if m is None:
             blocks[f"g_{b}"] = None
             continue
-        bo = samples["out_r"] if b[0] == "r" else samples["out_s"]
-        bi = samples["in_r"] if b[1] == "r" else samples["in_s"]
-        blocks[f"g_{b}"] = bo.T @ m @ bi
+        blocks[f"g_{b}"] = samples[f"out_{b[0]}"].T @ m @ samples[f"in_{b[1]}"]
     meta = dict(gf.metadata)
     meta["synthesized_from"] = "basis"
     return GreenFunction(form="grid", t_out=t, t_in=t, metadata=meta, **blocks)

@@ -155,8 +155,11 @@ def save_gf(gf: GreenFunction, path: str) -> None:
                 lines.append(
                     f"{name} = %.17g %.17g %.17g" % (delta.delay, w.real, w.imag))
     else:
+        # a partial assembly carries only the specs of its blocks
         for key in _BASIS_KEYS:
             spec = getattr(gf, key)
+            if spec is None:
+                continue
             lines.append(
                 f"{key} = {spec.n} %.17g %.17g" % (spec.width, spec.center))
     for name in blocks:

@@ -10,6 +10,7 @@ every downstream artifact order-deterministic.
 
 import itertools
 import math
+import os
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
@@ -134,10 +135,16 @@ class SweepResult:
 
 
 def _gf_for_point(spec: SweepSpec, params: RegimeParams, pump: PumpSpec):
+    """The Green function of one point, holding only the blocks its record
+    reads.  Every engine supplies the rs block, which gives the Schmidt
+    values.  The numeric engine also assembles ss, which pairs tau, so it
+    propagates the s-input columns alone; no record reads the r-input
+    columns (rr, sr), so those are neither propagated nor leak-checked."""
     if spec.engine == "numeric":
         kwargs = dict(spec.basis or {})
-        return assemble_gf(params, pump, grid=spec.grid, **kwargs)
-    # the analytic engines sample only the rs block, the one records read
+        return assemble_gf(params, pump, grid=spec.grid, blocks=("rs", "ss"),
+                           **kwargs)
+    # the analytic engines sample only the rs block
     if spec.engine == "analytic-ssvm":
         if abs(params.beta_sp) > EPS_BETA:
             raise RegimeError(
@@ -217,22 +224,35 @@ def _evaluate_star(args) -> dict:
     return evaluate_point(*args)
 
 
+def _available_cpus() -> int:
+    """CPUs this process may run on (its affinity set where the platform
+    has one)."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:
+        return os.cpu_count() or 1
+
+
 def run_sweep(spec: SweepSpec, workers: int = 1) -> SweepResult:
     """Run every sweep point and gather records in point order.
 
-    ``workers > 1`` fans the points over a process pool; the pool's map
-    preserves submission order, so the result is identical to the serial
-    run.  Per-point failures are recorded in-row and do not stop the sweep.
+    ``workers > 1`` fans the points over a process pool of at most
+    ``workers`` processes, one per point and per CPU available; the pool's
+    map preserves submission order, so the result is identical to the
+    serial run.  Per-point failures are recorded in-row and do not stop the
+    sweep.  The provenance records both the requested ``workers`` and the
+    ``workers_used``.
     """
     if int(workers) < 1:
         raise ConfigurationError("workers must be a positive integer")
     points = spec.points()
     t0 = time.time()
     jobs = [(spec, i, values) for i, values in enumerate(points)]
-    if workers == 1 or len(points) <= 1:
+    used = max(1, min(int(workers), len(points), _available_cpus()))
+    if used == 1:
         records = [evaluate_point(*job) for job in jobs]
     else:
-        with ProcessPoolExecutor(max_workers=int(workers)) as pool:
+        with ProcessPoolExecutor(max_workers=used) as pool:
             records = list(pool.map(_evaluate_star, jobs))
     from .. import __version__
 
@@ -241,6 +261,7 @@ def run_sweep(spec: SweepSpec, workers: int = 1) -> SweepResult:
         "version": __version__,
         "n_points": len(points),
         "workers": int(workers),
+        "workers_used": used,
         "wall_time_s": time.time() - t0,
         "timestamp": time.strftime("%Y-%m-%dT%H:%M:%S", time.gmtime()),
     }

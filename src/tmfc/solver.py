@@ -49,7 +49,9 @@ class Propagator:
 
     Precomputes the spectral shift phases and (when memory allows) the pump
     coupling ``kappa`` at every slice midpoint, so repeated propagations of
-    different inputs only pay for FFTs and vector arithmetic.  :meth:`run`
+    different inputs only pay for FFTs and vector arithmetic.  A static
+    pump (``beta_p == 0``) has one ``kappa`` for every slice: it is stored
+    once, and :meth:`run` computes its rotation once.  :meth:`run`
     takes one envelope per channel or a ``(n_cols, n_t)`` stack of them and
     propagates every row in the same pass (as in Green-function assembly);
     the pass runs in real dtype when ``kappa`` is real (module docstring).
@@ -82,8 +84,10 @@ class Propagator:
         self._shift_r = abs(params.beta_r) > 0
         self._shift_s = abs(params.beta_s) > 0
         self._t = t
-        if params.gamma != 0 and grid.n_z * grid.n_t <= _PRECOMPUTE_LIMIT:
-            z = dz * (np.arange(grid.n_z) + 0.5)
+        # a static pump (beta_p = 0) couples every slice alike: one stage row
+        n_stages = 1 if params.beta_p == 0 else grid.n_z
+        if params.gamma != 0 and n_stages * grid.n_t <= _PRECOMPUTE_LIMIT:
+            z = dz * (np.arange(n_stages) + 0.5)
             args = t[None, :] - params.beta_p * z[:, None]
             self._stages = np.asarray(params.gamma * eval_pump(pump, args))
         else:
@@ -96,6 +100,14 @@ class Propagator:
             return self._stages[k]
         z = self.dz * (k + 0.5)
         return self._gamma * eval_pump(self.pump, self._t - self.params.beta_p * z)
+
+    def _rotation(self, k: int):
+        """``(cos(|kappa| dz), (kappa/|kappa|) sin(|kappa| dz), its conjugate)``
+        of the z-slice ``k`` rotation, finite as kappa -> 0."""
+        kappa = self._kappa(k)
+        theta = np.abs(kappa) * self.dz
+        off = self.dz * kappa * np.sinc(theta / math.pi)
+        return np.cos(theta), off, np.conj(off)
 
     def run(self, a_r: np.ndarray, a_s: np.ndarray) -> FieldState:
         """Propagate input envelopes from z=0 to z=L.
@@ -113,7 +125,6 @@ class Propagator:
         if not (np.all(np.isfinite(a_r.view(float))) and np.all(np.isfinite(a_s.view(float)))):
             raise DataError("input envelopes contain non-finite entries")
 
-        dz = self.dz
         n_t = self.grid.n_t
         couple = self._gamma != 0
         shape = a_r.shape
@@ -135,14 +146,13 @@ class Propagator:
         if self._shift_s:
             b_s = shift(b_s, self._half_s)
 
+        # with one stage row every slice shares the rotation of the first
+        static = self._stages is not None and len(self._stages) == 1
         for k in range(self.grid.n_z):
             if couple:
-                kappa = self._kappa(k)
-                theta = np.abs(kappa) * dz
-                # (kappa/|kappa|) sin(|kappa| dz), finite as kappa -> 0
-                off = dz * kappa * np.sinc(theta / math.pi)
-                cos = np.cos(theta)
-                a_r, b_s = cos * a_r + off * b_s, cos * b_s - np.conj(off) * a_r
+                if k == 0 or not static:
+                    cos, off, off_conj = self._rotation(k)
+                a_r, b_s = cos * a_r + off * b_s, cos * b_s - off_conj * a_r
             last = k == self.grid.n_z - 1
             if self._shift_r:
                 a_r = shift(a_r, self._half_r if last else self._full_r)

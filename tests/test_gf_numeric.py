@@ -236,3 +236,73 @@ def test_assembly_is_deterministic():
     b = assemble_gf(SSVM, PUMP, n_r=10, n_s=10, tol_leak=0.05)
     assert np.array_equal(a.g_rs, b.g_rs)
     assert np.array_equal(a.g_ss, b.g_ss)
+
+
+@pytest.fixture(scope="module")
+def gf_s_inputs():
+    return assemble_gf(SSVM, PUMP, n_r=24, n_s=24, blocks=("rs", "ss"))
+
+
+def test_partial_assembly_matches_full(gf_small, gf_s_inputs):
+    """Blocks, s-side energies and s-side leaks of an rs/ss assembly are
+    those of the four-block one, bit for bit; the r side is left out."""
+    gf = gf_s_inputs
+    assert gf.g_rr is None and gf.g_sr is None and gf.basis_in_r is None
+    assert np.array_equal(gf.g_rs, gf_small.g_rs)
+    assert np.array_equal(gf.g_ss, gf_small.g_ss)
+    for key in ("conv_energy_s", "trans_energy_s", "leak_s"):
+        assert np.array_equal(gf.metadata[key], gf_small.metadata[key])
+    for key in ("conv_energy_r", "trans_energy_r", "leak_r"):
+        assert gf.metadata[key].size == 0
+
+
+def test_partial_assembly_propagates_read_inputs(monkeypatch):
+    calls = []
+    run = Propagator.run
+
+    def counting_run(self, a_r, a_s):
+        calls.append(np.shape(a_r))
+        return run(self, a_r, a_s)
+
+    monkeypatch.setattr(Propagator, "run", counting_run)
+    gf = assemble_gf(SSVM, PUMP, n_r=6, n_s=4, tol_leak=0.5, blocks=("sr",))
+    assert calls == [(6, gf.grid.n_t)]
+    assert gf.g_sr.shape == (4, 6) and gf.g_rs is None
+    assert gf.metadata["leak_s"].size == 0
+
+
+def test_assembly_rejects_unknown_block():
+    for blocks in (("rs", "g_ss"), ()):
+        with pytest.raises(ConfigurationError):
+            assemble_gf(SSVM, PUMP, n_r=6, n_s=6, tol_leak=0.5, blocks=blocks)
+
+
+def test_partial_assembly_diagnostics(gf_small, gf_s_inputs):
+    """Unitarity and leakage cover the input columns present; with all four
+    blocks they are those of the composite matrix."""
+    u = composite_matrix(gf_small)
+    ref = np.linalg.norm(u.conj().T @ u - np.eye(48)) / np.sqrt(48)
+    assert unitarity_defect(gf_small) == float(ref)
+    cols = np.vstack([gf_s_inputs.g_rs, gf_s_inputs.g_ss])
+    ref_s = np.linalg.norm(cols.conj().T @ cols - np.eye(24)) / np.sqrt(24)
+    assert unitarity_defect(gf_s_inputs) == float(ref_s)
+    assert unitarity_defect(gf_s_inputs) < 2e-3
+    report = leakage_report(gf_s_inputs)
+    assert report["worst_side"] == "s" and report["r"].size == 0
+    assert report["max"] == float(np.max(gf_small.metadata["leak_s"]))
+    with pytest.raises(ConfigurationError):
+        composite_matrix(gf_s_inputs)
+    # a column without its s outputs has no defined defect
+    rs_only = GreenFunction(form="basis", g_rs=gf_s_inputs.g_rs,
+                            basis_out_r=gf_s_inputs.basis_out_r,
+                            basis_in_s=gf_s_inputs.basis_in_s)
+    with pytest.raises(ConfigurationError):
+        unitarity_defect(rs_only)
+
+
+def test_partial_assembly_grid_synthesis(gf_s_inputs):
+    grid_gf = to_grid_form(gf_s_inputs)
+    assert grid_gf.g_rr is None and grid_gf.g_ss is not None
+    res_basis = decompose(gf_s_inputs, n_report=5, want_modes=False)
+    res_grid = decompose(grid_gf, n_report=5, want_modes=False)
+    assert np.max(np.abs(res_basis.rho - res_grid.rho)) < 1e-12

@@ -10,15 +10,19 @@ import pytest
 from tmfc import (
     ConfigurationError,
     DataError,
+    GreenFunction,
+    Propagator,
     PumpSpec,
     RegimeParams,
     conversion_support,
     decompose,
     default_ssvm_grids,
     sample_low_ce,
+    shape_fidelity,
     ssvm_gf,
 )
 from tmfc.gf_numeric import assemble_gf
+from tmfc.harness import sweep as sweep_module
 from tmfc.harness import (
     SweepResult,
     SweepSpec,
@@ -147,6 +151,83 @@ def test_analytic_sweep_records_match_full_block_gf(engine):
     assert rec["separability"] == res.separability
 
 
+NUMERIC = RegimeParams(beta_r=1.0, beta_s=0.0, beta_p=0.0).with_gamma_bar(0.5)
+SMALL_BASIS = {"n_r": 10, "n_s": 8, "tol_leak": 0.05}
+
+
+def test_numeric_sweep_propagates_s_inputs(monkeypatch):
+    """A numeric point propagates the s-input columns alone, and its record
+    equals the decomposition of the four-block Green function."""
+    spec = SweepSpec(params=NUMERIC, pump=PUMP, engine="numeric", n_report=3,
+                     basis=SMALL_BASIS, want_fidelity=True)
+    rows = []
+    run = Propagator.run
+
+    def spying_run(self, a_r, a_s):
+        rows.append(np.shape(a_r)[0])
+        return run(self, a_r, a_s)
+
+    monkeypatch.setattr(Propagator, "run", spying_run)
+    (rec,) = run_sweep(spec).records
+    assert rows == [SMALL_BASIS["n_s"]]
+    gf = assemble_gf(NUMERIC, PUMP, **SMALL_BASIS)
+    res = decompose(gf, n_report=3, want_modes=True)
+    assert rec["error"] == ""
+    assert rec["rho"] == [float(x) for x in res.rho]
+    assert rec["ce"] == [float(x) for x in res.ce]
+    assert rec["selectivity"] == res.selectivity
+    assert rec["separability"] == res.separability
+    assert rec["fidelity"] == [
+        float(shape_fidelity(res.modes_in_s[k], res.modes_out_r[k],
+                             res.dt_in, res.dt_out)) for k in range(3)]
+
+
+class _SpyPool:
+    """Stands in for the process pool: records its size, maps in-process."""
+
+    sizes = []
+
+    def __init__(self, max_workers):
+        self.sizes.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, jobs):
+        return map(fn, jobs)
+
+
+@pytest.mark.parametrize("workers, cpus, n_points, used", [
+    (8, 3, 5, 3), (8, 4, 2, 2), (2, 4, 5, 2), (4, 1, 5, 1)])
+def test_run_sweep_caps_pool_size(monkeypatch, workers, cpus, n_points, used):
+    monkeypatch.setattr(sweep_module, "ProcessPoolExecutor", _SpyPool)
+    monkeypatch.setattr(sweep_module.os, "sched_getaffinity",
+                        lambda pid: set(range(cpus)), raising=False)
+    monkeypatch.setattr(_SpyPool, "sizes", [])
+    gammas = tuple(0.01 * (k + 1) for k in range(n_points))
+    result = run_sweep(_tiny_spec(axes=(("gamma_bar", gammas),)),
+                       workers=workers)
+    assert _SpyPool.sizes == ([used] if used > 1 else [])
+    assert result.provenance["workers"] == workers
+    assert result.provenance["workers_used"] == used
+    assert [r["index"] for r in result.records] == list(range(n_points))
+
+
+def test_run_sweep_cpu_count_fallback(monkeypatch):
+    """Without CPU affinity the pool is capped by the CPU count."""
+    monkeypatch.setattr(sweep_module, "ProcessPoolExecutor", _SpyPool)
+    monkeypatch.delattr(sweep_module.os, "sched_getaffinity", raising=False)
+    monkeypatch.setattr(sweep_module.os, "cpu_count", lambda: 2)
+    monkeypatch.setattr(_SpyPool, "sizes", [])
+    gammas = (0.01, 0.02, 0.03)
+    result = run_sweep(_tiny_spec(axes=(("gamma_bar", gammas),)), workers=3)
+    assert _SpyPool.sizes == [2]
+    assert result.provenance["workers_used"] == 2
+
+
 def test_export_csv_layout(tmp_path):
     spec = _tiny_spec()
     result = run_sweep(spec)
@@ -226,6 +307,35 @@ def test_gf_container_basis_roundtrip(tmp_path):
     b = decompose(back, want_modes=False)
     assert np.array_equal(a.rho, b.rho)
     assert a.sum_rho_sq == b.sum_rho_sq
+
+
+def test_gf_container_partial_basis_roundtrip(tmp_path):
+    """A basis-form function without r-input columns keeps only the basis
+    specs it uses, through the container and the CLI."""
+    gf = assemble_gf(NUMERIC, PUMP, n_r=10, n_s=10, tol_leak=0.05,
+                     blocks=("rs", "ss"))
+    path = tmp_path / "s_inputs.gf"
+    save_gf(gf, str(path))
+    back = load_gf(str(path))
+    assert back.g_rr is None and back.g_sr is None
+    assert back.basis_in_r is None and back.basis_in_s == gf.basis_in_s
+    assert np.array_equal(back.g_rs, gf.g_rs)
+    assert np.array_equal(back.g_ss, gf.g_ss)
+    assert back.metadata["leak_r"].size == 0
+    assert np.array_equal(back.metadata["conv_energy_s"],
+                          gf.metadata["conv_energy_s"])
+    rs_only = GreenFunction(form="basis", g_rs=gf.g_rs,
+                            basis_out_r=gf.basis_out_r, basis_in_s=gf.basis_in_s)
+    save_gf(rs_only, str(tmp_path / "rs.gf"))
+    assert np.array_equal(load_gf(str(tmp_path / "rs.gf")).g_rs, gf.g_rs)
+    out = tmp_path / "dec.json"
+    assert main(["decompose", str(path), "--out", str(out),
+                 "--n-report", "4"]) == 0
+    payload = json.loads(out.read_text())
+    ref = decompose(gf, n_report=4, want_modes=False)
+    assert payload["rho"] == [float(x) for x in ref.rho]
+    assert payload["sum_rho_sq"] == ref.sum_rho_sq
+    assert payload["tau_source"] == "gss"
 
 
 def test_gf_container_rejects_corrupt_header(tmp_path):

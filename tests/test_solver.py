@@ -133,6 +133,22 @@ def test_unprecomputed_stages_match(monkeypatch, gamma):
     assert _rel_diff(prop.run(a_r, a_s), ref) <= 1e-13
 
 
+@pytest.mark.parametrize("gamma", [1.1, complex(1.1, 0.4)])
+def test_static_pump_matches_moving_reference(monkeypatch, gamma):
+    """At beta_p = 0 one stage row and one rotation serve every slice; the
+    fields equal, bit for bit, those of the per-slice pump evaluation."""
+    params = replace(PARAMS, beta_p=0.0, gamma=gamma)
+    a_r, a_s = _inputs(GRID)
+    prop = Propagator(params, PUMP, GRID)
+    assert prop._stages.shape == (1, GRID.n_t)
+    out = prop.run(a_r, a_s)
+    monkeypatch.setattr(solver, "_PRECOMPUTE_LIMIT", 0)
+    moving = Propagator(params, PUMP, GRID)
+    assert moving._stages is None
+    ref = moving.run(a_r, a_s)
+    assert np.array_equal(out.a_r, ref.a_r) and np.array_equal(out.a_s, ref.a_s)
+
+
 def test_batch_shape_validation():
     prop = Propagator(PARAMS, PUMP, GRID)
     stack = np.zeros((3, GRID.n_t))
