@@ -443,11 +443,8 @@ def ssvm_to_ecop_limit_check(
         mid = 0.5 * (lo + hi)
         rad = 0.5 * (hi - lo)
         tp = mid[:, None] + rad[:, None] * nodes[None, :]
-        eta = pump_cumulative_intensity(pump, hi)[:, None] \
-            - pump_cumulative_intensity(pump, tp)
-        xi = brs * L - (hi[:, None] - tp)
-        x = 2.0 * abs(gbar) * np.sqrt(np.maximum(eta * xi, 0.0))
-        integrand = np.real(eval_pump(pump, tp)) * special.j0(x) * a_in(tp)
+        kv = ssvm_kernel_variables(params, pump, hi[:, None], tp)
+        integrand = np.real(eval_pump(pump, tp)) * special.j0(kv.x) * a_in(tp)
         quad = 1j * gbar * (integrand @ weights) * rad
         shift = t_eval - brs * L
         ref = 1j * a_in(shift) * np.sin(

@@ -67,9 +67,8 @@ class BasisSpec:
     width: float
     center: float
 
-    def sample(self, t: np.ndarray, check_resolution: bool = True) -> np.ndarray:
-        return hermite_gauss_basis(self.n, t, self.width, self.center,
-                                   check_resolution=check_resolution)
+    def sample(self, t: np.ndarray) -> np.ndarray:
+        return hermite_gauss_basis(self.n, t, self.width, self.center)
 
     def extent(self, sigmas: float = 4.0) -> Tuple[float, float]:
         """Interval containing the basis support (classical turning points

@@ -223,8 +223,14 @@ def load_gf(path: str) -> GreenFunction:
             raise DataError(f"{path}: malformed header line {line!r}")
         fields[key] = value
 
-    form = fields.pop("form")
-    blocks = [b for b in fields.pop("blocks").split(",") if b]
+    def need(table: dict, key: str):
+        try:
+            return table.pop(key)
+        except KeyError:
+            raise DataError(f"{path}: container header lacks {key!r}") from None
+
+    form = need(fields, "form")
+    blocks = [b for b in need(fields, "blocks").split(",") if b]
     metadata = {}
     shapes = {}
     kwargs: dict = {}
@@ -233,7 +239,7 @@ def load_gf(path: str) -> GreenFunction:
             metadata[key[len("meta."):]] = _parse_meta(value)
         elif key.startswith("shape_"):
             rows, cols = value.split()
-            shapes[key[len("shape_"):]] = (int(rows), int(cols))
+            shapes[key] = (int(rows), int(cols))
         elif key in ("delta_rr", "delta_ss"):
             delay, wre, wim = (float(x) for x in value.split())
             weight = complex(wre, wim)
@@ -256,11 +262,11 @@ def load_gf(path: str) -> GreenFunction:
         return np.frombuffer(chunk, dtype=dtype).copy()
 
     if form == "grid":
-        n_out = shapes.pop("n_out")
-        n_in = shapes.pop("n_in")
+        n_out = need(shapes, "n_out")
+        n_in = need(shapes, "n_in")
         kwargs["t_out"] = take(n_out, np.float64)
         kwargs["t_in"] = take(n_in, np.float64)
     for name in blocks:
-        rows, cols = shapes[name]
+        rows, cols = need(shapes, f"shape_{name}")
         kwargs[name] = take(rows * cols, np.complex128).reshape(rows, cols)
     return GreenFunction(form=form, metadata=metadata, **kwargs)

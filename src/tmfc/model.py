@@ -392,14 +392,12 @@ def classify_regime(params: RegimeParams, eps: float = EPS_BETA) -> RegimeClass:
 # grids and fields
 
 
-def interaction_support(params: RegimeParams, pump: PumpSpec,
-                        margin: float = 5.0, pad: float = 0.0) -> Tuple[float, float]:
+def interaction_support(params: RegimeParams, pump: PumpSpec) -> Tuple[float, float]:
     """Conservative time window containing all input/output structure.
 
     The candidate support points are the exit delays of the two channels,
     the pump transit times, and the channel/pump crossing times; the window
-    extends ``margin * max(tau_p, pad)`` beyond their extremes, around the
-    pump center.
+    extends five pump widths beyond their extremes, around the pump center.
     """
     L = params.L
     points = np.array([
@@ -410,7 +408,7 @@ def interaction_support(params: RegimeParams, pump: PumpSpec,
         (params.beta_p - params.beta_s) * L,
         (params.beta_p - params.beta_r) * L,
     ]) + pump.center
-    m = margin * max(pump.tau_p, pad)
+    m = 5.0 * pump.tau_p
     return float(points.min() - m), float(points.max() + m)
 
 
@@ -471,17 +469,17 @@ class TemporalGrid:
         t.setflags(write=False)
         return t
 
-    def covers(self, params: RegimeParams, pump: PumpSpec, pad: float = 0.0) -> bool:
-        """Check the coverage contract: window reaches ``margin`` pump widths
+    def covers(self, params: RegimeParams, pump: PumpSpec) -> bool:
+        """Check the coverage contract: window reaches five pump widths
         beyond the earliest and latest free exit delays (0, beta_s L, beta_r L)."""
         L = params.L
-        m = 5.0 * max(pump.tau_p, pad)
+        m = 5.0 * pump.tau_p
         lo = min(0.0, params.beta_s * L, params.beta_r * L) + pump.center - m
         hi = max(0.0, params.beta_s * L, params.beta_r * L) + pump.center + m
         return self.t_min <= lo + 1e-12 and self.t_max >= hi - 1e-12
 
-    def require_coverage(self, params: RegimeParams, pump: PumpSpec, pad: float = 0.0) -> None:
-        if not self.covers(params, pump, pad):
+    def require_coverage(self, params: RegimeParams, pump: PumpSpec) -> None:
+        if not self.covers(params, pump):
             raise CoverageError(
                 f"grid [{self.t_min}, {self.t_max}] does not cover the interaction "
                 f"support of beta=({params.beta_r}, {params.beta_s}, {params.beta_p}), "
@@ -495,7 +493,6 @@ class TemporalGrid:
         pump: PumpSpec,
         n_t: Optional[int] = None,
         n_z: Optional[int] = None,
-        pad: float = 0.0,
         dt_max: Optional[float] = None,
         extra: Sequence[float] = (),
     ) -> "TemporalGrid":
@@ -506,7 +503,7 @@ class TemporalGrid:
         sampling than the default 1024 points when needed; ``n_z`` defaults
         to the advection stability bound with a safety factor of 2.
         """
-        lo, hi = interaction_support(params, pump, pad=pad)
+        lo, hi = interaction_support(params, pump)
         if len(extra):
             lo = min(lo, float(np.min(extra)))
             hi = max(hi, float(np.max(extra)))
@@ -561,7 +558,6 @@ def hermite_gauss_basis(
     t: np.ndarray,
     width: float = 1.0,
     center: float = 0.0,
-    check_resolution: bool = True,
 ) -> np.ndarray:
     """Orthonormal Hermite-Gaussian functions sampled on ``t``.
 
@@ -573,6 +569,8 @@ def hermite_gauss_basis(
 
     Raises
     ------
+    ConfigurationError
+        If ``t`` is not a uniform grid.
     ResolutionError
         If the grid spacing cannot resolve the fastest oscillation of the
         highest requested order (Nyquist-style check, 4 samples per period).
@@ -584,17 +582,16 @@ def hermite_gauss_basis(
     t = np.asarray(t, dtype=float)
     if t.ndim != 1 or t.size < 2:
         raise ConfigurationError("t must be a 1-D array with at least 2 points")
-    if check_resolution:
-        steps = np.diff(t)
-        dt = float(np.median(steps))
-        if np.max(np.abs(steps - dt)) > 1e-9 * max(dt, 1.0):
-            raise ConfigurationError("basis sampling requires a uniform grid")
-        k_max = math.sqrt(2.0 * (n_modes - 1) + 1.0) / width
-        if dt * k_max > 0.5 * math.pi:
-            raise ResolutionError(
-                f"grid spacing {dt:.3e} cannot resolve Hermite-Gauss order "
-                f"{n_modes - 1} of width {width} (need dt <= {0.5 * math.pi / k_max:.3e})"
-            )
+    steps = np.diff(t)
+    dt = float(np.median(steps))
+    if np.max(np.abs(steps - dt)) > 1e-9 * max(dt, 1.0):
+        raise ConfigurationError("basis sampling requires a uniform grid")
+    k_max = math.sqrt(2.0 * (n_modes - 1) + 1.0) / width
+    if dt * k_max > 0.5 * math.pi:
+        raise ResolutionError(
+            f"grid spacing {dt:.3e} cannot resolve Hermite-Gauss order "
+            f"{n_modes - 1} of width {width} (need dt <= {0.5 * math.pi / k_max:.3e})"
+        )
     x = (t - center) / width
     out = np.empty((n_modes, t.size), dtype=float)
     out[0] = math.pi ** -0.25 * np.exp(-0.5 * x ** 2)

@@ -169,6 +169,8 @@ def decompose(gf: GreenFunction, n_report: int = 10,
     """
     if gf.block("rs") is None:
         raise ConfigurationError("decomposition needs the rs block")
+    if n_report < 1:
+        raise ConfigurationError(f"n_report must be >= 1, got {n_report}")
 
     basis = gf.form == "basis"
     if basis:

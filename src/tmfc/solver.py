@@ -41,17 +41,15 @@ from .errors import ConfigurationError, DataError, NumericalError
 from .model import FieldState, PumpSpec, RegimeParams, TemporalGrid, eval_pump
 
 _FINITE_CHECK_STRIDE = 16
-_PRECOMPUTE_LIMIT = 8_000_000  # samples; ~128 MB complex, half that real
 
 
 class Propagator:
     """Reusable propagation engine for one (params, pump, grid) triple.
 
-    Precomputes the spectral shift phases and (when memory allows) the pump
-    coupling ``kappa`` at every slice midpoint, so repeated propagations of
-    different inputs only pay for FFTs and vector arithmetic.  A static
-    pump (``beta_p == 0``) has one ``kappa`` for every slice: it is stored
-    once, and :meth:`run` computes its rotation once.  :meth:`run`
+    Precomputes the spectral shift phases; :meth:`run` evaluates the pump
+    coupling ``kappa`` at each slice midpoint as it reaches the slice.  A
+    static pump (``beta_p == 0``) has one ``kappa`` for every slice, so
+    :meth:`run` computes its rotation once.  :meth:`run`
     takes one envelope per channel or a ``(n_cols, n_t)`` stack of them and
     propagates every row in the same pass (as in Green-function assembly);
     the pass runs in real dtype when ``kappa`` is real (module docstring).
@@ -73,7 +71,6 @@ class Propagator:
         self.pump = pump
         self.grid = grid
         self.dz = dz
-        t = grid.times
         self._real = np.imag(params.gamma) == 0 and pump.is_real
         freq = np.fft.rfftfreq if self._real else np.fft.fftfreq
         omega = 2.0 * math.pi * freq(grid.n_t, grid_dt)
@@ -83,28 +80,14 @@ class Propagator:
         self._full_s = self._half_s ** 2
         self._shift_r = abs(params.beta_r) > 0
         self._shift_s = abs(params.beta_s) > 0
-        self._t = t
-        # a static pump (beta_p = 0) couples every slice alike: one stage row
-        n_stages = 1 if params.beta_p == 0 else grid.n_z
-        if params.gamma != 0 and n_stages * grid.n_t <= _PRECOMPUTE_LIMIT:
-            z = dz * (np.arange(n_stages) + 0.5)
-            args = t[None, :] - params.beta_p * z[:, None]
-            self._stages = np.asarray(params.gamma * eval_pump(pump, args))
-        else:
-            self._stages = None
-        self._gamma = params.gamma
-
-    def _kappa(self, k: int) -> np.ndarray:
-        """Coupling ``gamma A_p`` at the midpoint of z-slice ``k``."""
-        if self._stages is not None:
-            return self._stages[k]
-        z = self.dz * (k + 0.5)
-        return self._gamma * eval_pump(self.pump, self._t - self.params.beta_p * z)
+        self._t = grid.times
 
     def _rotation(self, k: int):
         """``(cos(|kappa| dz), (kappa/|kappa|) sin(|kappa| dz), its conjugate)``
-        of the z-slice ``k`` rotation, finite as kappa -> 0."""
-        kappa = self._kappa(k)
+        of the z-slice ``k`` rotation, with ``kappa = gamma A_p`` at the slice
+        midpoint; finite as kappa -> 0."""
+        z = self.dz * (k + 0.5)
+        kappa = self.params.gamma * eval_pump(self.pump, self._t - self.params.beta_p * z)
         theta = np.abs(kappa) * self.dz
         off = self.dz * kappa * np.sinc(theta / math.pi)
         return np.cos(theta), off, np.conj(off)
@@ -126,7 +109,8 @@ class Propagator:
             raise DataError("input envelopes contain non-finite entries")
 
         n_t = self.grid.n_t
-        couple = self._gamma != 0
+        couple = self.params.gamma != 0
+        static = self.params.beta_p == 0  # every slice shares one rotation
         shape = a_r.shape
         b_s = 1j * a_s
         if self._real:
@@ -146,8 +130,6 @@ class Propagator:
         if self._shift_s:
             b_s = shift(b_s, self._half_s)
 
-        # with one stage row every slice shares the rotation of the first
-        static = self._stages is not None and len(self._stages) == 1
         for k in range(self.grid.n_z):
             if couple:
                 if k == 0 or not static:

@@ -345,6 +345,30 @@ def test_gf_container_rejects_corrupt_header(tmp_path):
         load_gf(str(path))
 
 
+def _saved_weak_gf(tmp_path, drop=None):
+    """Save a small weak-conversion grid GF; ``drop`` names a header key
+    whose line is removed from the saved container."""
+    t = np.linspace(-6.0, 6.0, 200)
+    gf = sample_low_ce(BASE, PUMP, t, t)
+    path = tmp_path / "weak.gf"
+    save_gf(gf, str(path))
+    if drop is not None:
+        head, sep, payload = path.read_bytes().partition(b"\nend\n")
+        lines = head.split(b"\n")
+        kept = [ln for ln in lines if not ln.startswith(drop.encode() + b" = ")]
+        assert len(kept) == len(lines) - 1
+        path.write_bytes(b"\n".join(kept) + sep + payload)
+    return gf, path
+
+
+@pytest.mark.parametrize("key", ["form", "blocks", "n_out", "n_in", "shape_g_rs"])
+def test_gf_container_rejects_missing_header_key(tmp_path, key):
+    _, path = _saved_weak_gf(tmp_path, drop=key)
+    with pytest.raises(DataError) as err:
+        load_gf(str(path))
+    assert str(err.value) == f"{path}: container header lacks '{key}'"
+
+
 def test_reproduce_unknown_case():
     with pytest.raises(ConfigurationError) as err:
         reproduce("fig99")
@@ -463,10 +487,7 @@ def test_cli_decompose_missing_file(capsys):
 
 
 def test_cli_decompose_saved_gf(tmp_path, capsys):
-    t = np.linspace(-6.0, 6.0, 200)
-    gf = sample_low_ce(BASE, PUMP, t, t)
-    path = tmp_path / "weak.gf"
-    save_gf(gf, str(path))
+    gf, path = _saved_weak_gf(tmp_path)
     out = tmp_path / "dec.json"
     code = main(["decompose", str(path), "--out", str(out), "--n-report", "4"])
     assert code == 0
@@ -476,3 +497,16 @@ def test_cli_decompose_saved_gf(tmp_path, capsys):
     ref = decompose(gf, n_report=4, want_modes=False)
     assert np.allclose(payload["rho"], ref.rho)
     assert np.isclose(payload["selectivity"], ref.selectivity)
+
+
+@pytest.mark.parametrize("n_report", ["0", "-3"])
+def test_cli_decompose_rejects_nonpositive_n_report(tmp_path, capsys, n_report):
+    _, path = _saved_weak_gf(tmp_path)
+    assert main(["decompose", str(path), "--n-report", n_report]) == 2
+    assert capsys.readouterr().err.startswith("error: n_report must be >= 1")
+
+
+def test_cli_decompose_container_without_form(tmp_path, capsys):
+    _, path = _saved_weak_gf(tmp_path, drop="form")
+    assert main(["decompose", str(path)]) == 2
+    assert capsys.readouterr().err == f"error: {path}: container header lacks 'form'\n"

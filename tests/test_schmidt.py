@@ -309,6 +309,13 @@ def test_decompose_requires_rs(gf_weak_grid):
         decompose(bare)
 
 
+@pytest.mark.parametrize("want_modes", [False, True])
+@pytest.mark.parametrize("n_report", [0, -3])
+def test_decompose_rejects_nonpositive_n_report(gf_weak_grid, n_report, want_modes):
+    with pytest.raises(ConfigurationError, match="n_report"):
+        decompose(gf_weak_grid, n_report=n_report, want_modes=want_modes)
+
+
 def _hand_result(tau_phase=(0.0, 0.0)):
     rho = np.array([0.6, 0.3])
     tau_abs = np.sqrt(1.0 - rho ** 2)

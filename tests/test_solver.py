@@ -17,6 +17,7 @@ from tmfc import (
     TemporalGrid,
     dechirp_transform,
     energy,
+    eval_pump,
     propagate,
 )
 from tmfc import solver
@@ -123,29 +124,24 @@ def test_real_and_complex_dtype_agree(n_t):
 
 
 @pytest.mark.parametrize("gamma", [1.1, complex(1.1, 0.4)])
-def test_unprecomputed_stages_match(monkeypatch, gamma):
-    params = replace(PARAMS, gamma=gamma)
-    a_r, a_s = _inputs(GRID)
-    ref = Propagator(params, PUMP, GRID).run(a_r, a_s)
-    monkeypatch.setattr(solver, "_PRECOMPUTE_LIMIT", 0)
-    prop = Propagator(params, PUMP, GRID)
-    assert prop._stages is None
-    assert _rel_diff(prop.run(a_r, a_s), ref) <= 1e-13
-
-
-@pytest.mark.parametrize("gamma", [1.1, complex(1.1, 0.4)])
 def test_static_pump_matches_moving_reference(monkeypatch, gamma):
-    """At beta_p = 0 one stage row and one rotation serve every slice; the
-    fields equal, bit for bit, those of the per-slice pump evaluation."""
-    params = replace(PARAMS, beta_p=0.0, gamma=gamma)
+    """At beta_p = 0 one pump evaluation and one rotation serve every slice;
+    the fields equal, bit for bit, those of the per-slice pump evaluation
+    (reached through a pump velocity too small to move the pump)."""
+    calls = []
+
+    def spy(pump, t):
+        calls.append(t)
+        return eval_pump(pump, t)
+
+    monkeypatch.setattr(solver, "eval_pump", spy)
     a_r, a_s = _inputs(GRID)
-    prop = Propagator(params, PUMP, GRID)
-    assert prop._stages.shape == (1, GRID.n_t)
-    out = prop.run(a_r, a_s)
-    monkeypatch.setattr(solver, "_PRECOMPUTE_LIMIT", 0)
-    moving = Propagator(params, PUMP, GRID)
-    assert moving._stages is None
+    out = Propagator(replace(PARAMS, beta_p=0.0, gamma=gamma), PUMP, GRID).run(a_r, a_s)
+    assert len(calls) == 1
+    calls.clear()
+    moving = Propagator(replace(PARAMS, beta_p=1e-300, gamma=gamma), PUMP, GRID)
     ref = moving.run(a_r, a_s)
+    assert len(calls) == GRID.n_z
     assert np.array_equal(out.a_r, ref.a_r) and np.array_equal(out.a_s, ref.a_s)
 
 
