@@ -199,7 +199,12 @@ def _parse_meta(raw: str):
 
 
 def load_gf(path: str) -> GreenFunction:
-    """Read a container written by :func:`save_gf`."""
+    """Read a container written by :func:`save_gf`.
+
+    A header that is incomplete or names a block its ``blocks`` line does
+    not list, and a payload that is short or followed by more bytes, raise
+    :class:`DataError`.
+    """
     with open(path, "rb") as fh:
         data = fh.read()
     nl = data.find(b"\n")
@@ -238,6 +243,10 @@ def load_gf(path: str) -> GreenFunction:
         if key.startswith("meta."):
             metadata[key[len("meta."):]] = _parse_meta(value)
         elif key.startswith("shape_"):
+            if key[len("shape_"):] not in blocks:
+                raise DataError(
+                    f"{path}: container header has {key!r} for a block "
+                    "its 'blocks' line does not list")
             rows, cols = value.split()
             shapes[key] = (int(rows), int(cols))
         elif key in ("delta_rr", "delta_ss"):
@@ -269,4 +278,7 @@ def load_gf(path: str) -> GreenFunction:
     for name in blocks:
         rows, cols = need(shapes, f"shape_{name}")
         kwargs[name] = take(rows * cols, np.complex128).reshape(rows, cols)
+    if pos != len(data):
+        raise DataError(
+            f"{path}: {len(data) - pos} bytes follow the container payload")
     return GreenFunction(form=form, metadata=metadata, **kwargs)

@@ -200,7 +200,10 @@ def decompose(gf: GreenFunction, n_report: int = 10,
     n_report = min(n_report, min(mat.shape))
     sig = None if vectors else _leading_values(mat, n_report)
     if sig is not None:
-        sum_rho_sq = float(np.vdot(mat, mat).real)
+        # numpy's own reduction, not BLAS: its sum does not depend on the
+        # BLAS thread count, so pooled and serial records agree
+        parts = (mat.real, mat.imag) if np.iscomplexobj(mat) else (mat,)
+        sum_rho_sq = float(sum(np.einsum("ij,ij->", p, p) for p in parts))
         # recomputed from the block the Green function holds, so no copy of
         # the weighted block outlives this call
         rho_full = partial(_all_values, g, part, scale)

@@ -2,11 +2,19 @@
 
 import json
 import math
+import multiprocessing
+import os
 import re
+import subprocess
+import sys
+import time
+from concurrent.futures import ProcessPoolExecutor
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
+import tmfc
 from tmfc import (
     ConfigurationError,
     DataError,
@@ -38,6 +46,7 @@ from tmfc.harness import (
 )
 from tmfc.harness.cli import main
 from tmfc.harness.gfio import FORMAT_LINE
+from tmfc.harness.sweep import BLAS_THREAD_VARS
 
 BASE = RegimeParams(beta_r=1.0, beta_s=-1.0, beta_p=1.0).with_gamma_bar(0.01)
 PUMP = PumpSpec(tau_p=1.0)
@@ -187,7 +196,7 @@ class _SpyPool:
 
     sizes = []
 
-    def __init__(self, max_workers):
+    def __init__(self, max_workers, mp_context=None):
         self.sizes.append(max_workers)
 
     def __enter__(self):
@@ -226,6 +235,76 @@ def test_run_sweep_cpu_count_fallback(monkeypatch):
     result = run_sweep(_tiny_spec(axes=(("gamma_bar", gammas),)), workers=3)
     assert _SpyPool.sizes == [2]
     assert result.provenance["workers_used"] == 2
+
+
+def _thread_vars():
+    return {name: os.environ.get(name) for name in BLAS_THREAD_VARS}
+
+
+@pytest.mark.parametrize("before", [None, "4"])
+def test_run_sweep_pool_starts_with_one_blas_thread(monkeypatch, before):
+    """The pool starts from a forkserver with every thread variable at 1;
+    afterwards each is back as it was, set or unset."""
+    seen = []
+
+    class EnvSpyPool(_SpyPool):
+        def __init__(self, max_workers, mp_context=None):
+            super().__init__(max_workers)
+            seen.append(mp_context.get_start_method())
+
+        def map(self, fn, jobs):
+            seen.append(_thread_vars())
+            return super().map(fn, jobs)
+
+    monkeypatch.setattr(sweep_module, "ProcessPoolExecutor", EnvSpyPool)
+    monkeypatch.setattr(sweep_module.os, "sched_getaffinity",
+                        lambda pid: {0, 1}, raising=False)
+    monkeypatch.setattr(_SpyPool, "sizes", [])
+    for name in BLAS_THREAD_VARS:
+        if before is None:
+            monkeypatch.delenv(name, raising=False)
+        else:
+            monkeypatch.setenv(name, before)
+    pooled = run_sweep(_tiny_spec(), workers=2)
+    assert seen == ["forkserver", dict.fromkeys(BLAS_THREAD_VARS, "1")]
+    assert _thread_vars() == dict.fromkeys(BLAS_THREAD_VARS, before)
+    assert pooled.provenance["blas_threads"] == 1
+    assert pooled.provenance["workers_used"] == 2
+    serial = run_sweep(_tiny_spec(), workers=1)
+    assert serial.provenance["blas_threads"] is None
+    assert len(seen) == 2
+
+
+def test_pool_workers_run_with_one_blas_thread(monkeypatch):
+    """The forkserver a pooled sweep starts gives its workers one BLAS
+    thread, and the caller's environment is left as it was."""
+    monkeypatch.setattr(sweep_module.os, "sched_getaffinity",
+                        lambda pid: {0, 1}, raising=False)
+    before = _thread_vars()
+    assert run_sweep(_tiny_spec(), workers=2).provenance["workers_used"] == 2
+    assert _thread_vars() == before
+    ctx = multiprocessing.get_context("forkserver")
+    with ProcessPoolExecutor(max_workers=1, mp_context=ctx) as pool:
+        seen = list(pool.map(os.getenv, BLAS_THREAD_VARS, timeout=60))
+    assert seen == ["1"] * len(BLAS_THREAD_VARS)
+
+
+def test_pooled_records_match_serial():
+    """Pooled numeric records equal the serial ones exactly; pooled fig6
+    points, whose large blocks round with the BLAS thread count, agree to
+    1e-13 relative."""
+    numeric = SweepSpec(params=NUMERIC, pump=PUMP, engine="numeric",
+                        n_report=3, basis=SMALL_BASIS,
+                        axes=(("gamma_bar", (0.4, 0.6)),))
+    assert run_sweep(numeric, workers=2).records == run_sweep(numeric).records
+    fig6 = replace(cases.fig6_spec(), axes=(("gamma_bar", (0.6, 1.1, 1.6)),))
+    serial = run_sweep(fig6).records
+    pooled = run_sweep(fig6, workers=2).records
+    assert [r["index"] for r in pooled] == [0, 1, 2]
+    for a, b in zip(serial, pooled):
+        assert a["error"] == b["error"] == ""
+        for key in ("rho", "ce", "selectivity", "separability"):
+            np.testing.assert_allclose(b[key], a[key], rtol=1e-13, atol=0)
 
 
 def test_export_csv_layout(tmp_path):
@@ -369,6 +448,29 @@ def test_gf_container_rejects_missing_header_key(tmp_path, key):
     assert str(err.value) == f"{path}: container header lacks '{key}'"
 
 
+def _malformed_gf(tmp_path, fault):
+    """A saved weak GF whose ``blocks`` line drops g_sr while its shape line
+    and payload stay, or with bytes appended after the payload."""
+    _, path = _saved_weak_gf(tmp_path)
+    data = path.read_bytes()
+    if fault == "unlisted block":
+        assert b"\nblocks = g_rs,g_sr\n" in data
+        path.write_bytes(data.replace(b"\nblocks = g_rs,g_sr\n",
+                                      b"\nblocks = g_rs\n", 1))
+        return path, f"{path}: container header has 'shape_g_sr' for a block " \
+            "its 'blocks' line does not list"
+    path.write_bytes(data + bytes(400))
+    return path, f"{path}: 400 bytes follow the container payload"
+
+
+@pytest.mark.parametrize("fault", ["unlisted block", "trailing bytes"])
+def test_gf_container_rejects_malformed_payload(tmp_path, fault):
+    path, message = _malformed_gf(tmp_path, fault)
+    with pytest.raises(DataError) as err:
+        load_gf(str(path))
+    assert str(err.value) == message
+
+
 def test_reproduce_unknown_case():
     with pytest.raises(ConfigurationError) as err:
         reproduce("fig99")
@@ -510,3 +612,63 @@ def test_cli_decompose_container_without_form(tmp_path, capsys):
     _, path = _saved_weak_gf(tmp_path, drop="form")
     assert main(["decompose", str(path)]) == 2
     assert capsys.readouterr().err == f"error: {path}: container header lacks 'form'\n"
+
+
+@pytest.mark.parametrize("fault", ["unlisted block", "trailing bytes"])
+def test_cli_decompose_rejects_malformed_payload(tmp_path, capsys, fault):
+    path, message = _malformed_gf(tmp_path, fault)
+    assert main(["decompose", str(path)]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
+def _session_members(sid: int):
+    """Pids of the live processes in session ``sid``."""
+    members = []
+    for entry in os.listdir("/proc"):
+        if not entry.isdigit():
+            continue
+        try:
+            with open(f"/proc/{entry}/stat") as fh:
+                fields = fh.read().rpartition(")")[2].split()
+        except OSError:  # exited meanwhile
+            continue
+        # after the command name: state, ppid, pgrp, session
+        if fields[0] != "Z" and int(fields[3]) == sid:
+            members.append(int(entry))
+    return members
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self"), reason="needs /proc")
+def test_cli_run_pooled_through_entry_point(tmp_path):
+    """``python -m tmfc.harness.cli run --workers 2`` writes the bytes of the
+    serial run, and neither the forkserver nor a worker outlives it."""
+    cfg = tmp_path / "numeric.yaml"
+    cfg.write_text("""
+params: {beta_r: 1.0, beta_s: 0.0, beta_p: 0.0, gamma_bar: 0.5}
+pump: {tau_p: 1.0}
+engine: numeric
+basis: {n_r: 10, n_s: 8, tol_leak: 0.05}
+n_report: 3
+axes:
+  - name: gamma_bar
+    values: [0.4, 0.6]
+""")
+    src = os.path.dirname(os.path.dirname(tmfc.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    written = {}
+    for workers in ("1", "2"):
+        out = tmp_path / f"workers{workers}.csv"
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "tmfc.harness.cli", "run", str(cfg),
+             "--out", str(out), "--workers", workers],
+            env=env, start_new_session=True)
+        assert proc.wait(timeout=300) == 0
+        written[workers] = out.read_bytes()
+        # the server and the workers leave when the command's pipes close
+        deadline = time.monotonic() + 30.0
+        while _session_members(proc.pid) and time.monotonic() < deadline:
+            time.sleep(0.05)
+        assert _session_members(proc.pid) == []
+    assert written["2"] == written["1"]
+    assert written["1"].count(b"\r\n") == 3
