@@ -5,6 +5,11 @@ channels coupled by a strong pump in a uniform second-order nonlinear
 waveguide: coupled-mode propagation, Green function assembly, closed-form
 kernels for the solvable regimes, Schmidt-mode analysis, and a
 reproduction/sweep harness with a command line interface.
+
+Importing the package loads numpy alone: each scipy module is imported
+inside the functions that call it, so a process that evaluates no
+analytic kernel, such as a numeric sweep or ``tmfc decompose``, never
+imports scipy.
 """
 
 from .errors import (

@@ -22,7 +22,6 @@ from dataclasses import dataclass
 from typing import Callable, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
-from scipy import integrate, optimize, special
 
 from .errors import (
     ConfigurationError,
@@ -234,6 +233,8 @@ def ssvm_kernel_variables(params: RegimeParams, pump: PumpSpec,
 
 def _j1_over_x(x: np.ndarray) -> np.ndarray:
     """``2 J1(x) / x``, continuous through x = 0."""
+    from scipy import special
+
     x = np.asarray(x, dtype=float)
     small = np.abs(x) < 1e-8
     xs = np.where(small, 1.0, x)
@@ -259,6 +260,8 @@ def ssvm_gf(params: RegimeParams, pump: PumpSpec,
     The pump factors are evaluated per axis, when a requested block reads
     them; ``J0(x)`` and ``2 J1(x) / x`` are each sampled at most once.
     """
+    from scipy import special
+
     gamma_real = _check_ssvm(params)
     t_out = np.asarray(t_out, dtype=float)
     t_in = np.asarray(t_in, dtype=float)
@@ -329,6 +332,8 @@ def short_pump_limit(params: RegimeParams,
     per axis converges exponentially (10 digits at 20 nodes near the
     selectivity peak).  Returns ``(rho, S)`` with ``S = rho_1^4 / sum rho^2``.
     """
+    from scipy import special
+
     _check_ssvm(params)
     g = abs(params.gamma_bar) * math.sqrt(params.beta_rs * params.L)
     nodes, weights = np.polynomial.legendre.leggauss(n_nodes)
@@ -346,6 +351,8 @@ def short_pump_limit_peak(params: RegimeParams) -> Tuple[float, float]:
     unimodal with its peak at ``g = 1.594``, inside the searched
     ``0.5 <= g <= 3``.  Returns ``(S*, gbar*)`` at the walk-off of ``params``.
     """
+    from scipy import optimize
+
     _check_ssvm(params)
     scale = math.sqrt(params.beta_rs * params.L)
     res = optimize.minimize_scalar(
@@ -427,6 +434,8 @@ def ssvm_to_ecop_limit_check(
     must approach ``i a_s(t - beta_rs L) sin(gamma L Ap(t - beta_rs L))``.
     Returns ``(beta_rs, relative l2 mismatch)`` rows, in the given order.
     """
+    from scipy import special
+
     pump = PumpSpec(shape=PumpShape.GAUSSIAN, tau_p=tau_p)
     w = input_width
     half = 5.0 * max(w, tau_p) + abs(input_center)
@@ -465,6 +474,8 @@ def ecop_bessel_identity_error(g: float, y: float = 1.0) -> float:
     The identity underlies the collapse of the exact-kernel quadrature onto
     the sine rotation for a flat pump.
     """
+    from scipy import integrate, special
+
     if y <= 0:
         raise ConfigurationError("y must be positive")
 

@@ -263,8 +263,9 @@ def run_sweep(spec: SweepSpec, workers: int = 1) -> SweepResult:
     ``blas_threads`` of each pool worker (``None`` for a serial run, which
     keeps the calling process's own BLAS).
 
-    The pool's workers fork from a ``forkserver`` that preloads this module,
-    so numpy, scipy and tmfc are imported once per process.  The server,
+    The pool's workers fork from a ``forkserver`` that preloads this module
+    (and with it numpy and tmfc) and ``scipy.special``, which the analytic
+    kernels call, so each is imported once per process.  The server,
     and so every worker, starts with one BLAS thread: the thread variables
     are set to 1 while the pool starts, then restored.  If the process's
     forkserver was already running when the first pool started, it keeps
@@ -288,7 +289,7 @@ def run_sweep(spec: SweepSpec, workers: int = 1) -> SweepResult:
         records = [evaluate_point(*job) for job in jobs]
     else:
         ctx = multiprocessing.get_context("forkserver")
-        ctx.set_forkserver_preload([__name__])
+        ctx.set_forkserver_preload([__name__, "scipy.special"])
         with ProcessPoolExecutor(max_workers=used, mp_context=ctx) as pool:
             # the workers, and the server on first use, start while the
             # jobs are submitted

@@ -23,8 +23,6 @@ from dataclasses import dataclass, replace
 from typing import Callable, Optional, Sequence, Tuple
 
 import numpy as np
-from scipy import fft as fft_mod
-from scipy.special import erf
 
 from .errors import (
     ConfigurationError,
@@ -203,6 +201,8 @@ def pump_cumulative_intensity(pump: PumpSpec, t) -> np.ndarray:
     integration of the squared interpolant for tabulated pumps.  Chirp does
     not enter (it leaves ``|A_p|`` unchanged).
     """
+    from scipy.special import erf
+
     t = np.asarray(t, dtype=float)
     u = t - pump.center
     tau = pump.tau_p
@@ -243,6 +243,8 @@ def pump_cumulative_amplitude(pump: PumpSpec, t) -> np.ndarray:
         raise UnsupportedConfigurationError(
             "cumulative amplitude is only defined for real (unchirped) pumps"
         )
+    from scipy.special import erf
+
     t = np.asarray(t, dtype=float)
     u = t - pump.center
     tau = pump.tau_p
@@ -434,6 +436,21 @@ def conversion_support(params: RegimeParams, pump: PumpSpec,
     return t_out, t_in
 
 
+def _next_fast_len(n: int) -> int:
+    """Smallest integer ``>= n`` with no prime factor above 11, the sizes
+    pocketfft transforms fastest; ``scipy.fft.next_fast_len(n)`` returns
+    the same."""
+    m = max(n, 1)
+    while True:
+        k = m
+        for p in (2, 3, 5, 7, 11):
+            while k % p == 0:
+                k //= p
+        if k == 1:
+            return m
+        m += 1
+
+
 @dataclass(frozen=True)
 class TemporalGrid:
     """Uniform time grid over ``[t_min, t_max]`` plus a z-step count.
@@ -512,7 +529,7 @@ class TemporalGrid:
         if dt_max is not None:
             nt = max(nt, int(math.ceil(span / dt_max)) + 1)
         if n_t is None:
-            nt = int(fft_mod.next_fast_len(nt))
+            nt = _next_fast_len(nt)
         dt = span / (nt - 1)
         if n_z is None:
             beta_max = max(abs(params.beta_r), abs(params.beta_s), abs(params.beta_p))

@@ -289,6 +289,49 @@ def test_pool_workers_run_with_one_blas_thread(monkeypatch):
     assert seen == ["1"] * len(BLAS_THREAD_VARS)
 
 
+def test_pool_workers_start_with_scipy_special(monkeypatch):
+    """The forkserver preloads the Bessel functions, so a new worker has
+    them before its first analytic point."""
+    monkeypatch.setattr(sweep_module.os, "sched_getaffinity",
+                        lambda pid: {0, 1}, raising=False)
+    assert run_sweep(_tiny_spec(), workers=2).provenance["workers_used"] == 2
+    ctx = multiprocessing.get_context("forkserver")
+    with ProcessPoolExecutor(max_workers=1, mp_context=ctx) as pool:
+        loaded = pool.submit(eval, "'scipy.special' in __import__('sys').modules")
+        assert loaded.result(timeout=60) is True
+
+
+def test_numeric_engine_runs_without_scipy():
+    """Importing tmfc and running a numeric sweep loads no scipy module;
+    the first analytic kernel loads ``scipy.special``."""
+    code = """
+import sys
+import numpy as np
+import tmfc, tmfc.harness
+from tmfc import PumpSpec, RegimeParams, ssvm_gf
+from tmfc.harness import SweepSpec, run_sweep
+
+def scipy_modules():
+    return sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
+
+spec = SweepSpec(params=RegimeParams(beta_r=1.0, beta_s=0.0, beta_p=0.0).with_gamma_bar(0.5),
+                 pump=PumpSpec(tau_p=1.0), engine="numeric", n_report=3,
+                 basis={"n_r": 10, "n_s": 8, "tol_leak": 0.05},
+                 axes=(("gamma_bar", (0.5,)),))
+assert run_sweep(spec).records[0]["error"] == ""
+assert scipy_modules() == [], scipy_modules()
+t = np.linspace(-3.0, 3.0, 16)
+ssvm_gf(spec.params, spec.pump, t, t, blocks=("rs",))
+assert "scipy.special" in sys.modules
+"""
+    src = os.path.dirname(os.path.dirname(tmfc.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    proc = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+
+
 def test_pooled_records_match_serial():
     """Pooled numeric records equal the serial ones exactly; pooled fig6
     points, whose large blocks round with the BLAS thread count, agree to

@@ -28,6 +28,7 @@ from tmfc import (
     pump_cumulative_intensity,
     pump_spectrum,
 )
+from tmfc.model import _next_fast_len
 
 WIDE = np.linspace(-12.0, 12.0, 4801)
 DT = WIDE[1] - WIDE[0]
@@ -259,6 +260,14 @@ def test_for_interaction_builds_covering_grid():
     assert fine.dt <= 0.01
     wide = TemporalGrid.for_interaction(params, pump, extra=[-20.0, 9.0])
     assert wide.t_min <= -20.0 and wide.t_max >= 9.0
+
+
+def test_next_fast_len_matches_scipy():
+    """The grid's FFT size helper returns what scipy's default returns."""
+    from scipy.fft import next_fast_len
+
+    got = [_next_fast_len(n) for n in range(1, 20001)]
+    assert got == [next_fast_len(n) for n in range(1, 20001)]
 
 
 def test_field_state_immutable():
