@@ -44,9 +44,20 @@ from .gf_numeric import (
     _BLOCKS,
     DeltaLine,
     GreenFunction,
+    _read_only,
     _run_metadata,
     _spectral_shift,
 )
+
+# samples per row block of a sampled kernel: the few float and complex
+# temporaries of one block then stay within a per-core L2 cache
+_ROW_BLOCK = 1 << 16
+
+
+def _row_blocks(n_rows: int, n_cols: int) -> List[slice]:
+    """Row slices, about ``_ROW_BLOCK`` samples each, covering ``n_rows``."""
+    step = max(1, _ROW_BLOCK // max(n_cols, 1))
+    return [slice(i, i + step) for i in range(0, n_rows, step)]
 
 
 def _require_real_gamma(params: RegimeParams, what: str) -> float:
@@ -127,25 +138,32 @@ def sample_low_ce(params: RegimeParams, pump: PumpSpec,
     both edges land on samples, reads separability 0.89632, 0.89497 and
     0.89427 at n = 512, 1023 and 2045.
 
-    Kernel and edge test run on broadcast axes; only the pump at the
-    crossing time is sampled on the full grid.
+    Each requested block is allocated once and filled in row blocks
+    (:func:`_row_blocks`): :func:`low_ce_gf` and the edge test run on the
+    rows of one block against the whole input axis, so no temporary spans
+    the full grid.  The blocks are handed to the :class:`GreenFunction`
+    read-only, which keeps them without a copy.
     """
     t_out = np.asarray(t_out, dtype=float)
     t_in = np.asarray(t_in, dtype=float)
-    tt, pp = t_out[:, None], t_in[None, :]
+    pp = t_in[None, :]
     steps = [g[1] - g[0] for g in (t_out, t_in) if g.size > 1]
     tol = 1e-6 * min(steps) if steps else 0.0
     L = params.L
-    on_edge = (np.abs(pp - (tt - params.beta_r * L)) <= tol) \
-        | (np.abs((tt - params.beta_s * L) - pp) <= tol)
-    weight = np.where(on_edge, 0.5, 1.0)
-    data = {f"g_{b}": low_ce_gf(params, pump, tt, pp, block=b) * weight
+    data = {f"g_{b}": np.empty((t_out.size, t_in.size), dtype=complex)
             for b in blocks}
+    for rows in _row_blocks(t_out.size, t_in.size):
+        tt = t_out[rows, None]
+        on_edge = (np.abs(pp - (tt - params.beta_r * L)) <= tol) \
+            | (np.abs((tt - params.beta_s * L) - pp) <= tol)
+        weight = np.where(on_edge, 0.5, 1.0)
+        for b in blocks:
+            data[f"g_{b}"][rows] = low_ce_gf(params, pump, tt, pp, block=b) * weight
     return GreenFunction(
         form="grid", t_out=t_out, t_in=t_in,
         delta_rr=DeltaLine(params.beta_r * params.L),
         delta_ss=DeltaLine(params.beta_s * params.L),
-        metadata=_run_metadata("low-ce", params, pump), **data,
+        metadata=_run_metadata("low-ce", params, pump), **_read_only(data),
     )
 
 
@@ -220,11 +238,21 @@ def ssvm_kernel_variables(params: RegimeParams, pump: PumpSpec,
     _check_ssvm(params)
     t = np.asarray(t, dtype=float)
     tau_prime = np.asarray(t_prime, dtype=float)
+    return _kernel_variables(
+        params, t, tau_prime,
+        pump_cumulative_intensity(pump, t - params.beta_s * params.L),
+        pump_cumulative_intensity(pump, tau_prime))
+
+
+def _kernel_variables(params: RegimeParams, t: np.ndarray, tau_prime: np.ndarray,
+                      f_out: np.ndarray, f_in: np.ndarray) -> SSVMKernelParams:
+    """:func:`ssvm_kernel_variables` from the pump cumulative intensity
+    already sampled at the output arrival times (``f_out``) and at the
+    input times (``f_in``), each broadcasting like its time array."""
     L = params.L
     tau = t - params.beta_s * L
     xi = params.beta_r * L - t + tau_prime
-    eta = pump_cumulative_intensity(pump, tau) - pump_cumulative_intensity(pump, tau_prime)
-    eta = np.maximum(eta, 0.0)
+    eta = np.maximum(f_out - f_in, 0.0)
     mask = (tau - tau_prime >= 0.0) & (xi >= 0.0)
     x = 2.0 * abs(params.gamma_bar) * np.sqrt(np.maximum(eta * xi, 0.0))
     return SSVMKernelParams(tau=tau, tau_prime=tau_prime, xi=xi, eta=eta,
@@ -257,37 +285,49 @@ def ssvm_gf(params: RegimeParams, pump: PumpSpec,
     A complex pump phase enters only through the explicit amplitude factors;
     the accumulated intensity ``eta`` is phase blind, so chirping the pump
     rotates the s-side functions without changing any conversion magnitude.
-    The pump factors are evaluated per axis, when a requested block reads
-    them; ``J0(x)`` and ``2 J1(x) / x`` are each sampled at most once.
+    The pump factors and the cumulative intensity are evaluated once per
+    axis, the pump factors only when a requested block reads them.  Each
+    requested block is allocated once and filled in row blocks
+    (:func:`_row_blocks`), where ``J0(x)`` and ``2 J1(x) / x`` are each
+    sampled at most once; the blocks are handed to the
+    :class:`GreenFunction` read-only, which keeps them without a copy.
     """
     from scipy import special
 
     gamma_real = _check_ssvm(params)
     t_out = np.asarray(t_out, dtype=float)
     t_in = np.asarray(t_in, dtype=float)
-    kv = ssvm_kernel_variables(params, pump, t_out[:, None], t_in[None, :])
+    tau = t_out[:, None] - params.beta_s * params.L
+    tau_prime = t_in[None, :]
+    f_out = pump_cumulative_intensity(pump, tau)
+    f_in = pump_cumulative_intensity(pump, tau_prime)
     gbar = gamma_real / params.beta_rs
     need = set(blocks)
-    ap_in = eval_pump(pump, kv.tau_prime) if need & {"rs", "ss"} else None
-    ap_out_c = np.conj(eval_pump(pump, kv.tau)) if need & {"sr", "ss"} else None
-    j0 = special.j0(kv.x) if need & {"rs", "sr"} else None
-    j1x = _j1_over_x(kv.x) if need & {"rr", "ss"} else None
-    data = {}
-    if "rs" in blocks:
-        data["g_rs"] = np.where(kv.mask, 1j * gbar * ap_in * j0, 0.0)
-    if "sr" in blocks:
-        data["g_sr"] = np.where(kv.mask, 1j * gbar * ap_out_c * j0, 0.0)
-    if "rr" in blocks:
-        data["g_rr"] = np.where(kv.mask, -(gbar ** 2) * kv.eta * j1x, 0.0)
-    if "ss" in blocks:
-        data["g_ss"] = np.where(kv.mask, -(gbar ** 2) * kv.xi * ap_out_c * ap_in * j1x, 0.0)
+    ap_in = eval_pump(pump, tau_prime) if need & {"rs", "ss"} else None
+    ap_out_c = np.conj(eval_pump(pump, tau)) if need & {"sr", "ss"} else None
+    data = {f"g_{b}": np.empty((t_out.size, t_in.size), dtype=complex)
+            for b in _BLOCKS if b in need}
+    for rows in _row_blocks(t_out.size, t_in.size):
+        kv = _kernel_variables(params, t_out[rows, None], tau_prime,
+                               f_out[rows], f_in)
+        j0 = special.j0(kv.x) if need & {"rs", "sr"} else None
+        j1x = _j1_over_x(kv.x) if need & {"rr", "ss"} else None
+        if "rs" in need:
+            data["g_rs"][rows] = np.where(kv.mask, 1j * gbar * ap_in * j0, 0.0)
+        if "sr" in need:
+            data["g_sr"][rows] = np.where(kv.mask, 1j * gbar * ap_out_c[rows] * j0, 0.0)
+        if "rr" in need:
+            data["g_rr"][rows] = np.where(kv.mask, -(gbar ** 2) * kv.eta * j1x, 0.0)
+        if "ss" in need:
+            data["g_ss"][rows] = np.where(
+                kv.mask, -(gbar ** 2) * kv.xi * ap_out_c[rows] * ap_in * j1x, 0.0)
     # gamma passed the real-coupling check: record it as exactly real
     meta = {**_run_metadata("analytic-ssvm", params, pump), "gamma_im": 0.0}
     return GreenFunction(
         form="grid", t_out=t_out, t_in=t_in,
-        delta_rr=DeltaLine(params.beta_r * params.L) if "rr" in blocks else None,
-        delta_ss=DeltaLine(params.beta_s * params.L) if "ss" in blocks else None,
-        metadata=meta, **data,
+        delta_rr=DeltaLine(params.beta_r * params.L) if "rr" in need else None,
+        delta_ss=DeltaLine(params.beta_s * params.L) if "ss" in need else None,
+        metadata=meta, **_read_only(data),
     )
 
 

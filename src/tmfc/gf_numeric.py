@@ -77,9 +77,26 @@ class BasisSpec:
         return self.center - half, self.center + half
 
 
+def _read_only(blocks: Dict[str, Optional[np.ndarray]]) -> Dict[str, Optional[np.ndarray]]:
+    """Mark freshly built blocks read-only, so that :class:`GreenFunction`
+    keeps them without a copy; ``None`` entries pass through."""
+    for m in blocks.values():
+        if m is not None:
+            m.setflags(write=False)
+    return blocks
+
+
 @dataclass(frozen=True)
 class GreenFunction:
-    """Four-block Green function in basis-coefficient or grid-sampled form."""
+    """Four-block Green function in basis-coefficient or grid-sampled form.
+
+    Blocks are kept read-only and ``complex128``.  A block that already is
+    read-only, ``complex128``, C-contiguous and owns its memory is taken
+    over as it is, as the samplers, :func:`to_grid_form` and ``load_gf``
+    hand over their fresh blocks; whoever passes such an array must not
+    write to it afterwards.  Any other array is copied, so that later
+    writes by the caller do not reach the Green function.
+    """
 
     form: str
     g_rr: Optional[np.ndarray] = None
@@ -108,13 +125,17 @@ class GreenFunction:
             m = getattr(self, f"g_{b}")
             if m is None:
                 continue
-            # a C-contiguous private copy, so transposed blocks are fine too
-            m = np.array(m, dtype=complex, order="C")
+            # a handed-over block is kept; anything else gets a C-contiguous
+            # private copy, so transposed blocks are fine too
+            if not (type(m) is np.ndarray and m.dtype == np.complex128
+                    and m.flags.c_contiguous and m.flags.owndata
+                    and not m.flags.writeable):
+                m = np.array(m, dtype=complex, order="C")
+                m.setflags(write=False)
             if m.ndim != 2:
                 raise DataError(f"block {b} must be a 2-D array")
             if not np.all(np.isfinite(m.view(float))):
                 raise DataError(f"block {b} contains non-finite entries")
-            m.setflags(write=False)
             object.__setattr__(self, f"g_{b}", m)
         if self.form == "grid":
             if self.t_out is None or self.t_in is None:
@@ -449,4 +470,5 @@ def to_grid_form(gf: GreenFunction, grid: Optional[TemporalGrid] = None) -> Gree
         blocks[f"g_{b}"] = samples[f"out_{b[0]}"].T @ m @ samples[f"in_{b[1]}"]
     meta = dict(gf.metadata)
     meta["synthesized_from"] = "basis"
-    return GreenFunction(form="grid", t_out=t, t_in=t, metadata=meta, **blocks)
+    return GreenFunction(form="grid", t_out=t, t_in=t, metadata=meta,
+                         **_read_only(blocks))

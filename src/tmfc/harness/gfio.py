@@ -12,6 +12,8 @@ floats (real, imaginary).
 import contextlib
 import csv
 import json
+import math
+import os
 from typing import List, Optional, Tuple
 
 import numpy as np
@@ -140,15 +142,19 @@ def _fmt_value(v) -> str:
 
 
 def save_gf(gf: GreenFunction, path: str) -> None:
-    """Write a Green function to the versioned container format."""
+    """Write a Green function to the versioned container format.
+
+    Each axis and block is written from its own memory, with no byte copy
+    of the payload.
+    """
     blocks = [name for name in _BLOCK_ORDER if getattr(gf, name) is not None]
     lines = [FORMAT_LINE, f"form = {gf.form}", "blocks = " + ",".join(blocks)]
     payload: List[np.ndarray] = []
     if gf.form == "grid":
         lines.append(f"n_out = {gf.t_out.size}")
         lines.append(f"n_in = {gf.t_in.size}")
-        payload.append(np.asarray(gf.t_out, dtype=float))
-        payload.append(np.asarray(gf.t_in, dtype=float))
+        payload.append(np.ascontiguousarray(gf.t_out, dtype=np.float64))
+        payload.append(np.ascontiguousarray(gf.t_in, dtype=np.float64))
         for name, delta in (("delta_rr", gf.delta_rr), ("delta_ss", gf.delta_ss)):
             if delta is not None:
                 w = complex(delta.weight)
@@ -163,7 +169,7 @@ def save_gf(gf: GreenFunction, path: str) -> None:
             lines.append(
                 f"{key} = {spec.n} %.17g %.17g" % (spec.width, spec.center))
     for name in blocks:
-        block = np.asarray(getattr(gf, name), dtype=complex)
+        block = np.ascontiguousarray(getattr(gf, name), dtype=np.complex128)
         lines.append(f"shape_{name} = {block.shape[0]} {block.shape[1]}")
         payload.append(block)
     for key in sorted(gf.metadata):
@@ -172,10 +178,7 @@ def save_gf(gf: GreenFunction, path: str) -> None:
     with open(path, "wb") as fh:
         fh.write(("\n".join(lines) + "\n").encode("utf-8"))
         for arr in payload:
-            if np.iscomplexobj(arr):
-                fh.write(np.ascontiguousarray(arr, dtype=np.complex128).tobytes())
-            else:
-                fh.write(np.ascontiguousarray(arr, dtype=np.float64).tobytes())
+            fh.write(memoryview(arr))
 
 
 def _parse_meta(raw: str):
@@ -201,84 +204,90 @@ def _parse_meta(raw: str):
 def load_gf(path: str) -> GreenFunction:
     """Read a container written by :func:`save_gf`.
 
-    A header that is incomplete or names a block its ``blocks`` line does
-    not list, and a payload that is short or followed by more bytes, raise
-    :class:`DataError`.
+    The header is read line by line, then each axis and block is read
+    straight into its final array; no copy of the file is held.  The
+    blocks are handed to the :class:`GreenFunction` read-only, which keeps
+    them without a copy.
+
+    A header that is incomplete, repeats a key or names a block its
+    ``blocks`` line does not list, and a payload that is short or followed
+    by more bytes, raise :class:`DataError`.
     """
     with open(path, "rb") as fh:
-        data = fh.read()
-    nl = data.find(b"\n")
-    if nl < 0 or data[:nl].decode("utf-8", "replace") != FORMAT_LINE:
-        raise DataError(f"{path}: not a TMFC-GF 1 container")
-    header: List[str] = []
-    pos = nl + 1
-    while True:
-        nl = data.find(b"\n", pos)
-        if nl < 0:
-            raise DataError(f"{path}: truncated container header")
-        line = data[pos:nl].decode("utf-8")
-        pos = nl + 1
-        if line == "end":
-            break
-        header.append(line)
-    fields = {}
-    for line in header:
-        key, sep, value = line.partition(" = ")
-        if not sep:
-            raise DataError(f"{path}: malformed header line {line!r}")
-        fields[key] = value
+        first = fh.readline(len(FORMAT_LINE) + 1)
+        if first.decode("utf-8", "replace") != FORMAT_LINE + "\n":
+            raise DataError(f"{path}: not a TMFC-GF 1 container")
+        header: List[str] = []
+        while True:
+            raw = fh.readline()
+            if not raw.endswith(b"\n"):
+                raise DataError(f"{path}: truncated container header")
+            line = raw[:-1].decode("utf-8")
+            if line == "end":
+                break
+            header.append(line)
+        fields = {}
+        for line in header:
+            key, sep, value = line.partition(" = ")
+            if not sep:
+                raise DataError(f"{path}: malformed header line {line!r}")
+            if key in fields:
+                raise DataError(f"{path}: container header repeats {key!r}")
+            fields[key] = value
 
-    def need(table: dict, key: str):
-        try:
-            return table.pop(key)
-        except KeyError:
-            raise DataError(f"{path}: container header lacks {key!r}") from None
+        def need(table: dict, key: str):
+            try:
+                return table.pop(key)
+            except KeyError:
+                raise DataError(f"{path}: container header lacks {key!r}") from None
 
-    form = need(fields, "form")
-    blocks = [b for b in need(fields, "blocks").split(",") if b]
-    metadata = {}
-    shapes = {}
-    kwargs: dict = {}
-    for key, value in fields.items():
-        if key.startswith("meta."):
-            metadata[key[len("meta."):]] = _parse_meta(value)
-        elif key.startswith("shape_"):
-            if key[len("shape_"):] not in blocks:
-                raise DataError(
-                    f"{path}: container header has {key!r} for a block "
-                    "its 'blocks' line does not list")
-            rows, cols = value.split()
-            shapes[key] = (int(rows), int(cols))
-        elif key in ("delta_rr", "delta_ss"):
-            delay, wre, wim = (float(x) for x in value.split())
-            weight = complex(wre, wim)
-            kwargs[key] = DeltaLine(delay, weight.real if wim == 0 else weight)
-        elif key in _BASIS_KEYS:
-            n_str, width, center = value.split()
-            kwargs[key] = BasisSpec(int(n_str), float(width), float(center))
-        elif key in ("n_out", "n_in"):
-            shapes[key] = int(value)
-        else:
-            raise DataError(f"{path}: unknown header key {key!r}")
+        form = need(fields, "form")
+        blocks = [b for b in need(fields, "blocks").split(",") if b]
+        metadata = {}
+        shapes = {}
+        kwargs: dict = {}
+        for key, value in fields.items():
+            if key.startswith("meta."):
+                metadata[key[len("meta."):]] = _parse_meta(value)
+            elif key.startswith("shape_"):
+                if key[len("shape_"):] not in blocks:
+                    raise DataError(
+                        f"{path}: container header has {key!r} for a block "
+                        "its 'blocks' line does not list")
+                rows, cols = value.split()
+                shapes[key] = (int(rows), int(cols))
+            elif key in ("delta_rr", "delta_ss"):
+                delay, wre, wim = (float(x) for x in value.split())
+                weight = complex(wre, wim)
+                kwargs[key] = DeltaLine(delay, weight.real if wim == 0 else weight)
+            elif key in _BASIS_KEYS:
+                n_str, width, center = value.split()
+                kwargs[key] = BasisSpec(int(n_str), float(width), float(center))
+            elif key in ("n_out", "n_in"):
+                shapes[key] = int(value)
+            else:
+                raise DataError(f"{path}: unknown header key {key!r}")
+        size = os.fstat(fh.fileno()).st_size
 
-    def take(count: int, dtype) -> np.ndarray:
-        nonlocal pos
-        nbytes = count * np.dtype(dtype).itemsize
-        chunk = data[pos:pos + nbytes]
-        if len(chunk) != nbytes:
-            raise DataError(f"{path}: truncated container payload")
-        pos += nbytes
-        return np.frombuffer(chunk, dtype=dtype).copy()
+        def take(shape: Tuple[int, ...], dtype) -> np.ndarray:
+            # checked against the file size first, so a corrupt shape never
+            # allocates more than the file holds
+            nbytes = math.prod(shape) * np.dtype(dtype).itemsize
+            if min(shape) < 0 or nbytes > size - fh.tell():
+                raise DataError(f"{path}: truncated container payload")
+            arr = np.empty(shape, dtype=dtype)
+            fh.readinto(arr)
+            arr.setflags(write=False)
+            return arr
 
-    if form == "grid":
-        n_out = need(shapes, "n_out")
-        n_in = need(shapes, "n_in")
-        kwargs["t_out"] = take(n_out, np.float64)
-        kwargs["t_in"] = take(n_in, np.float64)
-    for name in blocks:
-        rows, cols = need(shapes, f"shape_{name}")
-        kwargs[name] = take(rows * cols, np.complex128).reshape(rows, cols)
-    if pos != len(data):
-        raise DataError(
-            f"{path}: {len(data) - pos} bytes follow the container payload")
+        if form == "grid":
+            n_out = need(shapes, "n_out")
+            n_in = need(shapes, "n_in")
+            kwargs["t_out"] = take((n_out,), np.float64)
+            kwargs["t_in"] = take((n_in,), np.float64)
+        for name in blocks:
+            kwargs[name] = take(need(shapes, f"shape_{name}"), np.complex128)
+        trailing = size - fh.tell()
+    if trailing:
+        raise DataError(f"{path}: {trailing} bytes follow the container payload")
     return GreenFunction(form=form, metadata=metadata, **kwargs)

@@ -60,7 +60,13 @@ from tmfc import (
 )
 from tmfc.model import QuadraticChirp
 from tmfc.harness import SweepSpec, cases, run_sweep
-from tmfc.harness.cases import fig6_spec, low_ce_spec, scup_opt_spec, ssvm_limit_spec
+from tmfc.harness.cases import (
+    _refined_peak,
+    fig6_spec,
+    low_ce_spec,
+    scup_opt_spec,
+    ssvm_limit_spec,
+)
 
 GBAR_WEAK = 0.01
 
@@ -170,20 +176,6 @@ def test_criterion_03_exact_vs_numeric(capsys):
     assert worst_rho <= 0.01
     assert worst_sel <= 0.02
     assert worst_wall < 300.0
-
-
-def _refined_peak(records):
-    """``(gamma_bar, S)`` at the vertex of the parabola through the sweep's
-    selectivity argmax and its two neighbours."""
-    recs = [r for r in records if not r["error"]]
-    gbar = np.array([r["gamma_bar"] for r in recs])
-    sel = np.array([r["selectivity"] for r in recs])
-    k = int(np.argmax(sel))
-    assert 0 < k < sel.size - 1, "selectivity peak on the sweep edge"
-    y0, y1, y2 = sel[k - 1:k + 2]
-    offset = 0.5 * (y0 - y2) / (y0 - 2.0 * y1 + y2)
-    return (float(gbar[k] + offset * (gbar[k + 1] - gbar[k])),
-            float(y1 - 0.25 * (y0 - y2) * offset))
 
 
 def test_criterion_04_selectivity_peak(capsys):

@@ -38,7 +38,7 @@ from tmfc import (
     ssvm_to_ecop_limit_check,
 )
 import tmfc.gf_analytic
-from tmfc.gf_analytic import _j1_over_x
+from tmfc.gf_analytic import _j1_over_x, _row_blocks
 from tmfc.gf_numeric import apply_block
 
 PUMP = PumpSpec(tau_p=1.0)
@@ -142,6 +142,17 @@ def test_ridge_slope_vertical_guard():
         ridge_slope(matched_r)
 
 
+def _row_block_grids():
+    """The fig6 grid, whose 1153 rows are not a whole number of row blocks,
+    and its 1 x n and n x 1 slices."""
+    params = RegimeParams(beta_r=2.0, beta_s=0.0, beta_p=0.0).with_gamma_bar(1.0)
+    t_out, t_in = default_ssvm_grids(params, PumpSpec(tau_p=0.1))
+    assert (t_out.size, t_in.size) == (1153, 513)
+    blocks = _row_blocks(t_out.size, t_in.size)
+    assert len(blocks) > 1 and blocks[-1].stop > t_out.size
+    return params, [(t_out, t_in), (t_out[700:701], t_in), (t_out, t_in[200:201])]
+
+
 def test_sample_low_ce_delta_lines_and_edge_weight():
     params = RegimeParams(beta_r=1.0, beta_s=-1.0, beta_p=1.0).with_gamma_bar(0.01)
     (o_lo, o_hi), (i_lo, i_hi) = conversion_support(params, PUMP)
@@ -181,6 +192,24 @@ def test_sample_low_ce_matches_meshgrid_reference():
         for b in ("rs", "sr"):
             ref = low_ce_gf(params, pump, tt, pp, block=b) * weight
             assert np.array_equal(gf.block(b).view(float), ref.view(float))
+
+
+def test_sample_low_ce_row_blocks_match_full_grid():
+    """Row-blocked sampling is bit-identical to the kernel evaluated once on
+    the full grid times the half-weight of on-edge samples."""
+    params, grids = _row_block_grids()
+    L = params.L
+    for t_out, t_in in grids:
+        tt, pp = t_out[:, None], t_in[None, :]
+        tol = 1e-6 * min(g[1] - g[0] for g in (t_out, t_in) if g.size > 1)
+        on_edge = (np.abs(pp - (tt - params.beta_r * L)) <= tol) \
+            | (np.abs((tt - params.beta_s * L) - pp) <= tol)
+        weight = np.where(on_edge, 0.5, 1.0)
+        gf = sample_low_ce(params, PUMP, t_out, t_in)
+        for b in ("rs", "sr"):
+            ref = low_ce_gf(params, PUMP, tt, pp, block=b) * weight
+            assert np.array_equal(gf.block(b).view(float), ref.view(float))
+            assert not gf.block(b).flags.writeable
 
 
 def test_low_ce_freq_kernel_against_quadrature():
@@ -286,8 +315,8 @@ def _ssvm_meshgrid_reference(params, pump, t_out, t_in):
 
 
 def test_ssvm_gf_matches_meshgrid_reference():
-    """Per-axis pump factors and shared Bessel factors leave every block
-    bit-identical to the meshgrid evaluation."""
+    """Per-axis pump factors, shared Bessel factors and row-blocked filling
+    leave every block bit-identical to the meshgrid evaluation."""
     params = RegimeParams(beta_r=1.0, beta_s=0.0, beta_p=0.0).with_gamma_bar(0.8)
     grid = np.linspace(-2.0, 2.0, 41)
     tabulated = PumpSpec(shape="custom-tabulated", tau_p=0.5,
@@ -295,7 +324,8 @@ def test_ssvm_gf_matches_meshgrid_reference():
     pumps = (PUMP, PumpSpec(shape="hermite-gauss-1", tau_p=0.7), tabulated,
              PumpSpec(tau_p=0.6, chirp=QuadraticChirp(0.7)))
     square = np.linspace(-4.0, 5.0, 181)
-    axes = ((square, square), (np.linspace(-4.0, 6.0, 203), np.linspace(-3.0, 3.0, 97)))
+    axes = [(square, square), (np.linspace(-4.0, 6.0, 203), np.linspace(-3.0, 3.0, 97)),
+            *_row_block_grids()[1]]
     for pump in pumps:
         for t_out, t_in in axes:
             ref = _ssvm_meshgrid_reference(params, pump, t_out, t_in)

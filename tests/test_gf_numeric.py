@@ -97,6 +97,50 @@ def test_green_function_accepts_transposed_block():
         GreenFunction(form="grid", g_rs=bad.T, t_out=t_out, t_in=t_in)
 
 
+def test_green_function_keeps_read_only_owning_block():
+    t_out, t_in = np.linspace(0.0, 1.0, 3), np.linspace(0.0, 1.0, 4)
+    arr = np.arange(12.0).reshape(3, 4) + 1j
+    arr.setflags(write=False)
+    gf = GreenFunction(form="grid", g_rs=arr, t_out=t_out, t_in=t_in)
+    assert gf.g_rs is arr
+    # the finiteness check still runs on a kept block
+    bad = np.full((3, 4), np.nan + 0j)
+    bad.setflags(write=False)
+    with pytest.raises(DataError):
+        GreenFunction(form="grid", g_rs=bad, t_out=t_out, t_in=t_in)
+
+
+def _writable(base):
+    return base, base
+
+
+def _read_only_view(base):
+    view = base[:, :]
+    view.setflags(write=False)
+    return view, base
+
+
+def _real(base):
+    real = base.real.copy()
+    real.setflags(write=False)
+    return real, real
+
+
+@pytest.mark.parametrize("make", [_writable, _read_only_view, _real])
+def test_green_function_copies_other_blocks(make):
+    """A writable array, a read-only view of writable memory and a real
+    array are copied: later writes by the caller do not reach the block."""
+    t_out, t_in = np.linspace(0.0, 1.0, 3), np.linspace(0.0, 1.0, 4)
+    block, owner = make(np.arange(12.0).reshape(3, 4) + 1j)
+    want = np.array(block, dtype=complex)
+    gf = GreenFunction(form="grid", g_rs=block, t_out=t_out, t_in=t_in)
+    assert gf.g_rs is not block
+    owner.setflags(write=True)
+    owner[...] = 7.0
+    assert np.array_equal(gf.g_rs, want)
+    assert gf.g_rs.dtype == np.complex128 and not gf.g_rs.flags.writeable
+
+
 def test_leakage_report_ties_go_to_s_side():
     spec = BasisSpec(n=2, width=1.0, center=0.0)
     gf = GreenFunction(form="basis", g_rs=np.eye(2), basis_out_r=spec,

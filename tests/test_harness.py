@@ -514,6 +514,52 @@ def test_gf_container_rejects_malformed_payload(tmp_path, fault):
     assert str(err.value) == message
 
 
+@pytest.mark.parametrize("key", ["form", "n_in", "shape_g_rs", "meta.engine"])
+def test_gf_container_rejects_repeated_header_key(tmp_path, key):
+    _, path = _saved_weak_gf(tmp_path)
+    head, sep, payload = path.read_bytes().partition(b"\nend\n")
+    line = next(ln for ln in head.split(b"\n") if ln.startswith(key.encode() + b" = "))
+    path.write_bytes(head + b"\n" + line + sep + payload)
+    with pytest.raises(DataError) as err:
+        load_gf(str(path))
+    assert str(err.value) == f"{path}: container header repeats '{key}'"
+    assert main(["decompose", str(path)]) == 2
+
+
+def _traced_peak(fn):
+    """Peak traced allocation of ``fn()`` in bytes, and its result or error."""
+    import tracemalloc
+
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        try:
+            out = fn()
+        except DataError as exc:
+            out = exc
+        return tracemalloc.get_traced_memory()[1], out
+    finally:
+        tracemalloc.stop()
+
+
+def test_gf_container_load_holds_one_copy(tmp_path):
+    """Loading a 16 MB container allocates little beyond the blocks it
+    returns, and trailing bytes are counted without being read."""
+    t = np.linspace(-1.0, 1.0, 1024)
+    block = np.random.default_rng(3).standard_normal((1024, 2048)).view(complex)
+    path = tmp_path / "big.gf"
+    save_gf(GreenFunction(form="grid", g_rs=block, t_out=t, t_in=t), str(path))
+    payload = block.nbytes + 2 * t.nbytes
+    peak, back = _traced_peak(lambda: load_gf(str(path)))
+    assert np.array_equal(back.g_rs, block)
+    assert peak <= 1.25 * payload
+    with open(path, "ab") as fh:
+        fh.write(bytes(block.nbytes))
+    peak, err = _traced_peak(lambda: load_gf(str(path)))
+    assert str(err) == f"{path}: {block.nbytes} bytes follow the container payload"
+    assert peak <= 1.25 * payload
+
+
 def test_reproduce_unknown_case():
     with pytest.raises(ConfigurationError) as err:
         reproduce("fig99")
@@ -534,6 +580,18 @@ def test_reproduce_ssvm_limit_exact():
     assert abs(payload["s_star"] - 0.829644) <= 1e-5
     assert abs(payload["gamma_bar_star"] - 1.1272) <= 1e-3
     assert any("0.829644" in n and "1.1272" in n for n in report.notes)
+
+
+def test_refined_peak_vertex_and_edge():
+    """The parabola vertex of an exact parabola is found from three points;
+    a peak on the sweep edge or records with errors are handled."""
+    records = [{"gamma_bar": g, "selectivity": 0.8 - (g - 1.13) ** 2, "error": ""}
+               for g in (0.9, 1.0, 1.1, 1.2, 1.3)]
+    records.insert(2, {"gamma_bar": 1.05, "error": "TruncationError"})
+    loc, peak = cases._refined_peak(records)
+    assert math.isclose(loc, 1.13) and math.isclose(peak, 0.8)
+    with pytest.raises(ConfigurationError):
+        cases._refined_peak(records[:2])
 
 
 def test_check_detail_reports_tolerance_share():
