@@ -80,6 +80,33 @@ def band_mask(params: RegimeParams, t, t_prime) -> np.ndarray:
            (((t - params.beta_s * L) - t_prime) >= 0.0)
 
 
+def _band_blocks(params: RegimeParams, t_out: np.ndarray,
+                 t_in: np.ndarray) -> List[Tuple[slice, slice]]:
+    """Row blocks (:func:`_row_blocks`) of a sampled kernel, each paired with
+    the span of input columns that can meet the band; blocks whose band
+    holds no input sample are left out.
+
+    Output times ``t`` of a block reach inputs in
+    ``[min t - beta_r L, max t - beta_s L]``.  The span of samples inside
+    is found by bisection on ``t_in``, which must be ascending, and padded
+    by one sample on each side, so that a kernel whose band test rounds
+    differently from :func:`band_mask` still sees every sample its test
+    admits.  Every sample outside the spans lies outside the band, where
+    the kernels vanish.
+    """
+    if np.any(np.diff(t_in) < 0.0):
+        raise ConfigurationError("input times must be ascending")
+    L = params.L
+    spans = []
+    for rows in _row_blocks(t_out.size, t_in.size):
+        tt = t_out[rows]
+        lo = int(np.searchsorted(t_in, tt.min() - params.beta_r * L))
+        hi = int(np.searchsorted(t_in, tt.max() - params.beta_s * L, side="right"))
+        if lo < hi:
+            spans.append((rows, slice(max(lo - 1, 0), min(hi + 1, t_in.size))))
+    return spans
+
+
 # ---------------------------------------------------------------------------
 # weak-conversion kernel
 
@@ -138,27 +165,29 @@ def sample_low_ce(params: RegimeParams, pump: PumpSpec,
     both edges land on samples, reads separability 0.89632, 0.89497 and
     0.89427 at n = 512, 1023 and 2045.
 
-    Each requested block is allocated once and filled in row blocks
-    (:func:`_row_blocks`): :func:`low_ce_gf` and the edge test run on the
-    rows of one block against the whole input axis, so no temporary spans
-    the full grid.  The blocks are handed to the :class:`GreenFunction`
-    read-only, which keeps them without a copy.
+    Each requested block is allocated zeroed and filled in row blocks
+    (:func:`_band_blocks`): :func:`low_ce_gf` and the edge test run on the
+    rows of one block against only the input columns that can meet the
+    band, so no temporary spans the full grid and no sample outside the
+    band is evaluated.  ``t_in`` must be ascending.  The blocks are handed
+    to the :class:`GreenFunction` read-only, which keeps them without a
+    copy.
     """
     t_out = np.asarray(t_out, dtype=float)
     t_in = np.asarray(t_in, dtype=float)
-    pp = t_in[None, :]
     steps = [g[1] - g[0] for g in (t_out, t_in) if g.size > 1]
     tol = 1e-6 * min(steps) if steps else 0.0
     L = params.L
-    data = {f"g_{b}": np.empty((t_out.size, t_in.size), dtype=complex)
+    data = {f"g_{b}": np.zeros((t_out.size, t_in.size), dtype=complex)
             for b in blocks}
-    for rows in _row_blocks(t_out.size, t_in.size):
+    for rows, cols in _band_blocks(params, t_out, t_in):
         tt = t_out[rows, None]
+        pp = t_in[None, cols]
         on_edge = (np.abs(pp - (tt - params.beta_r * L)) <= tol) \
             | (np.abs((tt - params.beta_s * L) - pp) <= tol)
         weight = np.where(on_edge, 0.5, 1.0)
         for b in blocks:
-            data[f"g_{b}"][rows] = low_ce_gf(params, pump, tt, pp, block=b) * weight
+            data[f"g_{b}"][rows, cols] = low_ce_gf(params, pump, tt, pp, block=b) * weight
     return GreenFunction(
         form="grid", t_out=t_out, t_in=t_in,
         delta_rr=DeltaLine(params.beta_r * params.L),
@@ -287,9 +316,10 @@ def ssvm_gf(params: RegimeParams, pump: PumpSpec,
     rotates the s-side functions without changing any conversion magnitude.
     The pump factors and the cumulative intensity are evaluated once per
     axis, the pump factors only when a requested block reads them.  Each
-    requested block is allocated once and filled in row blocks
-    (:func:`_row_blocks`), where ``J0(x)`` and ``2 J1(x) / x`` are each
-    sampled at most once; the blocks are handed to the
+    requested block is allocated zeroed and filled in row blocks
+    (:func:`_band_blocks`), each against only the input columns that can
+    meet the band; there ``J0(x)`` and ``2 J1(x) / x`` are each sampled at
+    most once.  ``t_in`` must be ascending.  The blocks are handed to the
     :class:`GreenFunction` read-only, which keeps them without a copy.
     """
     from scipy import special
@@ -305,22 +335,26 @@ def ssvm_gf(params: RegimeParams, pump: PumpSpec,
     need = set(blocks)
     ap_in = eval_pump(pump, tau_prime) if need & {"rs", "ss"} else None
     ap_out_c = np.conj(eval_pump(pump, tau)) if need & {"sr", "ss"} else None
-    data = {f"g_{b}": np.empty((t_out.size, t_in.size), dtype=complex)
+    data = {f"g_{b}": np.zeros((t_out.size, t_in.size), dtype=complex)
             for b in _BLOCKS if b in need}
-    for rows in _row_blocks(t_out.size, t_in.size):
-        kv = _kernel_variables(params, t_out[rows, None], tau_prime,
-                               f_out[rows], f_in)
+    for rows, cols in _band_blocks(params, t_out, t_in):
+        kv = _kernel_variables(params, t_out[rows, None], tau_prime[:, cols],
+                               f_out[rows], f_in[:, cols])
         j0 = special.j0(kv.x) if need & {"rs", "sr"} else None
         j1x = _j1_over_x(kv.x) if need & {"rr", "ss"} else None
         if "rs" in need:
-            data["g_rs"][rows] = np.where(kv.mask, 1j * gbar * ap_in * j0, 0.0)
+            data["g_rs"][rows, cols] = np.where(
+                kv.mask, 1j * gbar * ap_in[:, cols] * j0, 0.0)
         if "sr" in need:
-            data["g_sr"][rows] = np.where(kv.mask, 1j * gbar * ap_out_c[rows] * j0, 0.0)
+            data["g_sr"][rows, cols] = np.where(
+                kv.mask, 1j * gbar * ap_out_c[rows] * j0, 0.0)
         if "rr" in need:
-            data["g_rr"][rows] = np.where(kv.mask, -(gbar ** 2) * kv.eta * j1x, 0.0)
+            data["g_rr"][rows, cols] = np.where(
+                kv.mask, -(gbar ** 2) * kv.eta * j1x, 0.0)
         if "ss" in need:
-            data["g_ss"][rows] = np.where(
-                kv.mask, -(gbar ** 2) * kv.xi * ap_out_c[rows] * ap_in * j1x, 0.0)
+            data["g_ss"][rows, cols] = np.where(
+                kv.mask, -(gbar ** 2) * kv.xi * ap_out_c[rows] * ap_in[:, cols] * j1x,
+                0.0)
     # gamma passed the real-coupling check: record it as exactly real
     meta = {**_run_metadata("analytic-ssvm", params, pump), "gamma_im": 0.0}
     return GreenFunction(

@@ -134,7 +134,11 @@ class GreenFunction:
                 m.setflags(write=False)
             if m.ndim != 2:
                 raise DataError(f"block {b} must be a 2-D array")
-            if not np.all(np.isfinite(m.view(float))):
+            # a finite sum proves every entry finite without a full-size
+            # temporary; only a sum that overflowed needs the entrywise scan
+            with np.errstate(over="ignore", invalid="ignore"):
+                finite_sum = np.isfinite(m.sum())
+            if not finite_sum and not np.all(np.isfinite(m.view(float))):
                 raise DataError(f"block {b} contains non-finite entries")
             object.__setattr__(self, f"g_{b}", m)
         if self.form == "grid":

@@ -294,8 +294,11 @@ def _case_scup_opt(workers: int = 1):
               f"parabola vertex {vertex:.4f} at tau_p {record['tau_p']:g} "
               "(published location 0.75)"),
     ]
-    notes = ("curve study: qualitative bounds; the converged optimum sits "
-             "at tau_p 1.0, gamma_bar 0.9 with peak 0.69-0.70",)
+    notes = ("curve study: qualitative bounds; the grid argmax is tau_p 1.0, "
+             "gamma_bar 0.9 (S 0.695), while the optimum sits between grid "
+             "points: a gamma_bar axis of step 0.025 at tau_p 1.0 puts it at "
+             "gamma_bar 0.844 with peak 0.700, and tau_p 0.75 and 1.25 peak "
+             "lower (0.667, 0.689)",)
     return result, _report("scup-opt", checks, notes)
 
 

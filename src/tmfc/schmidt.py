@@ -21,7 +21,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import partial
-from typing import Optional, Tuple
+from typing import List, Optional, Tuple
 
 import numpy as np
 
@@ -33,6 +33,8 @@ _PHASE_TOL = 1e-6
 # full reduction takes over, and the Ritz-value change that counts as settled
 _MAX_SWEEPS = 40
 _SETTLED = math.sqrt(np.finfo(float).eps)
+# rows per piece of a banded block in the iteration's products
+_PIECE_ROWS = 64
 
 
 def _frozen(value) -> np.ndarray:
@@ -273,6 +275,30 @@ def _all_values(g: np.ndarray, part, scale: float) -> np.ndarray:
     return np.linalg.svd(part(g) * scale, compute_uv=False)
 
 
+def _pieces(mat: np.ndarray) -> List[Tuple[slice, slice]]:
+    """``(rows, cols)`` pieces holding every nonzero entry of ``mat``.
+
+    Rows are taken ``_PIECE_ROWS`` at a time, each block with the span
+    between its first and last nonzero column; all-zero row blocks are
+    left out.  Where these pieces cover more than half of ``mat``, as the
+    wide interaction bands of short pumps do, the whole of ``mat`` is the
+    one piece: smaller products there save less than they cost.
+    """
+    n_rows, n_cols = mat.shape
+    pieces, area = [], 0
+    for start in range(0, n_rows, _PIECE_ROWS):
+        rows = slice(start, start + _PIECE_ROWS)
+        live = mat[rows].any(axis=0)
+        if live.any():
+            lo = int(np.argmax(live))
+            hi = n_cols - int(np.argmax(live[::-1]))
+            pieces.append((rows, slice(lo, hi)))
+            area += (min(rows.stop, n_rows) - start) * (hi - lo)
+    if 2 * area > mat.size:
+        return [(slice(None), slice(None))]
+    return pieces
+
+
 def _leading_values(mat: np.ndarray, k: int) -> Optional[np.ndarray]:
     """The ``k`` leading singular values of ``mat`` by block subspace
     iteration, or ``None`` where the full SVD should run instead.
@@ -286,15 +312,23 @@ def _leading_values(mat: np.ndarray, k: int) -> Optional[np.ndarray]:
     values of the last ``y``, the exact Ritz values of the subspace.  ``None``
     when ``b`` columns would span the smaller side of ``mat`` or the sweeps
     reach ``_MAX_SWEEPS``.
+
+    Both products of a sweep run over the :func:`_pieces` of ``mat``: a
+    sampled kernel vanishes outside its interaction band, so a narrow band
+    is multiplied piece by piece and its zeros are never read; any other
+    block is multiplied whole.
     """
     b = 2 * k + 16
     if b >= min(mat.shape):
         return None
+    pieces = _pieces(mat)
     rng = np.random.default_rng(0)
     q = np.linalg.qr(rng.standard_normal((mat.shape[1], b)))[0]
     last, stop = None, None
     for sweep in range(1, _MAX_SWEEPS + 1):
-        y = mat @ q
+        y = np.zeros((mat.shape[0], b), dtype=np.result_type(mat, q))
+        for rows, cols in pieces:
+            y[rows] = mat[rows, cols] @ q[cols]
         if sweep == stop:
             return np.linalg.svd(y, compute_uv=False)[:k]
         if stop is None:
@@ -303,8 +337,13 @@ def _leading_values(mat: np.ndarray, k: int) -> Optional[np.ndarray]:
                     np.max(np.abs(ritz - last)) <= _SETTLED * ritz[-1]:
                 stop = 2 * sweep
             last = ritz
-        # q = orth(mat^H y), formed without a conjugated copy of mat
-        q = np.linalg.qr((y.conj().T @ mat).conj().T)[0]
+        # q = orth(mat^H y), formed as (y^H mat)^H without a conjugated
+        # copy of mat
+        yh = y.conj().T
+        z = np.zeros((b, mat.shape[1]), dtype=y.dtype)
+        for rows, cols in pieces:
+            z[:, cols] += yh[:, rows] @ mat[rows, cols]
+        q = np.linalg.qr(z.conj().T)[0]
     return None
 
 

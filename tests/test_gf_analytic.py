@@ -38,7 +38,7 @@ from tmfc import (
     ssvm_to_ecop_limit_check,
 )
 import tmfc.gf_analytic
-from tmfc.gf_analytic import _j1_over_x, _row_blocks
+from tmfc.gf_analytic import _band_blocks, _j1_over_x, _row_blocks
 from tmfc.gf_numeric import apply_block
 
 PUMP = PumpSpec(tau_p=1.0)
@@ -144,13 +144,43 @@ def test_ridge_slope_vertical_guard():
 
 def _row_block_grids():
     """The fig6 grid, whose 1153 rows are not a whole number of row blocks,
-    and its 1 x n and n x 1 slices."""
+    its 1 x n and n x 1 slices, and the fig6 input axis against an output
+    axis three times as wide, whose outer row blocks meet no input column
+    and whose inner ones have spans cut by the input axis's ends."""
     params = RegimeParams(beta_r=2.0, beta_s=0.0, beta_p=0.0).with_gamma_bar(1.0)
     t_out, t_in = default_ssvm_grids(params, PumpSpec(tau_p=0.1))
     assert (t_out.size, t_in.size) == (1153, 513)
     blocks = _row_blocks(t_out.size, t_in.size)
     assert len(blocks) > 1 and blocks[-1].stop > t_out.size
-    return params, [(t_out, t_in), (t_out[700:701], t_in), (t_out, t_in[200:201])]
+    wide = np.linspace(t_out[0] - 4.0, t_out[-1] + 4.0, 1153)
+    spans = _band_blocks(params, wide, t_in)
+    assert len(spans) < len(_row_blocks(wide.size, t_in.size))
+    assert any(cols == slice(0, t_in.size) for _, cols in spans)
+    assert any(cols.start == 0 < cols.stop < t_in.size for _, cols in spans)
+    assert any(0 < cols.start < cols.stop == t_in.size for _, cols in spans)
+    return params, [(t_out, t_in), (t_out[700:701], t_in), (t_out, t_in[200:201]),
+                    (wide, t_in)]
+
+
+def _fig2_edge_grid():
+    """Fig2's kernel on [0, 14] x [-6, 8] at n = 1023, where both band
+    edges land on samples (to within the half-weight tolerance)."""
+    params = RegimeParams(beta_r=8.0, beta_s=4.0, beta_p=6.0).with_gamma_bar(0.01)
+    return params, PumpSpec(tau_p=0.75), np.linspace(0.0, 14.0, 1023), \
+        np.linspace(-6.0, 8.0, 1023)
+
+
+def test_band_blocks_skip_empty_rows_and_need_ascending_inputs():
+    params = RegimeParams(beta_r=2.0, beta_s=0.0, beta_p=0.0).with_gamma_bar(1.0)
+    t_out = np.linspace(-10.0, -5.0, 50)
+    t_in = np.linspace(0.0, 1.0, 20)
+    assert _band_blocks(params, t_out, t_in) == []
+    gf = sample_low_ce(params, PUMP, t_out, t_in)
+    assert not gf.g_rs.any() and not gf.g_sr.any()
+    with pytest.raises(ConfigurationError):
+        sample_low_ce(params, PUMP, t_out, t_in[::-1])
+    with pytest.raises(ConfigurationError):
+        ssvm_gf(params, PUMP, t_out, t_in[::-1])
 
 
 def test_sample_low_ce_delta_lines_and_edge_weight():
@@ -195,21 +225,27 @@ def test_sample_low_ce_matches_meshgrid_reference():
 
 
 def test_sample_low_ce_row_blocks_match_full_grid():
-    """Row-blocked sampling is bit-identical to the kernel evaluated once on
-    the full grid times the half-weight of on-edge samples."""
+    """Row-blocked sampling over the band's column spans is bit-identical
+    to the kernel evaluated once on the full grid times the half-weight of
+    on-edge samples: on the row-block grids and on fig2's edge-on-sample
+    grid, whose on-edge samples all keep their half weight."""
     params, grids = _row_block_grids()
-    L = params.L
-    for t_out, t_in in grids:
+    cases = [(params, PUMP, t_out, t_in) for t_out, t_in in grids]
+    cases.append(_fig2_edge_grid())
+    for params, pump, t_out, t_in in cases:
+        L = params.L
         tt, pp = t_out[:, None], t_in[None, :]
         tol = 1e-6 * min(g[1] - g[0] for g in (t_out, t_in) if g.size > 1)
         on_edge = (np.abs(pp - (tt - params.beta_r * L)) <= tol) \
             | (np.abs((tt - params.beta_s * L) - pp) <= tol)
         weight = np.where(on_edge, 0.5, 1.0)
-        gf = sample_low_ce(params, PUMP, t_out, t_in)
+        gf = sample_low_ce(params, pump, t_out, t_in)
         for b in ("rs", "sr"):
-            ref = low_ce_gf(params, PUMP, tt, pp, block=b) * weight
+            ref = low_ce_gf(params, pump, tt, pp, block=b) * weight
             assert np.array_equal(gf.block(b).view(float), ref.view(float))
             assert not gf.block(b).flags.writeable
+    # fig2's edges land on samples: about one on-edge sample per row
+    assert np.count_nonzero((weight == 0.5) & band_mask(params, tt, pp)) > 1000
 
 
 def test_low_ce_freq_kernel_against_quadrature():

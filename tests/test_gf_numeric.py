@@ -1,5 +1,7 @@
 """Green-function container and numeric assembly tests."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -108,6 +110,28 @@ def test_green_function_keeps_read_only_owning_block():
     bad.setflags(write=False)
     with pytest.raises(DataError):
         GreenFunction(form="grid", g_rs=bad, t_out=t_out, t_in=t_in)
+
+
+@pytest.mark.parametrize("entry", [complex(np.nan, 0.0), complex(0.0, np.inf),
+                                   complex(-np.inf, 0.0)],
+                         ids=["nan", "inf-imag", "inf-real"])
+def test_green_function_rejects_one_non_finite_entry(entry):
+    t = np.linspace(0.0, 1.0, 4)
+    bad = np.ones((4, 4), dtype=complex)
+    bad[2, 1] = entry
+    with pytest.raises(DataError, match="block rs contains non-finite entries"):
+        GreenFunction(form="grid", g_rs=bad, t_out=t, t_in=t)
+
+
+def test_green_function_accepts_finite_block_whose_sum_overflows():
+    t = np.linspace(0.0, 1.0, 4)
+    big = np.full((4, 4), 1e308 + 1e308j)
+    with np.errstate(over="ignore"):
+        assert not np.isfinite(big.sum())
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        gf = GreenFunction(form="grid", g_rs=big, t_out=t, t_in=t)
+    assert np.array_equal(gf.g_rs, big)
 
 
 def _writable(base):

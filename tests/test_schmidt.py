@@ -30,6 +30,8 @@ from tmfc import (
     ssvm_gf,
 )
 from tmfc import schmidt
+from tmfc.harness.cases import low_ce_spec
+from tmfc.harness.sweep import _gf_for_point
 
 PUMP = PumpSpec(tau_p=1.0)
 SSVM = RegimeParams(beta_r=1.0, beta_s=0.0, beta_p=0.0).with_gamma_bar(0.5)
@@ -127,13 +129,18 @@ def test_decompose_values_only_when_no_vector_is_read(monkeypatch):
 WEAK = RegimeParams(beta_r=1.0, beta_s=-1.0, beta_p=1.0).with_gamma_bar(0.01)
 
 
+def _weighted(gf):
+    """The weighted rs matrix ``decompose`` works on."""
+    g, scale = gf.g_rs, math.sqrt(gf.dt_out) * math.sqrt(gf.dt_in)
+    return (g.imag if not g.real.any() else g) * scale
+
+
 def _weak_block(pump, n_out, n_in):
     """The weighted rs matrix ``decompose`` works on, and its Green function."""
     (o_lo, o_hi), (i_lo, i_hi) = conversion_support(WEAK, pump)
     gf = sample_low_ce(WEAK, pump, np.linspace(o_lo, o_hi, n_out),
                        np.linspace(i_lo, i_hi, n_in), blocks=("rs",))
-    g, scale = gf.g_rs, math.sqrt(gf.dt_out) * math.sqrt(gf.dt_in)
-    return (g.imag if not g.real.any() else g) * scale, gf
+    return _weighted(gf), gf
 
 
 def _with_spectrum(sig, m, n, seed=5):
@@ -177,6 +184,56 @@ def test_leading_values_on_hard_spectra(sig):
     below k: either round-off agreement or the LAPACK fallback."""
     err = _leading_error(_with_spectrum(sig, 300, 200))
     assert err is None or err <= 1e-14
+
+
+def _table1_block(chirp=None):
+    """The 1024 x 1024 table1-a block as the weak catalog samples it; about
+    a fifth of it lies in the interaction band."""
+    spec = low_ce_spec("table1-a")
+    return _weighted(_gf_for_point(spec, spec.params, replace(spec.pump, chirp=chirp)))
+
+
+def _fig6_block():
+    """A fig6 block (1153 x 513); more than half of it lies in the band."""
+    params = RegimeParams(beta_r=2.0, beta_s=0.0, beta_p=0.0).with_gamma_bar(1.0)
+    pump = PumpSpec(tau_p=0.1)
+    return _weighted(ssvm_gf(params, pump, *default_ssvm_grids(params, pump),
+                             blocks=("rs",)))
+
+
+@pytest.mark.parametrize("make, whole", [
+    (_table1_block, False),
+    (lambda: _table1_block(QuadraticChirp(5.0)), False),
+    (lambda: np.pad(_table1_block(), ((150, 200), (0, 0))), False),
+    (_fig6_block, True),
+    (lambda: _with_spectrum(1.0 / np.arange(1, 201), 300, 200), True),
+], ids=["table1", "table1-chirped", "zero-end-rows", "fig6", "dense"])
+def test_leading_values_band_pieces(monkeypatch, make, whole):
+    """Narrow bands are multiplied piece by piece, wide bands and dense
+    blocks whole; the pieces hold every nonzero entry, leave out all-zero
+    row blocks, and the values agree with LAPACK's to round-off."""
+    mat = make()
+    seen = []
+    pieces = schmidt._pieces
+
+    def spy(m):
+        seen.append(pieces(m))
+        return seen[-1]
+
+    monkeypatch.setattr(schmidt, "_pieces", spy)
+    err = _leading_error(mat)
+    assert err is not None and err <= 1e-14
+    assert len(seen) == 1
+    assert (seen[0] == [(slice(None), slice(None))]) == whole
+    inside = np.zeros(mat.shape, dtype=bool)
+    for rows, cols in seen[0]:
+        inside[rows, cols] = True
+    assert not mat[~inside].any()
+    if not whole:
+        assert inside.sum() <= mat.size / 2
+        live_blocks = {r // schmidt._PIECE_ROWS for r in np.flatnonzero(mat.any(axis=1))}
+        assert [rows.start // schmidt._PIECE_ROWS for rows, _ in seen[0]] == \
+            sorted(live_blocks)
 
 
 def test_decompose_values_path_zero_block():
