@@ -29,10 +29,11 @@ from .errors import ConfigurationError, DataError, UnsupportedConfigurationError
 from .gf_numeric import GreenFunction, apply_block, to_grid_form
 
 _PHASE_TOL = 1e-6
-# subspace iteration for the leading singular values: sweep cap before the
-# full reduction takes over, and the Ritz-value change that counts as settled
-_MAX_SWEEPS = 40
-_SETTLED = math.sqrt(np.finfo(float).eps)
+# block Krylov iteration for the leading singular values (Musco and Musco,
+# NeurIPS 2015): depth cap, and the change of the squared Ritz values between
+# two depths, relative to the largest, that stops it as round-off
+_MAX_DEPTH = 32
+_ROUND_OFF = 16 * np.finfo(float).eps
 # rows per piece of a banded block in the iteration's products
 _PIECE_ROWS = 64
 
@@ -70,8 +71,8 @@ class SchmidtResult:
     """Decomposition summary; arrays are ordered by decreasing ``rho``.
 
     ``rho_full`` holds every singular value of the weighted rs block.  When
-    :func:`decompose` found the leading values by subspace iteration it is
-    computed on first read, by the full values-only SVD.
+    :func:`decompose` found the leading values by block Krylov iteration it
+    is computed on first read, by the full values-only SVD.
     """
 
     rho: np.ndarray
@@ -155,13 +156,13 @@ def decompose(gf: GreenFunction, n_report: int = 10,
     Only what is read gets computed.  Singular vectors are computed, by the
     full SVD, when ``want_modes`` is set or an ss or rr block can pair
     ``tau``.  Otherwise only the leading ``n_report`` values are found, by
-    block subspace iteration with a Rayleigh-Ritz finish (Halko, Martinsson
-    and Tropp, SIAM Rev. 53, 217 (2011); see :func:`_leading_values`), and
-    ``sum_rho_sq`` is the squared Frobenius norm of the weighted block,
-    which equals the sum of all squared singular values; ``rho_full`` is
-    then computed on first read.  Where the iteration block would span the
-    smaller side of the matrix, or the iteration has not settled within its
-    sweep cap, the full values-only SVD runs instead.  Either way
+    block Krylov iteration run to round-off (Halko, Martinsson and Tropp,
+    SIAM Rev. 53, 217 (2011); Musco and Musco, NeurIPS 2015; see
+    :func:`_leading_values`), and ``sum_rho_sq`` is the squared Frobenius
+    norm of the weighted block, which equals the sum of all squared
+    singular values; ``rho_full`` is then computed on first read.  Where
+    the basis would reach the smaller side or its depth cap, the full
+    values-only SVD runs instead.  Either way
     ``conv_energy_s`` of a basis-form Green function takes precedence for
     ``sum_rho_sq``.  An rs block with an identically zero real part (``i``
     times a real kernel, as every sampled kernel at real coupling with an
@@ -300,50 +301,64 @@ def _pieces(mat: np.ndarray) -> List[Tuple[slice, slice]]:
 
 
 def _leading_values(mat: np.ndarray, k: int) -> Optional[np.ndarray]:
-    """The ``k`` leading singular values of ``mat`` by block subspace
-    iteration, or ``None`` where the full SVD should run instead.
+    """The ``k`` leading singular values of ``mat`` by block Krylov (block
+    Lanczos) iteration, or ``None`` where the full SVD should run instead.
 
-    A fixed-seed Gaussian block of ``b = 2k + 16`` orthonormal columns is
-    swept through ``mat`` and back; the leading ``k`` Ritz values, the
-    eigenvalues of ``y^H y`` for ``y = mat q``, are tracked until they
-    change by at most ``sqrt(eps)`` of the largest between sweeps.  As many
-    sweeps again follow: the error shrinks geometrically, so doubling the
-    sweeps squares it, to round-off.  The values returned are the singular
-    values of the last ``y``, the exact Ritz values of the subspace.  ``None``
-    when ``b`` columns would span the smaller side of ``mat`` or the sweeps
-    reach ``_MAX_SWEEPS``.
+    The basis starts from a fixed-seed Gaussian block of ``k`` orthonormal
+    columns.  Each depth keeps ``y_j = mat q_j`` and appends ``mat^H y_j``,
+    orthogonalized against the basis by two block Gram-Schmidt passes, each
+    closed by a QR: the second QR keeps the basis orthonormal where the
+    first meets a rank-deficient block.  Once two consecutive depths change
+    the leading ``k`` eigenvalues of ``y^H y`` by at most ``16 eps`` of the
+    largest, the singular values of ``y``, the exact Ritz values of the
+    space, are returned (Musco and Musco, NeurIPS 2015).  ``None`` when the
+    basis would reach the smaller side of ``mat`` or ``_MAX_DEPTH`` blocks.
 
-    Both products of a sweep run over the :func:`_pieces` of ``mat``: a
+    Both products of a depth run over the :func:`_pieces` of ``mat``: a
     sampled kernel vanishes outside its interaction band, so a narrow band
-    is multiplied piece by piece and its zeros are never read; any other
-    block is multiplied whole.
+    is multiplied piece by piece, its zeros never read, and a wide one or a
+    dense block whole.
     """
-    b = 2 * k + 16
-    if b >= min(mat.shape):
+    depth = min(_MAX_DEPTH, (min(mat.shape) - 1) // k)
+    if depth < 2:
         return None
     pieces = _pieces(mat)
+    whole = pieces == [(slice(None), slice(None))]
+    # preallocated: columns a short iteration never writes cost no memory
+    dtype = np.result_type(mat, float)
+    q = np.empty((mat.shape[1], depth * k), dtype, order="F")
+    y = np.empty((mat.shape[0], depth * k), dtype, order="F")
+    gram = np.zeros((depth * k, depth * k), dtype, order="F")
     rng = np.random.default_rng(0)
-    q = np.linalg.qr(rng.standard_normal((mat.shape[1], b)))[0]
-    last, stop = None, None
-    for sweep in range(1, _MAX_SWEEPS + 1):
-        y = np.zeros((mat.shape[0], b), dtype=np.result_type(mat, q))
-        for rows, cols in pieces:
-            y[rows] = mat[rows, cols] @ q[cols]
-        if sweep == stop:
-            return np.linalg.svd(y, compute_uv=False)[:k]
-        if stop is None:
-            ritz = np.linalg.eigvalsh(y.conj().T @ y)[-k:]
-            if last is not None and \
-                    np.max(np.abs(ritz - last)) <= _SETTLED * ritz[-1]:
-                stop = 2 * sweep
-            last = ritz
-        # q = orth(mat^H y), formed as (y^H mat)^H without a conjugated
-        # copy of mat
-        yh = y.conj().T
-        z = np.zeros((b, mat.shape[1]), dtype=y.dtype)
-        for rows, cols in pieces:
-            z[:, cols] += yh[:, rows] @ mat[rows, cols]
-        q = np.linalg.qr(z.conj().T)[0]
+    q[:, :k] = np.linalg.qr(rng.standard_normal((mat.shape[1], k)))[0]
+    last = np.inf
+    for lo in range(0, depth * k, k):
+        hi = lo + k
+        if lo:
+            # mat^H y_j, formed as (y_j^H mat)^H: no conjugated copy of mat
+            if whole:
+                zh = yh @ mat
+            else:
+                zh = np.zeros((k, mat.shape[1]), dtype)
+                for rows, cols in pieces:
+                    zh[:, cols] += yh[:, rows] @ mat[rows, cols]
+            z = zh.conj().T
+            for _ in range(2):
+                z = np.linalg.qr(z - q[:, :lo] @ (q[:, :lo].conj().T @ z))[0]
+            q[:, lo:hi] = z
+        if whole:
+            y[:, lo:hi] = mat @ q[:, lo:hi]
+        else:
+            y[:, lo:hi] = 0.0
+            for rows, cols in pieces:
+                y[rows, lo:hi] = mat[rows, cols] @ q[cols, lo:hi]
+        yh = y[:, lo:hi].conj().T
+        # the new block row of y^H y; eigvalsh reads the lower triangle
+        gram[lo:hi, :hi] = yh @ y[:, :hi]
+        ritz = np.linalg.eigvalsh(gram[:hi, :hi])[-k:]
+        if np.max(np.abs(ritz - last)) <= _ROUND_OFF * ritz[-1]:
+            return np.linalg.svd(y[:, :hi], compute_uv=False)[:k]
+        last = ritz
     return None
 
 

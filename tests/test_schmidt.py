@@ -143,11 +143,17 @@ def _weak_block(pump, n_out, n_in):
     return _weighted(gf), gf
 
 
-def _with_spectrum(sig, m, n, seed=5):
+def _with_spectrum(sig, m, n, seed=5, dtype=float):
     rng = np.random.default_rng(seed)
-    u = np.linalg.qr(rng.standard_normal((m, sig.size)))[0]
-    v = np.linalg.qr(rng.standard_normal((n, sig.size)))[0]
-    return (u * sig) @ v.T
+
+    def orthonormal(rows):
+        a = rng.standard_normal((rows, sig.size))
+        if dtype is complex:
+            a = a + 1j * rng.standard_normal((rows, sig.size))
+        return np.linalg.qr(a)[0]
+
+    u, v = orthonormal(m), orthonormal(n)
+    return (u * sig) @ v.conj().T
 
 
 def _leading_error(mat, k=8):
@@ -174,31 +180,50 @@ def test_leading_values_match_full_svd_on_kernel_blocks(chirp, shape):
     assert err is not None and err <= 1e-14
 
 
-@pytest.mark.parametrize("sig", [
-    1.0 / np.arange(1, 201),
-    np.r_[np.geomspace(1.0, 0.1, 8), np.geomspace(0.1, 1e-4, 192)],
-    np.r_[1.0, 0.5, 0.2, np.zeros(197)],
-], ids=["one-over-j", "tie-at-k", "rank-3"])
-def test_leading_values_on_hard_spectra(sig):
-    """Small gaps, a tie between the k-th and (k+1)-th value and a rank
-    below k: either round-off agreement or the LAPACK fallback."""
-    err = _leading_error(_with_spectrum(sig, 300, 200))
-    assert err is None or err <= 1e-14
+@pytest.mark.parametrize("sig, dtype", [
+    pytest.param(1.0 / np.arange(1, 201), float, id="one-over-j"),
+    pytest.param(np.r_[np.geomspace(1.0, 0.1, 8), np.geomspace(0.1, 1e-4, 192)],
+                 float, id="tie-at-k"),
+    pytest.param(np.r_[np.geomspace(1.0, 0.1, 8), np.geomspace(0.1, 1e-4, 192)],
+                 complex, id="tie-at-k-complex"),
+    pytest.param(np.r_[np.ones(10), np.geomspace(0.5, 1e-3, 190)], float,
+                 id="cluster-10"),
+    pytest.param(np.r_[1.0, 0.5, 0.2, np.zeros(197)], float, id="rank-3"),
+    pytest.param(np.r_[np.geomspace(1.0, 0.1, 8), np.zeros(192)], float,
+                 id="rank-b"),
+    pytest.param(np.r_[np.geomspace(1.0, 0.1, 9), np.zeros(191)], float,
+                 id="rank-b+1"),
+])
+def test_leading_values_on_hard_spectra(sig, dtype):
+    """Small gaps, a tie between the k-th and (k+1)-th value, ten equal
+    leading values, and ranks of 3, b = k = 8 and b + 1, where the Krylov
+    space turns invariant and a block of ``mat^H y`` is rank-deficient: the
+    iteration settles and agrees with LAPACK to round-off."""
+    err = _leading_error(_with_spectrum(sig, 300, 200, dtype=dtype))
+    assert err is not None and err <= 1e-14
+
+
+def _table1_gf(chirp=None):
+    """The 1024 x 1024 table1-a Green function as the weak catalog samples
+    it; about a fifth of its block lies in the interaction band."""
+    spec = low_ce_spec("table1-a")
+    return _gf_for_point(spec, spec.params, replace(spec.pump, chirp=chirp))
+
+
+def _fig6_gf():
+    """A fig6 Green function (1153 x 513); more than half of its block lies
+    in the band."""
+    params = RegimeParams(beta_r=2.0, beta_s=0.0, beta_p=0.0).with_gamma_bar(1.0)
+    pump = PumpSpec(tau_p=0.1)
+    return ssvm_gf(params, pump, *default_ssvm_grids(params, pump), blocks=("rs",))
 
 
 def _table1_block(chirp=None):
-    """The 1024 x 1024 table1-a block as the weak catalog samples it; about
-    a fifth of it lies in the interaction band."""
-    spec = low_ce_spec("table1-a")
-    return _weighted(_gf_for_point(spec, spec.params, replace(spec.pump, chirp=chirp)))
+    return _weighted(_table1_gf(chirp))
 
 
 def _fig6_block():
-    """A fig6 block (1153 x 513); more than half of it lies in the band."""
-    params = RegimeParams(beta_r=2.0, beta_s=0.0, beta_p=0.0).with_gamma_bar(1.0)
-    pump = PumpSpec(tau_p=0.1)
-    return _weighted(ssvm_gf(params, pump, *default_ssvm_grids(params, pump),
-                             blocks=("rs",)))
+    return _weighted(_fig6_gf())
 
 
 @pytest.mark.parametrize("make, whole", [
@@ -274,16 +299,16 @@ def _svd_spy(monkeypatch):
     return calls
 
 
-@pytest.mark.parametrize("n_in, max_sweeps", [(32, None), (241, 1)],
-                         ids=["block-spans-input", "sweep-cap"])
-def test_decompose_values_path_falls_back_to_full_svd(monkeypatch, n_in, max_sweeps):
-    """b = 2*8 + 16 = 32 columns would span a 32-point input side, and a
-    capped iteration has not settled: both take one full values-only SVD,
-    with exactly today's values."""
+@pytest.mark.parametrize("n_in, max_depth", [(16, None), (241, 3)],
+                         ids=["block-spans-input", "depth-cap"])
+def test_decompose_values_path_falls_back_to_full_svd(monkeypatch, n_in, max_depth):
+    """A basis of two 8-column blocks would span a 16-point input side, and
+    an iteration capped at depth 3 has not settled: both take one full
+    values-only SVD, with exactly today's values."""
     mat, gf = _weak_block(PUMP, 257, n_in)
     ref = np.linalg.svd(mat, compute_uv=False)
-    if max_sweeps is not None:
-        monkeypatch.setattr(schmidt, "_MAX_SWEEPS", max_sweeps)
+    if max_depth is not None:
+        monkeypatch.setattr(schmidt, "_MAX_DEPTH", max_depth)
     calls = _svd_spy(monkeypatch)
     res = decompose(gf, n_report=8, want_modes=False)
     assert calls == [(mat.shape, False)]
@@ -293,20 +318,35 @@ def test_decompose_values_path_falls_back_to_full_svd(monkeypatch, n_in, max_swe
 
 def test_decompose_values_path_reduces_only_a_thin_block(monkeypatch):
     """A 1024 x 1024 weak block, as the weak-conversion catalog samples it:
-    no SVD inside ``decompose`` sees more than b = 32 columns or asks for
-    vectors; ``rho_full`` costs one full values-only SVD on first read,
-    returns exactly today's values, and is kept."""
+    the only SVD inside ``decompose`` is one values-only SVD of the Krylov
+    block ``y``, whole 8-column blocks below the depth cap; ``rho_full``
+    costs one full values-only SVD on first read, returns exactly today's
+    values, and is kept."""
     mat, gf = _weak_block(PUMP, 1024, 1024)
     ref = np.linalg.svd(mat, compute_uv=False)
     calls = _svd_spy(monkeypatch)
     res = decompose(gf, n_report=8, want_modes=False)
-    assert calls and all(shape[1] <= 32 and not uv for shape, uv in calls)
-    n_calls = len(calls)
+    [((rows, width), uv)] = calls
+    assert rows == 1024 and not uv
+    assert width % 8 == 0 and width < schmidt._MAX_DEPTH * 8
     full = res.rho_full
-    assert calls[n_calls:] == [(mat.shape, False)]
+    assert calls[1:] == [(mat.shape, False)]
     assert np.array_equal(full, ref) and not full.flags.writeable
-    assert res.rho_full is full and len(calls) == n_calls + 1
+    assert res.rho_full is full and len(calls) == 2
     assert np.max(np.abs(res.rho - ref[:8])) <= 1e-14 * ref[0]
+
+
+@pytest.mark.parametrize("make", [_fig6_gf, _table1_gf], ids=["fig6", "table1"])
+def test_decompose_values_path_settles_below_depth_cap(monkeypatch, make):
+    """On the catalog's own blocks the iteration settles below its depth cap:
+    ``decompose`` makes exactly one SVD call, values-only, of the thin Krylov
+    block, never the full reduction it falls back to."""
+    gf = make()
+    calls = _svd_spy(monkeypatch)
+    decompose(gf, n_report=8, want_modes=False)
+    [((rows, width), uv)] = calls
+    assert rows == gf.g_rs.shape[0] and not uv
+    assert 2 * 8 <= width < schmidt._MAX_DEPTH * 8
 
 
 def test_decompose_real_kernel_path_matches_complex_path():
