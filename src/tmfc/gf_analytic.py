@@ -366,17 +366,17 @@ def ssvm_gf(params: RegimeParams, pump: PumpSpec,
 
 
 def default_ssvm_grids(params: RegimeParams, pump: PumpSpec,
-                       oversample: int = 32,
-                       pad_sigma: float = 8.0) -> Tuple[np.ndarray, np.ndarray]:
+                       oversample: int = 32) -> Tuple[np.ndarray, np.ndarray]:
     """Rectangular sampling grids adapted to the velocity-matched kernel.
 
-    Input times only matter across the pump support; output times span the
-    image of that support under the free transit of either channel.  Both
-    axes share a step fine enough for the pump and for the interaction band.
+    Input times only matter across the pump support, taken as eight pump
+    widths either side of its center; output times span the image of that
+    support under the free transit of either channel.  Both axes share a
+    step fine enough for the pump and for the interaction band.
     """
     _check_ssvm(params)
     c = pump.center
-    half = pad_sigma * pump.tau_p
+    half = 8.0 * pump.tau_p
     dt = min(pump.tau_p / oversample, params.beta_rs * params.L / 64.0)
     lo_in, hi_in = c - half, c + half
     lo_out = lo_in + params.beta_s * params.L
@@ -492,13 +492,7 @@ def ecop_output(params: RegimeParams, pump: PumpSpec, grid: TemporalGrid,
 
 
 def ssvm_to_ecop_limit_check(
-    gamma: float = 1.0,
-    tau_p: float = 1.0,
     beta_rs_values: Sequence[float] = (0.3, 0.1, 0.03, 0.01, 3e-3, 1e-3),
-    input_width: float = 1.0,
-    input_center: float = 0.0,
-    n_eval: int = 801,
-    n_quad: int = 96,
 ) -> List[Tuple[float, float]]:
     """Collapse of the exact-kernel quadrature onto the pointwise rotation.
 
@@ -506,24 +500,24 @@ def ssvm_to_ecop_limit_check(
     the r channel walking off by ``beta_rs``, the converted output is the
     band integral of ``Ap(t') J0(x) a_s(0, t')``.  As ``beta_rs -> 0`` it
     must approach ``i a_s(t - beta_rs L) sin(gamma L Ap(t - beta_rs L))``.
-    Returns ``(beta_rs, relative l2 mismatch)`` rows, in the given order.
+    The check runs at ``gamma = 1`` with a unit Gaussian pump and a unit
+    Gaussian input ``a_s(0, t)``, both centered at 0, on 801 output times
+    over [-5, 5] with a 96-node Gauss-Legendre rule per band.  Returns
+    ``(beta_rs, relative l2 mismatch)`` rows, in the given order.
     """
     from scipy import special
 
-    pump = PumpSpec(shape=PumpShape.GAUSSIAN, tau_p=tau_p)
-    w = input_width
-    half = 5.0 * max(w, tau_p) + abs(input_center)
-    t_eval = np.linspace(-half, half, n_eval)
-    nodes, weights = np.polynomial.legendre.leggauss(n_quad)
+    pump = PumpSpec(shape=PumpShape.GAUSSIAN, tau_p=1.0)
+    t_eval = np.linspace(-5.0, 5.0, 801)
+    nodes, weights = np.polynomial.legendre.leggauss(96)
 
     def a_in(x):
-        xx = (x - input_center) / w
-        return (w * w * math.pi) ** -0.25 * np.exp(-0.5 * xx * xx)
+        return math.pi ** -0.25 * np.exp(-0.5 * x * x)
 
     rows: List[Tuple[float, float]] = []
     for brs in beta_rs_values:
         params = RegimeParams(beta_r=float(brs), beta_s=0.0, beta_p=0.0,
-                              gamma=float(gamma))
+                              gamma=1.0)
         gbar = params.gamma_bar
         L = params.L
         lo = t_eval - brs * L
@@ -535,29 +529,25 @@ def ssvm_to_ecop_limit_check(
         integrand = np.real(eval_pump(pump, tp)) * special.j0(kv.x) * a_in(tp)
         quad = 1j * gbar * (integrand @ weights) * rad
         shift = t_eval - brs * L
-        ref = 1j * a_in(shift) * np.sin(
-            float(gamma) * L * np.real(eval_pump(pump, shift)))
+        ref = 1j * a_in(shift) * np.sin(L * np.real(eval_pump(pump, shift)))
         err = np.linalg.norm(quad - ref) / np.linalg.norm(ref)
         rows.append((float(brs), float(err)))
     return rows
 
 
-def ecop_bessel_identity_error(g: float, y: float = 1.0) -> float:
-    """Residual of ``(g/y) int_0^y J0(|g| sqrt(u (y-u)) / y) du = 2 sin(g/2)``.
+def ecop_bessel_identity_error(g: float) -> float:
+    """Residual of ``g int_0^1 J0(|g| sqrt(u (1-u))) du = 2 sin(g/2)``.
 
     The identity underlies the collapse of the exact-kernel quadrature onto
     the sine rotation for a flat pump.
     """
     from scipy import integrate, special
 
-    if y <= 0:
-        raise ConfigurationError("y must be positive")
-
     def f(u):
-        return special.j0(abs(g) * math.sqrt(u * (y - u)) / y)
+        return special.j0(abs(g) * math.sqrt(u * (1.0 - u)))
 
-    val, _ = integrate.quad(f, 0.0, y, epsabs=1e-13, epsrel=1e-13, limit=200)
-    return abs(g / y * val - 2.0 * math.sin(g / 2.0))
+    val, _ = integrate.quad(f, 0.0, 1.0, epsabs=1e-13, epsrel=1e-13, limit=200)
+    return abs(g * val - 2.0 * math.sin(g / 2.0))
 
 
 # ---------------------------------------------------------------------------

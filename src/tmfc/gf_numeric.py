@@ -70,10 +70,10 @@ class BasisSpec:
     def sample(self, t: np.ndarray) -> np.ndarray:
         return hermite_gauss_basis(self.n, t, self.width, self.center)
 
-    def extent(self, sigmas: float = 4.0) -> Tuple[float, float]:
+    def extent(self) -> Tuple[float, float]:
         """Interval containing the basis support (classical turning points
-        of the highest mode plus ``sigmas`` widths of Gaussian tail)."""
-        half = self.width * (math.sqrt(2.0 * self.n + 1.0) + sigmas)
+        of the highest mode plus four widths of Gaussian tail)."""
+        half = self.width * (math.sqrt(2.0 * self.n + 1.0) + 4.0)
         return self.center - half, self.center + half
 
 

@@ -117,10 +117,7 @@ class SweepSpec:
         if "gamma_bar" in values:
             params = params.with_gamma_bar(values["gamma_bar"])
         elif abs(params.beta_rs) > EPS_BETA and params is not self.params:
-            params = params.with_gamma_bar(
-                complex(self.params.gamma_bar).real
-                if complex(self.params.gamma_bar).imag == 0
-                else self.params.gamma_bar)
+            params = params.with_gamma_bar(self.params.gamma_bar)
         return params, pump
 
 

@@ -137,7 +137,7 @@ class PumpSpec:
                 raise ConfigurationError("pump table times and values must have equal length")
             if np.any(np.diff(times) <= 0):
                 raise ConfigurationError("pump table times must be strictly increasing")
-            norm_sq = _piecewise_linear_sq_integral(times, values)
+            norm_sq = float(np.sum(_piecewise_linear_sq_segments(times, values)))
             if norm_sq <= 0:
                 raise ConfigurationError("pump table is identically zero")
             values = values / math.sqrt(norm_sq)
@@ -158,13 +158,14 @@ class PumpSpec:
         return True
 
 
-def _piecewise_linear_sq_integral(x: np.ndarray, y: np.ndarray) -> float:
-    """Exact integral of |linear interpolant|^2 over the tabulated range."""
+def _piecewise_linear_sq_segments(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Exact integral of |linear interpolant|^2 over each table segment:
+    ``h/3 (|a|^2 + Re(a* b) + |b|^2)`` for end values ``a``, ``b`` and
+    step ``h``."""
     h = np.diff(x)
     a = y[:-1]
     b = y[1:]
-    seg = h / 3.0 * (np.abs(a) ** 2 + (np.conj(a) * b).real + np.abs(b) ** 2)
-    return float(np.sum(seg))
+    return h / 3.0 * (np.abs(a) ** 2 + (np.conj(a) * b).real + np.abs(b) ** 2)
 
 
 def eval_pump(pump: PumpSpec, t) -> np.ndarray:
@@ -216,10 +217,12 @@ def pump_cumulative_intensity(pump: PumpSpec, t) -> np.ndarray:
 
 
 def _piecewise_linear_sq_cumulative(x: np.ndarray, y: np.ndarray, t) -> np.ndarray:
+    """Exact integral of |linear interpolant|^2 from the first table time
+    to ``t``; 0 before the table, the whole integral after it."""
     h = np.diff(x)
     a = y[:-1]
     b = y[1:]
-    seg = h / 3.0 * (np.abs(a) ** 2 + (np.conj(a) * b).real + np.abs(b) ** 2)
+    seg = _piecewise_linear_sq_segments(x, y)
     nodes = np.concatenate([[0.0], np.cumsum(seg.real)])
     t = np.asarray(t, dtype=float)
     idx = np.clip(np.searchsorted(x, t, side="right") - 1, 0, len(x) - 2)
@@ -363,24 +366,25 @@ class RegimeParams:
         return replace(self, gamma=gamma_bar * self.beta_rs)
 
 
-def classify_regime(params: RegimeParams, eps: float = EPS_BETA) -> RegimeClass:
+def classify_regime(params: RegimeParams) -> RegimeClass:
     """Classify the slowness configuration.
 
     Precedence: exactly co-propagating signals first, then single-sided
     velocity matching, then the symmetric counter-propagating special case,
     then the generic counter/co-propagating split by the sign of
     ``beta_sp * beta_rp``.  Invariant under a common shift of all three
-    slownesses (only differences enter).
+    slownesses (only differences enter).  A difference of at most
+    ``EPS_BETA`` counts as a match.
     """
-    if abs(params.beta_rs) <= eps:
+    if abs(params.beta_rs) <= EPS_BETA:
         return RegimeClass.ECOP
-    s_matched = abs(params.beta_sp) <= eps
-    r_matched = abs(params.beta_rp) <= eps
+    s_matched = abs(params.beta_sp) <= EPS_BETA
+    r_matched = abs(params.beta_rp) <= EPS_BETA
     if s_matched != r_matched:
         return RegimeClass.SSVM
     if s_matched and r_matched:
         return RegimeClass.GENERIC
-    if abs(params.beta_rp + params.beta_sp) <= eps:
+    if abs(params.beta_rp + params.beta_sp) <= EPS_BETA:
         return RegimeClass.SCUP
     product = params.beta_rp * params.beta_sp
     if product < 0:

@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import partial
 from typing import List, Optional, Tuple
 
 import numpy as np
@@ -44,36 +43,9 @@ def _frozen(value) -> np.ndarray:
     return value
 
 
-class _OnFirstRead:
-    """Array field that may be given as a zero-argument callable: the
-    callable runs on the first read and its result is kept, read-only.
-
-    As a dataclass field it has no default: ``__get__`` on the class raises
-    ``AttributeError``, which is how a descriptor declines one."""
-
-    def __set_name__(self, owner, name):
-        self.name = name
-
-    def __get__(self, obj, owner=None):
-        if obj is None:
-            raise AttributeError(self.name)
-        value = obj.__dict__[self.name]
-        if callable(value):
-            value = obj.__dict__[self.name] = _frozen(value())
-        return value
-
-    def __set__(self, obj, value):
-        obj.__dict__[self.name] = value if callable(value) else _frozen(value)
-
-
 @dataclass(frozen=True)
 class SchmidtResult:
-    """Decomposition summary; arrays are ordered by decreasing ``rho``.
-
-    ``rho_full`` holds every singular value of the weighted rs block.  When
-    :func:`decompose` found the leading values by block Krylov iteration it
-    is computed on first read, by the full values-only SVD.
-    """
+    """Decomposition summary; arrays are ordered by decreasing ``rho``."""
 
     rho: np.ndarray
     tau_abs: np.ndarray
@@ -82,7 +54,6 @@ class SchmidtResult:
     selectivity: float
     separability: float
     sum_rho_sq: float
-    rho_full: np.ndarray = _OnFirstRead()
     tau_source: str
     t_in: Optional[np.ndarray] = None
     t_out: Optional[np.ndarray] = None
@@ -160,9 +131,10 @@ def decompose(gf: GreenFunction, n_report: int = 10,
     SIAM Rev. 53, 217 (2011); Musco and Musco, NeurIPS 2015; see
     :func:`_leading_values`), and ``sum_rho_sq`` is the squared Frobenius
     norm of the weighted block, which equals the sum of all squared
-    singular values; ``rho_full`` is then computed on first read.  Where
-    the basis would reach the smaller side or its depth cap, the full
-    values-only SVD runs instead.  Either way
+    singular values.  Where the basis would reach the smaller side or its
+    depth cap, the full values-only SVD runs instead, so ``n_report =
+    min(gf.g_rs.shape)`` with ``want_modes=False`` returns every singular
+    value by that one SVD.  Either way
     ``conv_energy_s`` of a basis-form Green function takes precedence for
     ``sum_rho_sq``.  An rs block with an identically zero real part (``i``
     times a real kernel, as every sampled kernel at real coupling with an
@@ -198,8 +170,7 @@ def decompose(gf: GreenFunction, n_report: int = 10,
         part, unit = np.real, 1.0 + 0j
     else:
         part, unit = np.asarray, 1.0 + 0j
-    scale = w_out * w_in
-    mat = part(g) * scale
+    mat = part(g) * (w_out * w_in)
     n_report = min(n_report, min(mat.shape))
     sig = None if vectors else _leading_values(mat, n_report)
     if sig is not None:
@@ -207,16 +178,12 @@ def decompose(gf: GreenFunction, n_report: int = 10,
         # BLAS thread count, so pooled and serial records agree
         parts = (mat.real, mat.imag) if np.iscomplexobj(mat) else (mat,)
         sum_rho_sq = float(sum(np.einsum("ij,ij->", p, p) for p in parts))
-        # recomputed from the block the Green function holds, so no copy of
-        # the weighted block outlives this call
-        rho_full = partial(_all_values, g, part, scale)
     else:
         if vectors:
             u, sig, vh = np.linalg.svd(mat, full_matrices=False)
         else:
             sig = np.linalg.svd(mat, compute_uv=False)
         sum_rho_sq = float(np.sum(sig ** 2))
-        rho_full = sig.copy()
     if basis and "conv_energy_s" in gf.metadata:
         # include the conversion weight past the finite output basis: the
         # unprojected column energies sum to the Hilbert-Schmidt weight of
@@ -267,13 +234,9 @@ def decompose(gf: GreenFunction, n_report: int = 10,
     return SchmidtResult(
         rho=rho, tau_abs=tau_abs, tau_phase=tau_phase, ce=rho ** 2,
         selectivity=sel, separability=sep,
-        sum_rho_sq=sum_rho_sq, rho_full=rho_full, tau_source=tau_source,
+        sum_rho_sq=sum_rho_sq, tau_source=tau_source,
         t_in=t_in, t_out=t_out, **result_modes,
     )
-
-
-def _all_values(g: np.ndarray, part, scale: float) -> np.ndarray:
-    return np.linalg.svd(part(g) * scale, compute_uv=False)
 
 
 def _pieces(mat: np.ndarray) -> List[Tuple[slice, slice]]:
@@ -450,9 +413,7 @@ class FrequencyKernel:
 
     def __post_init__(self):
         for name in ("values", "omega_out", "omega_in"):
-            v = np.asarray(getattr(self, name))
-            v.setflags(write=False)
-            object.__setattr__(self, name, v)
+            object.__setattr__(self, name, _frozen(getattr(self, name)))
 
     @property
     def d_omega_out(self) -> float:

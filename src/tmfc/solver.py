@@ -53,10 +53,12 @@ class Propagator:
     takes one envelope per channel or a ``(n_cols, n_t)`` stack of them and
     propagates every row in the same pass (as in Green-function assembly);
     the pass runs in real dtype when ``kappa`` is real (module docstring).
+    A grid that violates the advection stability bound raises
+    :class:`ConfigurationError`; one that does not cover the interaction
+    support raises :class:`CoverageError` (``TemporalGrid.require_coverage``).
     """
 
-    def __init__(self, params: RegimeParams, pump: PumpSpec, grid: TemporalGrid,
-                 check_coverage: bool = True):
+    def __init__(self, params: RegimeParams, pump: PumpSpec, grid: TemporalGrid):
         grid_dt = grid.dt
         dz = params.L / grid.n_z
         beta_max = max(abs(params.beta_r), abs(params.beta_s), abs(params.beta_p))
@@ -65,8 +67,7 @@ class Propagator:
                 f"advection stability violated: dz={dz:.3e} exceeds "
                 f"dt/max|beta|={grid_dt / beta_max:.3e}; increase n_z"
             )
-        if check_coverage:
-            grid.require_coverage(params, pump)
+        grid.require_coverage(params, pump)
         self.params = params
         self.pump = pump
         self.grid = grid

@@ -486,8 +486,6 @@ def test_ssvm_to_ecop_limit_first_order():
 def test_ecop_bessel_identity():
     for g in (0.5, 2.0, 10.0):
         assert ecop_bessel_identity_error(g) < 1e-8
-    with pytest.raises(ConfigurationError):
-        ecop_bessel_identity_error(1.0, y=0.0)
 
 
 def test_dechirp_transform_splits_phase():
@@ -509,9 +507,10 @@ def test_chirp_leaves_ssvm_spectrum():
     plain = PumpSpec(tau_p=1.0)
     chirped = PumpSpec(tau_p=1.0, chirp=QuadraticChirp(5.0))
     t_out, t_in = default_ssvm_grids(params, plain, oversample=16)
-    rho0 = decompose(ssvm_gf(params, plain, t_out, t_in),
-                     want_modes=False).rho_full
-    rho1 = decompose(ssvm_gf(params, chirped, t_out, t_in),
-                     want_modes=False).rho_full
+    n_all = min(t_out.size, t_in.size)
+    rho0 = decompose(ssvm_gf(params, plain, t_out, t_in), n_all,
+                     want_modes=False).rho
+    rho1 = decompose(ssvm_gf(params, chirped, t_out, t_in), n_all,
+                     want_modes=False).rho
     n = min(rho0.size, rho1.size)
     assert np.max(np.abs(rho0[:n] - rho1[:n])) < 1e-6

@@ -1,5 +1,6 @@
 """Sweep driver, exports, the GF container, cases, and the CLI."""
 
+import importlib
 import json
 import math
 import multiprocessing
@@ -58,6 +59,14 @@ def _tiny_spec(**over):
                   axes=(("gamma_bar", (0.01, 0.02)),))
     kwargs.update(over)
     return SweepSpec(**kwargs)
+
+
+@pytest.mark.parametrize("package", ["tmfc", "tmfc.harness"])
+def test_public_exports_resolve(package):
+    """Every name in ``__all__`` resolves, so a removal leaves no stale
+    export behind."""
+    module = importlib.import_module(package)
+    assert [name for name in module.__all__ if not hasattr(module, name)] == []
 
 
 def test_sweep_spec_validation():

@@ -64,12 +64,14 @@ def test_selectivity_separability_formulas():
 
 def test_decompose_ordering_and_derived_fields(gf_small):
     res = decompose(gf_small, n_report=8)
+    full = decompose(gf_small, n_report=min(gf_small.g_rs.shape),
+                     want_modes=False).rho
     assert np.all(np.diff(res.rho) <= 1e-15)
     assert np.allclose(res.ce, res.rho ** 2)
-    assert res.rho_full.size >= res.rho.size
-    assert np.allclose(res.rho_full[:8], res.rho)
+    assert full.size >= res.rho.size
+    assert np.allclose(full[:8], res.rho)
     # the Hilbert-Schmidt weight counts conversion past the output basis too
-    assert res.sum_rho_sq >= np.sum(res.rho_full ** 2) - 1e-12
+    assert res.sum_rho_sq >= np.sum(full ** 2) - 1e-12
     assert np.isclose(res.selectivity, res.rho[0] ** 4 / res.sum_rho_sq)
     assert np.isclose(res.separability, res.rho[0] ** 2 / res.sum_rho_sq)
 
@@ -116,9 +118,10 @@ def test_decompose_values_only_when_no_vector_is_read(monkeypatch):
     lean = decompose(gf, n_report=8, want_modes=False)
     assert calls == [False]
     assert lean.modes_in_s is None and lean.tau_source == "unitarity"
-    # relative to the largest value: the tail of rho_full sits at round-off
-    for name in ("rho", "rho_full"):
-        a, b = getattr(lean, name), getattr(full, name)
+    n_all = min(gf.g_rs.shape)
+    spectra = [decompose(gf, n_all, want_modes=want).rho for want in (False, True)]
+    # relative to the largest value: the tail of the spectrum sits at round-off
+    for a, b in [(lean.rho, full.rho), spectra]:
         assert a.shape == b.shape
         assert np.max(np.abs(a - b)) <= 1e-13 * b[0]
     for name in ("selectivity", "separability", "sum_rho_sq"):
@@ -278,13 +281,26 @@ def test_decompose_values_path_norm_and_determinism(chirp):
     across a pickle round trip."""
     _, gf = _weak_block(PumpSpec(tau_p=1.0, chirp=chirp), 257, 241)
     a = decompose(gf, n_report=8, want_modes=False)
-    # pickled before rho_full is read, as a process pool would
+    # pickled, as a process pool would
     b = pickle.loads(pickle.dumps(decompose(gf, n_report=8, want_modes=False)))
-    assert math.isclose(a.sum_rho_sq, float(np.sum(a.rho_full ** 2)),
-                        rel_tol=1e-13)
-    for name in ("rho", "tau_abs", "rho_full"):
+    n_all = min(gf.g_rs.shape)
+    full_a = decompose(gf, n_all, want_modes=False).rho
+    full_b = pickle.loads(pickle.dumps(decompose(gf, n_all, want_modes=False))).rho
+    assert math.isclose(a.sum_rho_sq, float(np.sum(full_a ** 2)), rel_tol=1e-13)
+    for name in ("rho", "tau_abs"):
         assert np.array_equal(getattr(a, name), getattr(b, name))
+    assert np.array_equal(full_a, full_b)
     assert a.selectivity == b.selectivity and a.sum_rho_sq == b.sum_rho_sq
+
+
+@pytest.mark.parametrize("chirp", [None, QuadraticChirp(5.0)], ids=["real", "complex"])
+def test_decompose_values_path_pickles_without_the_block(chirp):
+    """A values-only result holds its leading values and time axes, not the
+    rs block: pickled, the 257 x 241 weak result stays under 16 kB, where
+    the complex block alone takes 991 kB."""
+    _, gf = _weak_block(PumpSpec(tau_p=1.0, chirp=chirp), 257, 241)
+    res = decompose(gf, n_report=8, want_modes=False)
+    assert len(pickle.dumps(res)) < 16 * 1024
 
 
 def _svd_spy(monkeypatch):
@@ -299,29 +315,35 @@ def _svd_spy(monkeypatch):
     return calls
 
 
-@pytest.mark.parametrize("n_in, max_depth", [(16, None), (241, 3)],
-                         ids=["block-spans-input", "depth-cap"])
-def test_decompose_values_path_falls_back_to_full_svd(monkeypatch, n_in, max_depth):
-    """A basis of two 8-column blocks would span a 16-point input side, and
-    an iteration capped at depth 3 has not settled: both take one full
-    values-only SVD, with exactly today's values."""
-    mat, gf = _weak_block(PUMP, 257, n_in)
+@pytest.mark.parametrize("n_in, max_depth, n_report, chirp", [
+    (16, None, 8, None),
+    (241, 3, 8, None),
+    (241, None, 241, None),
+    (241, None, 241, QuadraticChirp(5.0)),
+], ids=["block-spans-input", "depth-cap", "full-spectrum", "full-spectrum-complex"])
+def test_decompose_values_path_falls_back_to_full_svd(monkeypatch, n_in, max_depth,
+                                                      n_report, chirp):
+    """A basis of two 8-column blocks would span a 16-point input side, an
+    iteration capped at depth 3 has not settled, and ``n_report = min(shape)``
+    asks for every value, on a real and a complex block: each takes one full
+    values-only SVD, with exactly LAPACK's values."""
+    mat, gf = _weak_block(PumpSpec(tau_p=1.0, chirp=chirp), 257, n_in)
     ref = np.linalg.svd(mat, compute_uv=False)
     if max_depth is not None:
         monkeypatch.setattr(schmidt, "_MAX_DEPTH", max_depth)
     calls = _svd_spy(monkeypatch)
-    res = decompose(gf, n_report=8, want_modes=False)
+    res = decompose(gf, n_report=n_report, want_modes=False)
     assert calls == [(mat.shape, False)]
-    assert np.array_equal(res.rho_full, ref) and np.array_equal(res.rho, ref[:8])
+    assert np.array_equal(res.rho, ref[:n_report])
     assert res.sum_rho_sq == float(np.sum(ref ** 2))
 
 
 def test_decompose_values_path_reduces_only_a_thin_block(monkeypatch):
     """A 1024 x 1024 weak block, as the weak-conversion catalog samples it:
     the only SVD inside ``decompose`` is one values-only SVD of the Krylov
-    block ``y``, whole 8-column blocks below the depth cap; ``rho_full``
-    costs one full values-only SVD on first read, returns exactly today's
-    values, and is kept."""
+    block ``y``, whole 8-column blocks below the depth cap; the full
+    spectrum, at ``n_report = 1024``, costs one full values-only SVD and
+    returns exactly LAPACK's values, read-only."""
     mat, gf = _weak_block(PUMP, 1024, 1024)
     ref = np.linalg.svd(mat, compute_uv=False)
     calls = _svd_spy(monkeypatch)
@@ -329,10 +351,10 @@ def test_decompose_values_path_reduces_only_a_thin_block(monkeypatch):
     [((rows, width), uv)] = calls
     assert rows == 1024 and not uv
     assert width % 8 == 0 and width < schmidt._MAX_DEPTH * 8
-    full = res.rho_full
+    full = decompose(gf, n_report=1024, want_modes=False).rho
     assert calls[1:] == [(mat.shape, False)]
     assert np.array_equal(full, ref) and not full.flags.writeable
-    assert res.rho_full is full and len(calls) == 2
+    assert len(calls) == 2
     assert np.max(np.abs(res.rho - ref[:8])) <= 1e-14 * ref[0]
 
 
@@ -419,8 +441,7 @@ def _hand_result(tau_phase=(0.0, 0.0)):
     return SchmidtResult(
         rho=rho, tau_abs=tau_abs, tau_phase=np.array(tau_phase),
         ce=rho ** 2, selectivity=selectivity(rho), separability=separability(rho),
-        sum_rho_sq=float(np.sum(rho ** 2)), rho_full=rho,
-        tau_source="unitarity",
+        sum_rho_sq=float(np.sum(rho ** 2)), tau_source="unitarity",
     )
 
 
@@ -477,7 +498,8 @@ def test_shape_fidelity_dt_mismatch():
 def test_gf_fourier_preserves_singular_values(gf_weak_grid):
     kern = gf_fourier(gf_weak_grid)
     sv = kern.singular_values()
-    rho = decompose(gf_weak_grid, want_modes=False).rho_full
+    rho = decompose(gf_weak_grid, n_report=min(gf_weak_grid.g_rs.shape),
+                    want_modes=False).rho
     assert sv.size == rho.size
     assert np.max(np.abs(sv - rho)) < 1e-12 * rho[0]
 

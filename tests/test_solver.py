@@ -68,7 +68,7 @@ def test_exact_unitarity_at_strong_coupling():
     params = RegimeParams(beta_r=0.0, beta_s=0.0, beta_p=0.0, gamma=40.0)
     grid = TemporalGrid(-9.0, 9.0, 1024, 16)
     a_r, a_s = _inputs(grid)
-    out = Propagator(params, PUMP, grid, check_coverage=False).run(a_r, a_s)
+    out = Propagator(params, PUMP, grid).run(a_r, a_s)
     e_in = energy(FieldState(a_r, a_s), grid)
     assert abs(energy(out, grid) / e_in - 1.0) <= 1e-12
 
@@ -163,7 +163,7 @@ def test_zero_coupling_is_pure_advection():
     t = GRID.times
     a_r = np.exp(-t ** 2)
     a_s = np.exp(-(t - 0.5) ** 2 / 2.0)
-    out = Propagator(params, PUMP, GRID, check_coverage=False).run(a_r, a_s)
+    out = Propagator(params, PUMP, GRID).run(a_r, a_s)
     # outputs are the inputs delayed by beta L
     ref_r = np.exp(-(t - 0.8) ** 2)
     ref_s = np.exp(-(t + 0.3 - 0.5) ** 2 / 2.0)
@@ -206,8 +206,6 @@ def test_coverage_guard():
     tight = TemporalGrid(-2.0, 2.0, 512, 256)
     with pytest.raises(CoverageError):
         Propagator(PARAMS, PUMP, tight)
-    # explicit opt-out skips the check
-    Propagator(PARAMS, PUMP, tight, check_coverage=False)
 
 
 def test_input_validation():
