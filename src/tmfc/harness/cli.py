@@ -24,9 +24,9 @@ from ..errors import (
 )
 from ..model import PumpSpec, QuadraticChirp, RegimeParams, TemporalGrid
 from ..schmidt import decompose
-from .cases import CATALOG, CaseReport, case_ids, reproduce
+from .cases import CaseReport, case_ids, reproduce
 from .gfio import _sink, export_result, load_gf
-from .sweep import SweepSpec, run_sweep
+from .sweep import SweepSpec, _single_blas_thread, run_sweep
 
 EXIT_OK = 0
 EXIT_TOLERANCE = 1
@@ -209,11 +209,12 @@ def main(argv=None) -> int:
         # argparse exits 2 on usage errors, matching the config exit code
         return int(exc.code) if exc.code else EXIT_OK
     try:
-        if args.verb == "run":
-            return _cmd_run(args)
-        if args.verb == "reproduce":
-            return _cmd_reproduce(args)
-        return _cmd_decompose(args)
+        with _single_blas_thread():
+            if args.verb == "run":
+                return _cmd_run(args)
+            if args.verb == "reproduce":
+                return _cmd_reproduce(args)
+            return _cmd_decompose(args)
     except FileNotFoundError as exc:
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_CONFIG

@@ -14,7 +14,7 @@ import csv
 import json
 import math
 import os
-from typing import List, Optional, Tuple
+from typing import List, Tuple
 
 import numpy as np
 

@@ -9,14 +9,17 @@ every downstream artifact order-deterministic.
 """
 
 import contextlib
+import ctypes
+import functools
+import glob
 import itertools
 import math
 import multiprocessing
 import os
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field, replace
-from typing import Dict, List, Optional, Sequence, Tuple
+from dataclasses import asdict, dataclass, field, replace
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -34,8 +37,6 @@ from ..schmidt import decompose, shape_fidelity
 
 AXIS_NAMES = ("gamma_bar", "tau_p", "beta_p", "beta_r", "beta_rs_L")
 ENGINES = ("numeric", "analytic-ssvm", "low-ce")
-# read once, when BLAS loads in a process
-BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 
 
 @dataclass(frozen=True)
@@ -142,9 +143,8 @@ def _gf_for_point(spec: SweepSpec, params: RegimeParams, pump: PumpSpec):
     propagates the s-input columns alone; no record reads the r-input
     columns (rr, sr), so those are neither propagated nor leak-checked."""
     if spec.engine == "numeric":
-        kwargs = dict(spec.basis or {})
         return assemble_gf(params, pump, grid=spec.grid, blocks=("rs", "ss"),
-                           **kwargs)
+                           **(spec.basis or {}))
     # the analytic engines sample only the rs block
     if spec.engine == "analytic-ssvm":
         if abs(params.beta_sp) > EPS_BETA:
@@ -179,17 +179,15 @@ def evaluate_point(spec: SweepSpec, index: int, values: Dict[str, float]) -> dic
         res = decompose(gf, n_report=spec.n_report,
                         want_modes=spec.want_modes or spec.want_fidelity)
         n = spec.n_report
-        record["rho"] = [float(x) for x in res.rho[:n]]
-        record["ce"] = [float(x) for x in res.ce[:n]]
-        record["selectivity"] = float(res.selectivity)
-        record["separability"] = float(res.separability)
-        record["error"] = ""
+        record.update(rho=[float(x) for x in res.rho[:n]],
+                      ce=[float(x) for x in res.ce[:n]],
+                      selectivity=float(res.selectivity),
+                      separability=float(res.separability), error="")
         if spec.want_fidelity:
-            pairs = min(3, len(res.rho))
             record["fidelity"] = [
                 float(shape_fidelity(res.modes_in_s[k], res.modes_out_r[k],
                                      res.dt_in, res.dt_out))
-                for k in range(pairs)
+                for k in range(min(3, len(res.rho)))
             ]
         if spec.want_modes:
             record["modes"] = {
@@ -200,11 +198,9 @@ def evaluate_point(spec: SweepSpec, index: int, values: Dict[str, float]) -> dic
             }
     except (TmfcError, np.linalg.LinAlgError) as exc:
         record.setdefault("gamma_bar", float("nan"))
-        record["rho"] = []
-        record["ce"] = []
-        record["selectivity"] = float("nan")
-        record["separability"] = float("nan")
-        record["error"] = f"{type(exc).__name__}: {exc}"
+        record.update(rho=[], ce=[], selectivity=float("nan"),
+                      separability=float("nan"),
+                      error=f"{type(exc).__name__}: {exc}")
     return record
 
 
@@ -214,15 +210,7 @@ def _real_if_real(x) -> float:
 
 
 def _mode_lists(modes) -> List[List[List[float]]]:
-    out = []
-    for m in modes:
-        m = np.asarray(m)
-        out.append([[float(v.real), float(v.imag)] for v in m])
-    return out
-
-
-def _evaluate_star(args) -> dict:
-    return evaluate_point(*args)
+    return [[[float(v.real), float(v.imag)] for v in m] for m in modes]
 
 
 def _available_cpus() -> int:
@@ -234,20 +222,43 @@ def _available_cpus() -> int:
         return os.cpu_count() or 1
 
 
+@functools.lru_cache(maxsize=None)
+def _openblas() -> Optional[ctypes.CDLL]:
+    """numpy's bundled OpenBLAS, or ``None`` where numpy links another BLAS."""
+    libs = os.path.join(os.path.dirname(os.path.dirname(np.__file__)), "numpy.libs")
+    for path in glob.glob(os.path.join(libs, "libscipy_openblas64_*.so")):
+        lib = ctypes.CDLL(path)
+        if hasattr(lib, "scipy_openblas_set_num_threads64_"):
+            return lib
+    return None
+
+
+def _set_blas_threads(n: int) -> Optional[int]:
+    """Set numpy's BLAS to ``n`` threads; the old count (``None``: no setter)."""
+    lib = _openblas()
+    if lib is None:
+        return None
+    before = lib.scipy_openblas_get_num_threads64_()
+    lib.scipy_openblas_set_num_threads64_(n)
+    return before
+
+
 @contextlib.contextmanager
-def _one_blas_thread():
-    """Set every BLAS and OpenMP thread variable to 1 for the duration,
-    then restore each one, or unset it if it was unset."""
-    saved = {name: os.environ.get(name) for name in BLAS_THREAD_VARS}
-    os.environ.update({name: "1" for name in BLAS_THREAD_VARS})
+def _single_blas_thread():
+    """One BLAS thread for the body; yields 1, or ``None`` without a setter."""
+    before = _set_blas_threads(1)
     try:
-        yield
+        yield None if before is None else 1
     finally:
-        for name, value in saved.items():
-            if value is None:
-                os.environ.pop(name, None)
-            else:
-                os.environ[name] = value
+        if before is not None:
+            _set_blas_threads(before)
+
+
+def _init_worker() -> None:
+    """Pool initializer: one BLAS thread, and no OpenBLAS thread pool, which
+    the setter restarts after a fork and whose idle thread spins before it sleeps."""
+    if _set_blas_threads(1) and hasattr(_openblas(), "blas_thread_shutdown_"):
+        _openblas().blas_thread_shutdown_()
 
 
 def run_sweep(spec: SweepSpec, workers: int = 1) -> SweepResult:
@@ -255,44 +266,35 @@ def run_sweep(spec: SweepSpec, workers: int = 1) -> SweepResult:
 
     ``workers > 1`` fans the points over a process pool of at most
     ``workers`` processes, one per point and per CPU available.  Per-point
-    failures are recorded in-row and do not stop the sweep.  The provenance
-    records the requested ``workers``, the ``workers_used`` and the
-    ``blas_threads`` of each pool worker (``None`` for a serial run, which
-    keeps the calling process's own BLAS).
+    failures are recorded in-row and do not stop the sweep.  Every point
+    runs with one BLAS thread (the caller's count is restored on return),
+    so pooled records equal serial ones bit for bit; where numpy's BLAS has
+    no known thread setter nothing is set.  The provenance records the
+    requested ``workers``, the ``workers_used`` and ``blas_threads`` (1, or
+    ``None`` without a setter).
 
-    The pool's workers fork from a ``forkserver`` that preloads this module
-    (and with it numpy and tmfc) and ``scipy.special``, which the analytic
-    kernels call, so each is imported once per process.  The server,
-    and so every worker, starts with one BLAS thread: the thread variables
-    are set to 1 while the pool starts, then restored.  If the process's
-    forkserver was already running when the first pool started, it keeps
-    its own environment and this policy does not apply.  A script that
+    The workers fork from a ``forkserver`` that preloads this module (and
+    with it numpy and tmfc) and ``scipy.special``, which the analytic
+    kernels call, so each is imported once per process.  A script that
     calls ``run_sweep(workers > 1)`` needs an ``if __name__ == "__main__":``
     guard, because the workers import its main module.
-
-    The pool's map preserves submission order.  Records of ``numeric``
-    sweeps and of small analytic blocks equal the serial run's exactly;
-    on large analytic grids the matrix products, QR, SVD and eigenvalue
-    routines round differently with the BLAS thread count, so pooled and
-    serial records agree to a few 1e-15 relative.
     """
     if int(workers) < 1:
         raise ConfigurationError("workers must be a positive integer")
     points = spec.points()
     t0 = time.time()
-    jobs = [(spec, i, values) for i, values in enumerate(points)]
     used = max(1, min(int(workers), len(points), _available_cpus()))
-    if used == 1:
-        records = [evaluate_point(*job) for job in jobs]
-    else:
-        ctx = multiprocessing.get_context("forkserver")
-        ctx.set_forkserver_preload([__name__, "scipy.special"])
-        with ProcessPoolExecutor(max_workers=used, mp_context=ctx) as pool:
-            # the workers, and the server on first use, start while the
-            # jobs are submitted
-            with _one_blas_thread():
-                results = pool.map(_evaluate_star, jobs)
-            records = list(results)
+    with _single_blas_thread() as blas_threads:
+        if used == 1:
+            records = [evaluate_point(spec, i, values)
+                       for i, values in enumerate(points)]
+        else:
+            ctx = multiprocessing.get_context("forkserver")
+            ctx.set_forkserver_preload([__name__, "scipy.special"])
+            with ProcessPoolExecutor(max_workers=used, mp_context=ctx,
+                                     initializer=_init_worker) as pool:
+                records = list(pool.map(evaluate_point, itertools.repeat(spec),
+                                        range(len(points)), points))
     from .. import __version__
 
     provenance = {
@@ -301,15 +303,12 @@ def run_sweep(spec: SweepSpec, workers: int = 1) -> SweepResult:
         "n_points": len(points),
         "workers": int(workers),
         "workers_used": used,
-        "blas_threads": 1 if used > 1 else None,
+        "blas_threads": blas_threads,
         "wall_time_s": time.time() - t0,
         "timestamp": time.strftime("%Y-%m-%dT%H:%M:%S", time.gmtime()),
     }
     if spec.grid is not None:
-        provenance["grid"] = {
-            "t_min": spec.grid.t_min, "t_max": spec.grid.t_max,
-            "n_t": spec.grid.n_t, "n_z": spec.grid.n_z,
-        }
+        provenance["grid"] = asdict(spec.grid)
     if spec.basis:
         provenance["basis"] = dict(spec.basis)
     if spec.engine == "low-ce":

@@ -244,9 +244,9 @@ def _pieces(mat: np.ndarray) -> List[Tuple[slice, slice]]:
 
     Rows are taken ``_PIECE_ROWS`` at a time, each block with the span
     between its first and last nonzero column; all-zero row blocks are
-    left out.  Where these pieces cover more than half of ``mat``, as the
-    wide interaction bands of short pumps do, the whole of ``mat`` is the
-    one piece: smaller products there save less than they cost.
+    left out.  Once these pieces cover more than half of ``mat``, as the
+    wide interaction bands of short pumps do, the scan stops and the whole
+    of ``mat`` is the one piece: smaller products save less than they cost.
     """
     n_rows, n_cols = mat.shape
     pieces, area = [], 0
@@ -258,8 +258,8 @@ def _pieces(mat: np.ndarray) -> List[Tuple[slice, slice]]:
             hi = n_cols - int(np.argmax(live[::-1]))
             pieces.append((rows, slice(lo, hi)))
             area += (min(rows.stop, n_rows) - start) * (hi - lo)
-    if 2 * area > mat.size:
-        return [(slice(None), slice(None))]
+            if 2 * area > mat.size:
+                return [(slice(None), slice(None))]
     return pieces
 
 

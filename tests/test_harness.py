@@ -47,7 +47,6 @@ from tmfc.harness import (
 )
 from tmfc.harness.cli import main
 from tmfc.harness.gfio import FORMAT_LINE
-from tmfc.harness.sweep import BLAS_THREAD_VARS
 
 BASE = RegimeParams(beta_r=1.0, beta_s=-1.0, beta_p=1.0).with_gamma_bar(0.01)
 PUMP = PumpSpec(tau_p=1.0)
@@ -205,7 +204,8 @@ class _SpyPool:
 
     sizes = []
 
-    def __init__(self, max_workers, mp_context=None):
+    def __init__(self, max_workers, mp_context=None, initializer=None,
+                 initargs=()):
         self.sizes.append(max_workers)
 
     def __enter__(self):
@@ -214,8 +214,8 @@ class _SpyPool:
     def __exit__(self, *exc):
         return False
 
-    def map(self, fn, jobs):
-        return map(fn, jobs)
+    def map(self, fn, *iterables):
+        return map(fn, *iterables)
 
 
 @pytest.mark.parametrize("workers, cpus, n_points, used", [
@@ -246,56 +246,122 @@ def test_run_sweep_cpu_count_fallback(monkeypatch):
     assert result.provenance["workers_used"] == 2
 
 
-def _thread_vars():
-    return {name: os.environ.get(name) for name in BLAS_THREAD_VARS}
+_BLAS_PROBE = """
+import multiprocessing, sys
+from concurrent.futures import ProcessPoolExecutor
+from tmfc import PumpSpec, RegimeParams
+from tmfc.harness import SweepSpec, sweep
+
+GETTER = ("__import__('tmfc.harness.sweep').harness.sweep._openblas()"
+          ".scipy_openblas_get_num_threads64_()")
+# the worker's OS threads: OpenBLAS's idle pool is stopped
+TASKS = ("len(__import__('os').listdir('/proc/self/task')) "
+         "if __import__('os').path.isdir('/proc/self/task') else 1")
+
+class ProbePool(ProcessPoolExecutor):
+    def map(self, fn, *iterables):
+        print(self.submit(eval, GETTER).result(timeout=60))
+        print(self.submit(eval, TASKS).result(timeout=60))
+        return super().map(fn, *iterables)
+
+if sys.argv[1] == "prestarted":
+    # another component starts the forkserver, without the preload
+    ctx = multiprocessing.get_context("forkserver")
+    with ProcessPoolExecutor(1, mp_context=ctx) as pool:
+        pool.submit(int).result(timeout=60)
+sweep.ProcessPoolExecutor = ProbePool
+sweep._available_cpus = lambda: 2
+params = RegimeParams(beta_r=1.0, beta_s=-1.0, beta_p=1.0).with_gamma_bar(0.01)
+spec = SweepSpec(params=params, pump=PumpSpec(tau_p=1.0), engine="low-ce",
+                 n_report=3, low_ce_n=128, axes=(("gamma_bar", (0.01, 0.02)),))
+print(sweep.run_sweep(spec, workers=2).provenance["blas_threads"])
+"""
+
+needs_blas_setter = pytest.mark.skipif(
+    sweep_module._openblas() is None,
+    reason="numpy's BLAS has no known thread setter")
 
 
+def _probe_pool_threads(before, forkserver):
+    """Run a pooled sweep in a fresh process whose ``OPENBLAS_NUM_THREADS``
+    is ``before`` (``None``: unset); the BLAS thread count a pool worker
+    reads through the getter, the worker's thread count, and the sweep's
+    ``blas_threads``."""
+    src = os.path.dirname(os.path.dirname(tmfc.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    env.pop("OPENBLAS_NUM_THREADS", None)
+    if before is not None:
+        env["OPENBLAS_NUM_THREADS"] = before
+    proc = subprocess.run([sys.executable, "-c", _BLAS_PROBE, forkserver],
+                          env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout.split()
+
+
+@needs_blas_setter
 @pytest.mark.parametrize("before", [None, "4"])
-def test_run_sweep_pool_starts_with_one_blas_thread(monkeypatch, before):
-    """The pool starts from a forkserver with every thread variable at 1;
-    afterwards each is back as it was, set or unset."""
+def test_run_sweep_pool_starts_with_one_blas_thread(before):
+    """A pool worker reads one BLAS thread through the getter and runs no
+    idle BLAS thread, whatever the caller's ``OPENBLAS_NUM_THREADS``."""
+    assert _probe_pool_threads(before, "fresh") == ["1", "1", "1"]
+
+
+@needs_blas_setter
+def test_pool_workers_run_with_one_blas_thread():
+    """A forkserver that another component started first, under
+    ``OPENBLAS_NUM_THREADS=4`` and without the preload, still gives the
+    sweep's workers one BLAS thread: the pool's initializer sets it."""
+    assert _probe_pool_threads("4", "prestarted") == ["1", "1", "1"]
+
+
+@needs_blas_setter
+@pytest.mark.parametrize("caller", [1, 2])
+def test_serial_sweep_and_cli_keep_caller_blas_threads(monkeypatch, tmp_path,
+                                                       caller):
+    """A serial sweep and ``tmfc decompose`` compute with one BLAS thread
+    and leave the caller's count as it was."""
+    from tmfc.harness import cli
+
+    get = sweep_module._openblas().scipy_openblas_get_num_threads64_
     seen = []
 
-    class EnvSpyPool(_SpyPool):
-        def __init__(self, max_workers, mp_context=None):
-            super().__init__(max_workers)
-            seen.append(mp_context.get_start_method())
+    def spied(fn):
+        def call(*args, **kwargs):
+            seen.append(get())
+            return fn(*args, **kwargs)
+        return call
 
-        def map(self, fn, jobs):
-            seen.append(_thread_vars())
-            return super().map(fn, jobs)
+    monkeypatch.setattr(sweep_module, "evaluate_point",
+                        spied(sweep_module.evaluate_point))
+    monkeypatch.setattr(cli, "decompose", spied(cli.decompose))
+    _, path = _saved_weak_gf(tmp_path)
+    original = sweep_module._set_blas_threads(caller)
+    try:
+        result = run_sweep(_tiny_spec())
+        assert get() == caller
+        assert main(["decompose", str(path), "--out", str(tmp_path / "d.json")]) == 0
+        assert get() == caller
+    finally:
+        sweep_module._set_blas_threads(original)
+    assert seen == [1, 1, 1]
+    assert result.provenance["blas_threads"] == 1
 
-    monkeypatch.setattr(sweep_module, "ProcessPoolExecutor", EnvSpyPool)
+
+def test_run_sweep_without_blas_setter(monkeypatch):
+    """Without a known setter nothing is set, the pool still runs, and
+    ``blas_threads`` is ``None``."""
+    monkeypatch.setattr(sweep_module, "_openblas", lambda: None)
+    monkeypatch.setattr(sweep_module, "ProcessPoolExecutor", _SpyPool)
     monkeypatch.setattr(sweep_module.os, "sched_getaffinity",
                         lambda pid: {0, 1}, raising=False)
     monkeypatch.setattr(_SpyPool, "sizes", [])
-    for name in BLAS_THREAD_VARS:
-        if before is None:
-            monkeypatch.delenv(name, raising=False)
-        else:
-            monkeypatch.setenv(name, before)
-    pooled = run_sweep(_tiny_spec(), workers=2)
-    assert seen == ["forkserver", dict.fromkeys(BLAS_THREAD_VARS, "1")]
-    assert _thread_vars() == dict.fromkeys(BLAS_THREAD_VARS, before)
-    assert pooled.provenance["blas_threads"] == 1
-    assert pooled.provenance["workers_used"] == 2
-    serial = run_sweep(_tiny_spec(), workers=1)
-    assert serial.provenance["blas_threads"] is None
-    assert len(seen) == 2
-
-
-def test_pool_workers_run_with_one_blas_thread(monkeypatch):
-    """The forkserver a pooled sweep starts gives its workers one BLAS
-    thread, and the caller's environment is left as it was."""
-    monkeypatch.setattr(sweep_module.os, "sched_getaffinity",
-                        lambda pid: {0, 1}, raising=False)
-    before = _thread_vars()
-    assert run_sweep(_tiny_spec(), workers=2).provenance["workers_used"] == 2
-    assert _thread_vars() == before
-    ctx = multiprocessing.get_context("forkserver")
-    with ProcessPoolExecutor(max_workers=1, mp_context=ctx) as pool:
-        seen = list(pool.map(os.getenv, BLAS_THREAD_VARS, timeout=60))
-    assert seen == ["1"] * len(BLAS_THREAD_VARS)
+    assert sweep_module._set_blas_threads(1) is None
+    for workers in (1, 2):
+        result = run_sweep(_tiny_spec(), workers=workers)
+        assert result.provenance["blas_threads"] is None
+        assert all(r["error"] == "" for r in result.records)
+    assert _SpyPool.sizes == [2]
 
 
 def test_pool_workers_start_with_scipy_special(monkeypatch):
@@ -342,21 +408,20 @@ assert "scipy.special" in sys.modules
 
 
 def test_pooled_records_match_serial():
-    """Pooled numeric records equal the serial ones exactly; pooled fig6
-    points, whose large blocks round with the BLAS thread count, agree to
-    1e-13 relative."""
+    """Pooled records equal the serial ones bit for bit for every engine,
+    also on the large fig6 and weak-catalog blocks whose products, QR, SVD
+    and eigenvalue routines round with the BLAS thread count: both paths
+    compute with one thread."""
     numeric = SweepSpec(params=NUMERIC, pump=PUMP, engine="numeric",
                         n_report=3, basis=SMALL_BASIS,
                         axes=(("gamma_bar", (0.4, 0.6)),))
-    assert run_sweep(numeric, workers=2).records == run_sweep(numeric).records
     fig6 = replace(cases.fig6_spec(), axes=(("gamma_bar", (0.6, 1.1, 1.6)),))
-    serial = run_sweep(fig6).records
-    pooled = run_sweep(fig6, workers=2).records
-    assert [r["index"] for r in pooled] == [0, 1, 2]
-    for a, b in zip(serial, pooled):
-        assert a["error"] == b["error"] == ""
-        for key in ("rho", "ce", "selectivity", "separability"):
-            np.testing.assert_allclose(b[key], a[key], rtol=1e-13, atol=0)
+    weak = replace(cases.low_ce_spec("fig3a"), axes=(("gamma_bar", (0.01, 0.02)),))
+    for spec in (numeric, fig6, weak):
+        serial = run_sweep(spec).records
+        pooled = run_sweep(spec, workers=2).records
+        assert [r["error"] for r in serial] == [""] * len(serial)
+        assert pooled == serial
 
 
 def test_export_csv_layout(tmp_path):

@@ -9,7 +9,6 @@ import numpy as np
 import pytest
 
 from tmfc import (
-    BasisSpec,
     ConfigurationError,
     DataError,
     PumpSpec,
@@ -229,6 +228,27 @@ def _fig6_block():
     return _weighted(_fig6_gf())
 
 
+def _scanned_pieces(mat):
+    """The pieces of a scan over every row block that decides on the whole
+    block only at the end."""
+    pieces, area = [], 0
+    for start in range(0, mat.shape[0], schmidt._PIECE_ROWS):
+        rows = slice(start, start + schmidt._PIECE_ROWS)
+        cols = np.flatnonzero(mat[rows].any(axis=0))
+        if cols.size:
+            pieces.append((rows, slice(int(cols[0]), int(cols[-1]) + 1)))
+            area += mat[rows].shape[0] * (int(cols[-1]) + 1 - int(cols[0]))
+    return [(slice(None), slice(None))] if 2 * area > mat.size else pieces
+
+
+class _RowReads(np.ndarray):
+    """An array that records the keys it is indexed with."""
+
+    def __getitem__(self, key):
+        self.reads.append(key)
+        return np.asarray(super().__getitem__(key))
+
+
 @pytest.mark.parametrize("make, whole", [
     (_table1_block, False),
     (lambda: _table1_block(QuadraticChirp(5.0)), False),
@@ -239,7 +259,9 @@ def _fig6_block():
 def test_leading_values_band_pieces(monkeypatch, make, whole):
     """Narrow bands are multiplied piece by piece, wide bands and dense
     blocks whole; the pieces hold every nonzero entry, leave out all-zero
-    row blocks, and the values agree with LAPACK's to round-off."""
+    row blocks, equal those of a scan over every row block, and the values
+    agree with LAPACK's to round-off.  A block multiplied whole is decided
+    before its last row block is read."""
     mat = make()
     seen = []
     pieces = schmidt._pieces
@@ -253,6 +275,12 @@ def test_leading_values_band_pieces(monkeypatch, make, whole):
     assert err is not None and err <= 1e-14
     assert len(seen) == 1
     assert (seen[0] == [(slice(None), slice(None))]) == whole
+    assert seen[0] == _scanned_pieces(mat)
+    reader = mat.view(_RowReads)
+    reader.reads = []
+    assert pieces(reader) == seen[0]
+    last_block = (mat.shape[0] - 1) // schmidt._PIECE_ROWS * schmidt._PIECE_ROWS
+    assert (max(rows.start for rows in reader.reads) < last_block) == whole
     inside = np.zeros(mat.shape, dtype=bool)
     for rows, cols in seen[0]:
         inside[rows, cols] = True
