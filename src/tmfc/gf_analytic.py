@@ -18,7 +18,7 @@ dimensionless coupling ``gamma_bar = gamma / (beta_r - beta_s)``.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable, List, Sequence, Tuple
 
 import numpy as np
@@ -61,12 +61,12 @@ def _row_blocks(n_rows: int, n_cols: int) -> List[slice]:
 
 
 def _require_real_gamma(params: RegimeParams, what: str) -> float:
-    g = complex(params.gamma)
-    if abs(g.imag) > EPS_BETA * max(1.0, abs(g.real)):
+    # RegimeParams keeps gamma complex only past a negligible imaginary part
+    if isinstance(params.gamma, complex):
         raise UnsupportedConfigurationError(
             f"{what} is derived for a real coupling; got gamma={params.gamma!r}"
         )
-    return g.real
+    return params.gamma
 
 
 def band_mask(params: RegimeParams, t, t_prime) -> np.ndarray:
@@ -355,13 +355,11 @@ def ssvm_gf(params: RegimeParams, pump: PumpSpec,
             data["g_ss"][rows, cols] = np.where(
                 kv.mask, -(gbar ** 2) * kv.xi * ap_out_c[rows] * ap_in[:, cols] * j1x,
                 0.0)
-    # gamma passed the real-coupling check: record it as exactly real
-    meta = {**_run_metadata("analytic-ssvm", params, pump), "gamma_im": 0.0}
     return GreenFunction(
         form="grid", t_out=t_out, t_in=t_in,
         delta_rr=DeltaLine(params.beta_r * params.L) if "rr" in need else None,
         delta_ss=DeltaLine(params.beta_s * params.L) if "ss" in need else None,
-        metadata=meta, **_read_only(data),
+        metadata=_run_metadata("analytic-ssvm", params, pump), **_read_only(data),
     )
 
 
@@ -565,56 +563,24 @@ class _ShiftedPhase:
         return self.phase(np.asarray(t, dtype=float) - self.center)
 
 
-@dataclass(frozen=True)
-class _TablePhase:
-    """Interpolated phase of a tabulated complex pump, absolute time."""
-
-    times: np.ndarray
-    values: np.ndarray
-    center: float
-
-    def __call__(self, t):
-        t = np.asarray(t, dtype=float) - self.center
-        re = np.interp(t, self.times, self.values.real, left=0.0, right=0.0)
-        im = np.interp(t, self.times, self.values.imag, left=0.0, right=0.0)
-        return np.angle(re + 1j * im)
-
-
 def dechirp_transform(pump: PumpSpec) -> Tuple[PumpSpec, Callable]:
-    """Split a complex pump into a real pump and a phase function.
+    """Split a chirped pump into a real pump and a phase function.
 
     Returns ``(real_pump, theta)`` with ``Ap(t) = |Ap|(t) e^{i theta(t)}``.
     Conversion magnitudes of the velocity-matched kernel depend on the pump
     only through ``|Ap|``; the phase reappears as fixed rotations of the
-    s-side Schmidt functions.  For an already real pump ``theta`` is zero.
+    s-side Schmidt functions.  For an unchirped real pump ``theta`` is zero.
+    A complex table is rejected: the modulus of its linear interpolant is
+    not the interpolant of the tabulated moduli, so no real table gives
+    ``|Ap|``.
     """
-    if pump.chirp is not None:
-        base = PumpSpec(shape=pump.shape, tau_p=pump.tau_p, center=pump.center,
-                        chirp=None, table=pump.table)
-        real_pump, inner = dechirp_transform(base)
-        outer = _ShiftedPhase(pump.chirp, pump.center)
-        if inner is _zero_phase:
-            return real_pump, outer
-        return real_pump, _SumPhase(inner, outer)
-    if pump.shape == PumpShape.CUSTOM and pump.table is not None:
-        times, values = pump.table
-        values = np.asarray(values, dtype=complex)
-        if np.any(np.abs(values.imag) > 0):
-            mag = np.abs(values)
-            base = PumpSpec(shape=PumpShape.CUSTOM, tau_p=pump.tau_p,
-                            center=pump.center, table=(times, mag))
-            return base, _TablePhase(np.asarray(times, float), values, pump.center)
-    return pump, _zero_phase
+    if pump.shape == PumpShape.CUSTOM and np.iscomplexobj(pump.table[1]):
+        raise UnsupportedConfigurationError(
+            "dechirp_transform needs a real pump table; got complex values")
+    if pump.chirp is None:
+        return pump, _zero_phase
+    return replace(pump, chirp=None), _ShiftedPhase(pump.chirp, pump.center)
 
 
 def _zero_phase(t):
     return np.zeros_like(np.asarray(t, dtype=float))
-
-
-@dataclass(frozen=True)
-class _SumPhase:
-    first: Callable
-    second: Callable
-
-    def __call__(self, t):
-        return self.first(t) + self.second(t)

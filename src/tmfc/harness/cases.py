@@ -9,8 +9,9 @@ half-print-step bounds, and curve studies get qualitative bounds (peak
 value within 0.05, peak location within stated bands).
 """
 
+import functools
 from dataclasses import dataclass, replace
-from typing import Callable, Dict, List, Sequence, Tuple
+from typing import Callable, Dict, List, NamedTuple, Sequence, Tuple
 
 import numpy as np
 
@@ -87,94 +88,81 @@ def _abs_check(name: str, measured: float, target: float, tol: float) -> Check:
 
 _GBAR_WEAK = 0.01
 
-_LOW_CE_SETUPS = {
-    "table1-a": ((1.0, -1.0, 1.0), PumpShape.GAUSSIAN.value, 1.0),
-    "table1-b": ((4.0, 2.0, 3.0), PumpShape.GAUSSIAN.value, 1.0),
-    "table1-c": ((3.5, 1.5, 1.5), PumpShape.GAUSSIAN.value, 1.0),
-    "table1-d": ((3.5, 1.5, 1.0), PumpShape.GAUSSIAN.value, 1.0),
-    "fig2": ((8.0, 4.0, 6.0), PumpShape.GAUSSIAN.value, 0.707),
-    "fig3a": ((1.0, -1.0, 1.0), PumpShape.GAUSSIAN.value, 0.1),
-    "fig3b": ((2.0, 0.0, 0.0), PumpShape.GAUSSIAN.value, 0.1),
-    "fig5": ((1.0, -1.0, 1.0), PumpShape.HERMITE_GAUSS_1.value, 0.1),
-}
 
-# published CE ratios (relative to the leading mode) and separabilities
-_TABLE1_RATIOS = {
-    "table1-a": (1.0, 0.306, 0.088, 0.037),
-    "table1-b": (1.0, 0.275, 0.064, 0.033),
-    "table1-c": (1.0, 0.306, 0.088, 0.037),
-    "table1-d": (1.0, 0.342, 0.115, 0.047),
-}
-_SEPARABILITY = {
-    "table1-a": 0.646, "table1-b": 0.676, "table1-c": 0.646,
-    "table1-d": 0.610, "fig2": 0.913, "fig3a": 0.967, "fig3b": 0.967,
-    "fig5": 0.936,
+class _WeakCase(NamedTuple):
+    """A one-point ``low-ce`` sweep at gamma_bar 0.01, checked against the
+    published separability (within 2 %) and CE ratios to the leading mode,
+    each ratio as ``(mode, target, tolerance)`` under ``ratio_check``."""
+
+    title: str
+    betas: Tuple[float, float, float]
+    shape: str
+    tau_p: float
+    separability: float
+    ratios: Tuple[Tuple[int, float, float], ...] = ()
+    ratio_check: Callable = _rel_check
+    notes: Tuple[str, ...] = ()
+
+
+def _table1(*targets: float) -> Tuple[Tuple[int, float, float], ...]:
+    """Table 1's three-figure ratios of modes 1 to 4, each within 2 %."""
+    return tuple((mode, target, 0.02) for mode, target in enumerate(targets, 1))
+
+
+_GAUSS = PumpShape.GAUSSIAN.value
+# the figures print one or two digits: absolute half-print-step bounds, or
+# full steps where the print looks truncated
+_FIG3 = dict(
+    ratios=((2, 0.022, 5e-4), (3, 0.006, 1e-3), (4, 0.003, 1e-3)),
+    ratio_check=_abs_check,
+    notes=("single-digit CE prints look truncated rather than rounded "
+           "(converged ratio 3 is 0.0066); those carry full-print-step bounds",))
+
+_WEAK_CASES: Dict[str, _WeakCase] = {
+    "table1-a": _WeakCase("weak-conversion CE table, pump-matched r channel",
+                          (1.0, -1.0, 1.0), _GAUSS, 1.0, 0.646,
+                          _table1(1.0, 0.306, 0.088, 0.037)),
+    "table1-b": _WeakCase("weak-conversion CE table, pump between channels",
+                          (4.0, 2.0, 3.0), _GAUSS, 1.0, 0.676,
+                          _table1(1.0, 0.275, 0.064, 0.033)),
+    "table1-c": _WeakCase("weak-conversion CE table, pump-matched s channel",
+                          (3.5, 1.5, 1.5), _GAUSS, 1.0, 0.646,
+                          _table1(1.0, 0.306, 0.088, 0.037)),
+    "table1-d": _WeakCase("weak-conversion CE table, detuned pump",
+                          (3.5, 1.5, 1.0), _GAUSS, 1.0, 0.610,
+                          _table1(1.0, 0.342, 0.115, 0.047)),
+    "fig2": _WeakCase("near-separable weak kernel", (8.0, 4.0, 6.0), _GAUSS,
+                      0.707, 0.913,
+                      ((2, 0.029, 5e-4), (3, 0.028, 5e-4), (4, 0.011, 5e-4)),
+                      _abs_check),
+    "fig3a": _WeakCase("short-pump weak kernel, r matched", (1.0, -1.0, 1.0),
+                       _GAUSS, 0.1, 0.967, **_FIG3),
+    "fig3b": _WeakCase("short-pump weak kernel, s matched", (2.0, 0.0, 0.0),
+                       _GAUSS, 0.1, 0.967, **_FIG3),
+    "fig5": _WeakCase("first-order Hermite-Gaussian pump", (1.0, -1.0, 1.0),
+                      PumpShape.HERMITE_GAUSS_1.value, 0.1, 0.936),
 }
 
 
 def low_ce_spec(case_id: str) -> SweepSpec:
-    (br, bs, bp), shape, tau_p = _LOW_CE_SETUPS[case_id]
-    params = RegimeParams(beta_r=br, beta_s=bs, beta_p=bp).with_gamma_bar(_GBAR_WEAK)
-    return SweepSpec(params=params, pump=PumpSpec(shape=shape, tau_p=tau_p),
+    case = _WEAK_CASES[case_id]
+    params = RegimeParams(*case.betas).with_gamma_bar(_GBAR_WEAK)
+    return SweepSpec(params=params, pump=PumpSpec(shape=case.shape, tau_p=case.tau_p),
                      engine="low-ce", n_report=8)
 
 
-def _run_low_ce(case_id: str, workers: int) -> Tuple[SweepResult, dict]:
+def _case_weak(case_id: str, workers: int = 1):
+    case = _WEAK_CASES[case_id]
     result = run_sweep(low_ce_spec(case_id), workers=workers)
     record = result.records[0]
     if record["error"]:
         raise ConfigurationError(f"{case_id} evaluation failed: {record['error']}")
-    return result, record
-
-
-def _case_table1(case_id: str, workers: int = 1):
-    result, record = _run_low_ce(case_id, workers)
-    ce = np.asarray(record["ce"])
-    ratios = ce[:4] / ce[0]
-    checks = [
-        _rel_check(f"CE ratio {i + 1}", ratios[i], target, 0.02)
-        for i, target in enumerate(_TABLE1_RATIOS[case_id])
-    ]
+    ce = record["ce"]
+    checks = [case.ratio_check(f"CE ratio {mode}", ce[mode - 1] / ce[0], target, tol)
+              for mode, target, tol in case.ratios]
     checks.append(_rel_check("separability", record["separability"],
-                             _SEPARABILITY[case_id], 0.02))
-    return result, _report(case_id, checks)
-
-
-def _case_fig2(workers: int = 1):
-    result, record = _run_low_ce("fig2", workers)
-    ce = np.asarray(record["ce"])
-    ratios = ce[:4] / ce[0]
-    # two-digit prints: absolute half-print-step bounds
-    checks = [
-        _abs_check("CE ratio 2", ratios[1], 0.029, 5e-4),
-        _abs_check("CE ratio 3", ratios[2], 0.028, 5e-4),
-        _abs_check("CE ratio 4", ratios[3], 0.011, 5e-4),
-        _rel_check("separability", record["separability"], 0.913, 0.02),
-    ]
-    return result, _report("fig2", checks)
-
-
-def _case_fig3(case_id: str, workers: int = 1):
-    result, record = _run_low_ce(case_id, workers)
-    ce = np.asarray(record["ce"])
-    ratios = ce[:4] / ce[0]
-    checks = [
-        _abs_check("CE ratio 2", ratios[1], 0.022, 5e-4),
-        _abs_check("CE ratio 3", ratios[2], 0.006, 1e-3),
-        _abs_check("CE ratio 4", ratios[3], 0.003, 1e-3),
-        _rel_check("separability", record["separability"], 0.967, 0.02),
-    ]
-    notes = ("single-digit CE prints look truncated rather than rounded "
-             "(converged ratio 3 is 0.0066); those carry full-print-step bounds",)
-    return result, _report(case_id, checks, notes)
-
-
-def _case_fig5(workers: int = 1):
-    result, record = _run_low_ce("fig5", workers)
-    checks = [
-        _rel_check("separability", record["separability"], 0.936, 0.02),
-    ]
-    return result, _report("fig5", checks)
+                             case.separability, 0.02))
+    return result, _report(case_id, checks, case.notes)
 
 
 # ---------------------------------------------------------------------------
@@ -371,20 +359,8 @@ def _case_ecop_limit(workers: int = 1):
 # catalog
 
 CATALOG: Dict[str, Tuple[str, Callable]] = {
-    "table1-a": ("weak-conversion CE table, pump-matched r channel",
-                 lambda workers=1: _case_table1("table1-a", workers)),
-    "table1-b": ("weak-conversion CE table, pump between channels",
-                 lambda workers=1: _case_table1("table1-b", workers)),
-    "table1-c": ("weak-conversion CE table, pump-matched s channel",
-                 lambda workers=1: _case_table1("table1-c", workers)),
-    "table1-d": ("weak-conversion CE table, detuned pump",
-                 lambda workers=1: _case_table1("table1-d", workers)),
-    "fig2": ("near-separable weak kernel", _case_fig2),
-    "fig3a": ("short-pump weak kernel, r matched",
-              lambda workers=1: _case_fig3("fig3a", workers)),
-    "fig3b": ("short-pump weak kernel, s matched",
-              lambda workers=1: _case_fig3("fig3b", workers)),
-    "fig5": ("first-order Hermite-Gaussian pump", _case_fig5),
+    **{case_id: (case.title, functools.partial(_case_weak, case_id))
+       for case_id, case in _WEAK_CASES.items()},
     "fig6": ("selectivity vs coupling, exact kernel", _case_fig6),
     "scup-opt": ("symmetric counter-propagating optimum", _case_scup_opt),
     "ssvm-limit-0.85": ("short-pump limiting selectivity", _case_ssvm_limit),

@@ -12,6 +12,7 @@ error, 3 numerical failure.
 import argparse
 import json
 import sys
+from typing import Tuple
 
 import numpy as np
 import yaml
@@ -63,7 +64,18 @@ def _build_parser() -> argparse.ArgumentParser:
 # config parsing
 
 
+def _require_known(cfg, known: Tuple[str, ...], where: str) -> dict:
+    """``cfg`` itself, once it is a mapping with no key outside ``known``."""
+    if not isinstance(cfg, dict):
+        raise ConfigurationError(f"config {where} must be a mapping")
+    unknown = set(cfg) - set(known)
+    if unknown:
+        raise ConfigurationError(f"unknown {where} keys: {', '.join(sorted(unknown))}")
+    return cfg
+
+
 def _pump_from_config(cfg: dict) -> PumpSpec:
+    _require_known(cfg, ("shape", "tau_p", "center", "chirp", "table"), "pump")
     kwargs = {}
     for key in ("shape", "tau_p", "center"):
         if key in cfg:
@@ -87,12 +99,12 @@ def spec_from_config(cfg: dict) -> SweepSpec:
     ``pump``, optional ``axes`` (list of {name, values}), ``engine``, and
     optional ``grid``/``basis``/``low_ce`` overrides.
     """
-    if not isinstance(cfg, dict):
-        raise ConfigurationError("config root must be a mapping")
-    try:
-        pcfg = dict(cfg["params"])
-    except KeyError:
+    _require_known(cfg, ("params", "pump", "axes", "engine", "grid", "basis",
+                         "low_ce", "n_report", "modes", "fidelity"), "top-level")
+    if "params" not in cfg:
         raise ConfigurationError("config needs a params section")
+    pcfg = dict(_require_known(cfg["params"], ("beta_r", "beta_s", "beta_p", "L",
+                                               "gamma", "gamma_bar"), "params"))
     gamma_bar = pcfg.pop("gamma_bar", None)
     params = RegimeParams(
         beta_r=float(pcfg.pop("beta_r")),
@@ -101,23 +113,22 @@ def spec_from_config(cfg: dict) -> SweepSpec:
         L=float(pcfg.pop("L", 1.0)),
         gamma=complex(pcfg.pop("gamma", 1.0)),
     )
-    if pcfg:
-        raise ConfigurationError(f"unknown params keys: {', '.join(sorted(pcfg))}")
     if gamma_bar is not None:
         params = params.with_gamma_bar(float(gamma_bar))
     pump = _pump_from_config(cfg.get("pump", {}))
     axes = []
     for axis in cfg.get("axes", []):
+        _require_known(axis, ("name", "values"), "axes entry")
         axes.append((axis["name"], tuple(float(v) for v in axis["values"])))
     kwargs = {}
     if "grid" in cfg:
-        g = cfg["grid"]
+        g = _require_known(cfg["grid"], ("t_min", "t_max", "n_t", "n_z"), "grid")
         kwargs["grid"] = TemporalGrid(
             t_min=float(g["t_min"]), t_max=float(g["t_max"]),
             n_t=int(g.get("n_t", 1024)), n_z=int(g.get("n_z", 64)))
     if "basis" in cfg:
         kwargs["basis"] = {k: v for k, v in dict(cfg["basis"]).items()}
-    low_ce = cfg.get("low_ce", {})
+    low_ce = _require_known(cfg.get("low_ce", {}), ("n", "margin"), "low_ce")
     if "n" in low_ce:
         kwargs["low_ce_n"] = int(low_ce["n"])
     if "margin" in low_ce:
@@ -215,7 +226,7 @@ def main(argv=None) -> int:
             if args.verb == "reproduce":
                 return _cmd_reproduce(args)
             return _cmd_decompose(args)
-    except FileNotFoundError as exc:
+    except OSError as exc:
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_CONFIG
     except yaml.YAMLError as exc:

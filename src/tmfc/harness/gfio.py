@@ -19,7 +19,7 @@ from typing import List, Tuple
 import numpy as np
 
 from ..errors import ConfigurationError, DataError
-from ..gf_numeric import BasisSpec, DeltaLine, GreenFunction
+from ..gf_numeric import BasisSpec, DeltaLine, GreenFunction, _run_metadata
 from .sweep import SweepResult
 
 FORMAT_LINE = "TMFC-GF 1"
@@ -90,17 +90,9 @@ def export_json(result: SweepResult, path) -> None:
             "engine": result.spec.engine,
             "axes": [[name, list(values)] for name, values in result.spec.axes],
             "n_report": result.spec.n_report,
-            "base": {
-                "beta_r": result.spec.params.beta_r,
-                "beta_s": result.spec.params.beta_s,
-                "beta_p": result.spec.params.beta_p,
-                "L": result.spec.params.L,
-                "gamma_re": complex(result.spec.params.gamma).real,
-                "gamma_im": complex(result.spec.params.gamma).imag,
-                "pump_shape": result.spec.pump.shape,
-                "tau_p": result.spec.pump.tau_p,
-                "pump_center": result.spec.pump.center,
-            },
+            "base": {key: value for key, value in _run_metadata(
+                result.spec.engine, result.spec.params, result.spec.pump).items()
+                if key not in ("engine", "chirped")},
         },
         "records": result.records,
         "provenance": result.provenance,

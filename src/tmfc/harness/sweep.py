@@ -74,6 +74,10 @@ class SweepSpec:
         if int(self.n_report) < 1:
             raise ConfigurationError("n_report must be at least 1")
         object.__setattr__(self, "n_report", int(self.n_report))
+        if int(self.low_ce_n) < 2:
+            raise ConfigurationError("low_ce_n must be at least 2")
+        if not (math.isfinite(self.low_ce_margin) and self.low_ce_margin > 0):
+            raise ConfigurationError("low_ce_margin must be a positive finite number")
         norm = []
         for entry in self.axes:
             name, values = entry

@@ -213,29 +213,29 @@ def pump_cumulative_intensity(pump: PumpSpec, t) -> np.ndarray:
         x = u / tau
         return 0.5 * (1.0 + erf(x)) - x * np.exp(-(x ** 2)) / math.sqrt(math.pi)
     times, values = pump.table
-    return _piecewise_linear_sq_cumulative(times, values, u)
+
+    def partial(a, b, h, s):
+        return h * (np.abs(a) ** 2 * (s - s ** 2 + s ** 3 / 3.0)
+                    + (np.conj(a) * b).real * (s ** 2 - 2.0 * s ** 3 / 3.0)
+                    + np.abs(b) ** 2 * s ** 3 / 3.0)
+
+    return _table_cumulative(
+        times, values, _piecewise_linear_sq_segments(times, values).real, partial, u)
 
 
-def _piecewise_linear_sq_cumulative(x: np.ndarray, y: np.ndarray, t) -> np.ndarray:
-    """Exact integral of |linear interpolant|^2 from the first table time
-    to ``t``; 0 before the table, the whole integral after it."""
-    h = np.diff(x)
-    a = y[:-1]
-    b = y[1:]
-    seg = _piecewise_linear_sq_segments(x, y)
-    nodes = np.concatenate([[0.0], np.cumsum(seg.real)])
+def _table_cumulative(x: np.ndarray, y: np.ndarray, seg: np.ndarray,
+                      partial: Callable, t) -> np.ndarray:
+    """Exact integral, from the first table time to ``t``, of a function
+    built segment by segment from the table ``(x, y)``: ``seg`` holds each
+    segment's whole integral and ``partial(a, b, h, s)`` the integral over
+    the first share ``s`` of a segment with end values ``a``, ``b`` and
+    step ``h``.  0 before the table, the whole integral after it."""
+    nodes = np.concatenate([[0.0], np.cumsum(seg)])
     t = np.asarray(t, dtype=float)
     idx = np.clip(np.searchsorted(x, t, side="right") - 1, 0, len(x) - 2)
-    u_loc = np.clip((t - x[idx]) / h[idx], 0.0, 1.0)
-    aa = np.abs(a[idx]) ** 2
-    ab = (np.conj(a[idx]) * b[idx]).real
-    bb = np.abs(b[idx]) ** 2
-    partial = h[idx] * (
-        aa * (u_loc - u_loc ** 2 + u_loc ** 3 / 3.0)
-        + ab * (u_loc ** 2 - 2.0 * u_loc ** 3 / 3.0)
-        + bb * u_loc ** 3 / 3.0
-    )
-    out = nodes[idx] + np.where(t < x[0], 0.0, partial)
+    h = x[idx + 1] - x[idx]
+    s = np.clip((t - x[idx]) / h, 0.0, 1.0)
+    out = nodes[idx] + partial(y[idx], y[idx + 1], h, s)
     out = np.where(t >= x[-1], nodes[-1], out)
     return np.where(t < x[0], 0.0, out)
 
@@ -261,19 +261,9 @@ def pump_cumulative_amplitude(pump: PumpSpec, t) -> np.ndarray:
         return -math.sqrt(2.0 * tau) / _PI_QUARTER * np.exp(-0.5 * x ** 2)
     times, values = pump.table
     # trapezoid is exact for a linear interpolant
-    nodes = np.concatenate([[0.0], np.cumsum(np.diff(times) * (values[:-1] + values[1:]) / 2.0)])
-    t_flat = np.atleast_1d(u)
-    idx = np.clip(np.searchsorted(times, t_flat, side="right") - 1, 0, len(times) - 2)
-    x0 = times[idx]
-    h = times[idx + 1] - x0
-    u_loc = np.clip((t_flat - x0) / h, 0.0, 1.0)
-    a = values[idx]
-    b = values[idx + 1]
-    partial = h * (a * u_loc + (b - a) * u_loc ** 2 / 2.0)
-    out = nodes[idx] + partial
-    out = np.where(t_flat < times[0], 0.0, out)
-    out = np.where(t_flat >= times[-1], nodes[-1], out)
-    return out.reshape(np.shape(u))
+    seg = np.diff(times) * (values[:-1] + values[1:]) / 2.0
+    return _table_cumulative(times, values, seg,
+                             lambda a, b, h, s: h * (a * s + (b - a) * s ** 2 / 2.0), u)
 
 
 def pump_spectrum(pump: PumpSpec, omega) -> np.ndarray:
@@ -337,7 +327,10 @@ class RegimeParams:
         g = complex(self.gamma)
         if not (np.isfinite(g.real) and np.isfinite(g.imag)):
             raise ConfigurationError("gamma must be finite")
-        object.__setattr__(self, "gamma", g if g.imag != 0 else g.real)
+        # a negligible imaginary part (the tolerance of the real-coupling
+        # kernels) would only send the solver down its complex path
+        negligible = abs(g.imag) <= EPS_BETA * max(1.0, abs(g.real))
+        object.__setattr__(self, "gamma", g.real if negligible else g)
 
     @property
     def beta_rs(self) -> float:

@@ -95,8 +95,11 @@ CONVERGED_SEPARABILITY = {
 
 def test_catalog_constants_match_published():
     """The catalog checks the same published figures as criteria 1 and 2."""
-    assert cases._TABLE1_RATIOS == TABLE1_RATIOS
-    assert cases._SEPARABILITY == SEPARABILITY
+    weak = cases._WEAK_CASES
+    assert {c: case.separability for c, case in weak.items()} == SEPARABILITY
+    for case_id, targets in TABLE1_RATIOS.items():
+        assert weak[case_id].ratios == tuple(
+            (mode, target, 0.02) for mode, target in enumerate(targets, 1))
 
 
 def _verdict(capsys, num: int, label: str, ok: bool, detail: str) -> None:

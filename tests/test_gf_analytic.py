@@ -499,6 +499,12 @@ def test_dechirp_transform_splits_phase():
     same, zero = dechirp_transform(plain)
     assert same is plain
     assert np.all(zero(t) == 0.0)
+    # the modulus of a complex table's interpolant is no real table's
+    x = np.linspace(-3.0, 3.0, 17)
+    table = (x, np.exp(-x ** 2) * 1j ** np.arange(17))
+    for chirp in (None, QuadraticChirp(3.0)):
+        with pytest.raises(UnsupportedConfigurationError):
+            dechirp_transform(PumpSpec(shape="custom-tabulated", table=table, chirp=chirp))
 
 
 def test_chirp_leaves_ssvm_spectrum():

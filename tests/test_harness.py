@@ -77,6 +77,11 @@ def test_sweep_spec_validation():
         _tiny_spec(axes=(("tau_p", ()),))
     with pytest.raises(ConfigurationError):
         _tiny_spec(n_report=0)
+    for bad in ({"low_ce_n": 1}, {"low_ce_margin": 0.0},
+                {"low_ce_margin": -1.0}, {"low_ce_margin": float("nan")},
+                {"low_ce_margin": float("inf")}):
+        with pytest.raises(ConfigurationError):
+            _tiny_spec(**bad)
 
 
 def test_points_row_major():
@@ -741,6 +746,47 @@ def test_cli_run_stdout_matches_out_file(tmp_path, capsysbinary, fmt):
     else:
         assert printed == out.read_bytes()
         assert printed.count(b"\r\n") == 3
+
+
+_PARAMS_LINE = "params: {beta_r: 1.0, beta_s: -1.0, beta_p: 1.0, gamma_bar: 0.01}\n"
+
+
+@pytest.mark.parametrize("section, line, key", [
+    ("top-level", "engnie: analytic-ssvm", "engnie"),
+    ("params", "params: {beta_r: 1.0, beta_s: 0.0, beta_p: 0.0, gama: 1.0}", "gama"),
+    ("pump", "pump: {tau: 0.1}", "tau"),
+    ("grid", "grid: {t_min: -5.0, t_max: 5.0, nt: 64}", "nt"),
+    ("low_ce", "low_ce: {num: 64}", "num"),
+    ("axes entry", "axes: [{name: gamma_bar, value: [0.5]}]", "value"),
+])
+def test_cli_run_rejects_unknown_config_key(tmp_path, capsys, section, line, key):
+    """A misspelt key is a configuration error naming the key, not a run
+    with the default in its place."""
+    cfg = tmp_path / "typo.yaml"
+    cfg.write_text(line + "\n" if section == "params" else _PARAMS_LINE + line + "\n")
+    assert main(["run", str(cfg)]) == 2
+    assert capsys.readouterr().err == f"error: unknown {section} keys: {key}\n"
+
+
+@pytest.mark.parametrize("low_ce, message", [
+    ("{n: 1}", "low_ce_n must be at least 2"),
+    ("{margin: -1}", "low_ce_margin must be a positive finite number"),
+    ("{margin: 0}", "low_ce_margin must be a positive finite number"),
+])
+def test_cli_run_rejects_bad_low_ce_grid(tmp_path, capsys, low_ce, message):
+    cfg = tmp_path / "low_ce.yaml"
+    cfg.write_text(_PARAMS_LINE + f"engine: low-ce\nlow_ce: {low_ce}\n")
+    assert main(["run", str(cfg)]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize("verb", ["run", "reproduce"])
+def test_cli_out_directory_exits_config(tmp_path, capsys, verb):
+    args = (["run", str(_write_config(tmp_path))] if verb == "run"
+            else ["reproduce", "ssvm-limit-exact"])
+    assert main(args + ["--out", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and str(tmp_path) in err
 
 
 def test_cli_reproduce_unknown_exits_config(capsys):

@@ -2,6 +2,7 @@
 
 import math
 import pickle
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -168,6 +169,10 @@ def test_regime_params_differences():
     q = p.with_gamma_bar(1.2)
     assert np.isclose(q.gamma, 3.6)
     assert q.L == p.L
+    # an imaginary part within EPS_BETA of the real one is dropped
+    snapped = replace(p, gamma=complex(1.3, 1e-300)).gamma
+    assert type(snapped) is float and snapped == 1.3
+    assert replace(p, gamma=complex(1.3, 1e-9)).gamma == complex(1.3, 1e-9)
 
 
 def test_regime_params_validation():
