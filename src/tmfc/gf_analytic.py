@@ -45,19 +45,10 @@ from .gf_numeric import (
     DeltaLine,
     GreenFunction,
     _read_only,
+    _row_blocks,
     _run_metadata,
     _spectral_shift,
 )
-
-# samples per row block of a sampled kernel: the few float and complex
-# temporaries of one block then stay within a per-core L2 cache
-_ROW_BLOCK = 1 << 16
-
-
-def _row_blocks(n_rows: int, n_cols: int) -> List[slice]:
-    """Row slices, about ``_ROW_BLOCK`` samples each, covering ``n_rows``."""
-    step = max(1, _ROW_BLOCK // max(n_cols, 1))
-    return [slice(i, i + step) for i in range(0, n_rows, step)]
 
 
 def _require_real_gamma(params: RegimeParams, what: str) -> float:
@@ -318,8 +309,11 @@ def ssvm_gf(params: RegimeParams, pump: PumpSpec,
     axis, the pump factors only when a requested block reads them.  Each
     requested block is allocated zeroed and filled in row blocks
     (:func:`_band_blocks`), each against only the input columns that can
-    meet the band; there ``J0(x)`` and ``2 J1(x) / x`` are each sampled at
-    most once.  ``t_in`` must be ascending.  The blocks are handed to the
+    meet the band.  ``J0(x)`` is worked out in place in one float buffer
+    per row block, which then becomes the rs block:
+    ``gbar Re Ap(tau') J0(x)`` is its imaginary part, and a complex
+    amplitude adds ``-gbar Im Ap(tau') J0(x)`` as its real part.
+    ``t_in`` must be ascending.  The blocks are handed to the
     :class:`GreenFunction` read-only, which keeps them without a copy.
     """
     from scipy import special
@@ -337,17 +331,37 @@ def ssvm_gf(params: RegimeParams, pump: PumpSpec,
     ap_out_c = np.conj(eval_pump(pump, tau)) if need & {"sr", "ss"} else None
     data = {f"g_{b}": np.zeros((t_out.size, t_in.size), dtype=complex)
             for b in _BLOCKS if b in need}
+    # G_rs = i gap J0: the real part of gap times J0 is its imaginary part
+    gap = gbar * ap_in if "rs" in need else None
     for rows, cols in _band_blocks(params, t_out, t_in):
-        kv = _kernel_variables(params, t_out[rows, None], tau_prime[:, cols],
-                               f_out[rows], f_in[:, cols])
-        j0 = special.j0(kv.x) if need & {"rs", "sr"} else None
-        j1x = _j1_over_x(kv.x) if need & {"rr", "ss"} else None
-        if "rs" in need:
-            data["g_rs"][rows, cols] = np.where(
-                kv.mask, 1j * gbar * ap_in[:, cols] * j0, 0.0)
+        if need & {"rs", "sr"}:
+            # J0(x) by the operations of _kernel_variables, in place in one buffer
+            x = np.subtract(f_out[rows], f_in[:, cols])
+            np.maximum(x, 0.0, out=x)
+            xi = params.beta_r * params.L - t_out[rows, None] + tau_prime[:, cols]
+            x *= xi
+            np.maximum(x, 0.0, out=x)
+            np.sqrt(x, out=x)
+            x *= 2.0 * abs(params.gamma_bar)
+            special.j0(x, out=x)
+            # tau < tau' is tau - tau' < 0 for finite times
+            outside = (tau[rows] < tau_prime[:, cols]) | (xi < 0.0)
         if "sr" in need:
             data["g_sr"][rows, cols] = np.where(
-                kv.mask, 1j * gbar * ap_out_c[rows] * j0, 0.0)
+                outside, 0.0, 1j * gbar * ap_out_c[rows] * x)
+        if "rs" in need:
+            if np.iscomplexobj(gap):
+                part = data["g_rs"].real[rows, cols]
+                np.multiply(x, -gap.imag[:, cols], out=part)
+                np.copyto(part, 0.0, where=outside)
+            x *= gap.real[:, cols]
+            np.copyto(x, 0.0, where=outside)
+            data["g_rs"].imag[rows, cols] = x
+        if not need & {"rr", "ss"}:
+            continue
+        kv = _kernel_variables(params, t_out[rows, None], tau_prime[:, cols],
+                               f_out[rows], f_in[:, cols])
+        j1x = _j1_over_x(kv.x)
         if "rr" in need:
             data["g_rr"][rows, cols] = np.where(
                 kv.mask, -(gbar ** 2) * kv.eta * j1x, 0.0)

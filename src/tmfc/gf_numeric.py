@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Dict, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -45,6 +45,14 @@ from .model import (
 from .solver import Propagator
 
 _BLOCKS = ("rr", "rs", "sr", "ss")
+# samples per row block of a sampled kernel or Krylov piece: its temporaries fit in L2
+_ROW_BLOCK = 1 << 16
+
+
+def _row_blocks(n_rows: int, n_cols: int) -> List[slice]:
+    """Row slices, about ``_ROW_BLOCK`` samples each, covering ``n_rows``."""
+    step = max(1, _ROW_BLOCK // max(n_cols, 1))
+    return [slice(i, i + step) for i in range(0, n_rows, step)]
 
 
 @dataclass(frozen=True)

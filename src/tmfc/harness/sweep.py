@@ -78,6 +78,9 @@ class SweepSpec:
             raise ConfigurationError("low_ce_n must be at least 2")
         if not (math.isfinite(self.low_ce_margin) and self.low_ce_margin > 0):
             raise ConfigurationError("low_ce_margin must be a positive finite number")
+        if self.engine != "numeric" and (self.grid is not None or self.basis is not None):
+            raise ConfigurationError(
+                f"grid and basis apply to the numeric engine only, not {self.engine!r}")
         norm = []
         for entry in self.axes:
             name, values = entry

@@ -25,7 +25,7 @@ from typing import List, Optional, Tuple
 import numpy as np
 
 from .errors import ConfigurationError, DataError, UnsupportedConfigurationError
-from .gf_numeric import GreenFunction, apply_block, to_grid_form
+from .gf_numeric import GreenFunction, _row_blocks, apply_block, to_grid_form
 
 _PHASE_TOL = 1e-6
 # block Krylov iteration for the leading singular values (Musco and Musco,
@@ -33,8 +33,6 @@ _PHASE_TOL = 1e-6
 # two depths, relative to the largest, that stops it as round-off
 _MAX_DEPTH = 32
 _ROUND_OFF = 16 * np.finfo(float).eps
-# rows per piece of a banded block in the iteration's products
-_PIECE_ROWS = 64
 
 
 def _frozen(value) -> np.ndarray:
@@ -129,14 +127,14 @@ def decompose(gf: GreenFunction, n_report: int = 10,
     ``tau``.  Otherwise only the leading ``n_report`` values are found, by
     block Krylov iteration run to round-off (Halko, Martinsson and Tropp,
     SIAM Rev. 53, 217 (2011); Musco and Musco, NeurIPS 2015; see
-    :func:`_leading_values`), and ``sum_rho_sq`` is the squared Frobenius
-    norm of the weighted block, which equals the sum of all squared
-    singular values.  Where the basis would reach the smaller side or its
-    depth cap, the full values-only SVD runs instead, so ``n_report =
-    min(gf.g_rs.shape)`` with ``want_modes=False`` returns every singular
-    value by that one SVD.  Either way
-    ``conv_energy_s`` of a basis-form Green function takes precedence for
-    ``sum_rho_sq``.  An rs block with an identically zero real part (``i``
+    :func:`_leading_values`), which reads the block's nonzero row pieces
+    once per depth, and ``sum_rho_sq`` is the squared Frobenius norm of the
+    weighted block, which equals the sum of all squared singular values.
+    Where the basis would reach the smaller side or its depth cap, the full
+    values-only SVD runs instead, so ``n_report = min(gf.g_rs.shape)`` with
+    ``want_modes=False`` returns every singular value by that one SVD.
+    Either way ``conv_energy_s`` of a basis-form Green function takes
+    precedence for ``sum_rho_sq``.  An rs block with an identically zero real part (``i``
     times a real kernel, as every sampled kernel at real coupling with an
     unchirped pump is) or zero imaginary part is decomposed as the real
     matrix, with the factor ``i`` carried by the output functions; any
@@ -242,24 +240,15 @@ def decompose(gf: GreenFunction, n_report: int = 10,
 def _pieces(mat: np.ndarray) -> List[Tuple[slice, slice]]:
     """``(rows, cols)`` pieces holding every nonzero entry of ``mat``.
 
-    Rows are taken ``_PIECE_ROWS`` at a time, each block with the span
-    between its first and last nonzero column; all-zero row blocks are
-    left out.  Once these pieces cover more than half of ``mat``, as the
-    wide interaction bands of short pumps do, the scan stops and the whole
-    of ``mat`` is the one piece: smaller products save less than they cost.
+    Rows are taken in the samplers' row blocks (:func:`_row_blocks`, about
+    64 k entries each), each block with the span between its first and last
+    nonzero column; all-zero row blocks are left out.
     """
-    n_rows, n_cols = mat.shape
-    pieces, area = [], 0
-    for start in range(0, n_rows, _PIECE_ROWS):
-        rows = slice(start, start + _PIECE_ROWS)
-        live = mat[rows].any(axis=0)
-        if live.any():
-            lo = int(np.argmax(live))
-            hi = n_cols - int(np.argmax(live[::-1]))
-            pieces.append((rows, slice(lo, hi)))
-            area += (min(rows.stop, n_rows) - start) * (hi - lo)
-            if 2 * area > mat.size:
-                return [(slice(None), slice(None))]
+    pieces = []
+    for rows in _row_blocks(*mat.shape):
+        cols = np.flatnonzero(mat[rows].any(axis=0))
+        if cols.size:
+            pieces.append((rows, slice(int(cols[0]), int(cols[-1]) + 1)))
     return pieces
 
 
@@ -277,21 +266,20 @@ def _leading_values(mat: np.ndarray, k: int) -> Optional[np.ndarray]:
     space, are returned (Musco and Musco, NeurIPS 2015).  ``None`` when the
     basis would reach the smaller side of ``mat`` or ``_MAX_DEPTH`` blocks.
 
-    Both products of a depth run over the :func:`_pieces` of ``mat``: a
-    sampled kernel vanishes outside its interaction band, so a narrow band
-    is multiplied piece by piece, its zeros never read, and a wide one or a
-    dense block whole.
+    Each depth reads ``mat`` once, in one pass over its :func:`_pieces`: a
+    piece gives its rows of ``y_j`` and, still in cache, adds its share of
+    ``y_j^H mat``.  The zeros outside a sampled kernel's interaction band
+    are never read, and rows that no piece covers stay zero in ``y``.
     """
     depth = min(_MAX_DEPTH, (min(mat.shape) - 1) // k)
     if depth < 2:
         return None
     pieces = _pieces(mat)
-    whole = pieces == [(slice(None), slice(None))]
     # preallocated: columns a short iteration never writes cost no memory
     dtype = np.result_type(mat, float)
     q = np.empty((mat.shape[1], depth * k), dtype, order="F")
-    y = np.empty((mat.shape[0], depth * k), dtype, order="F")
-    gram = np.zeros((depth * k, depth * k), dtype, order="F")
+    y = np.zeros((mat.shape[0], depth * k), dtype, order="F")
+    gram = np.zeros((0, 0), dtype)
     rng = np.random.default_rng(0)
     q[:, :k] = np.linalg.qr(rng.standard_normal((mat.shape[1], k)))[0]
     last = np.inf
@@ -299,26 +287,20 @@ def _leading_values(mat: np.ndarray, k: int) -> Optional[np.ndarray]:
         hi = lo + k
         if lo:
             # mat^H y_j, formed as (y_j^H mat)^H: no conjugated copy of mat
-            if whole:
-                zh = yh @ mat
-            else:
-                zh = np.zeros((k, mat.shape[1]), dtype)
-                for rows, cols in pieces:
-                    zh[:, cols] += yh[:, rows] @ mat[rows, cols]
             z = zh.conj().T
             for _ in range(2):
                 z = np.linalg.qr(z - q[:, :lo] @ (q[:, :lo].conj().T @ z))[0]
             q[:, lo:hi] = z
-        if whole:
-            y[:, lo:hi] = mat @ q[:, lo:hi]
-        else:
-            y[:, lo:hi] = 0.0
-            for rows, cols in pieces:
-                y[rows, lo:hi] = mat[rows, cols] @ q[cols, lo:hi]
-        yh = y[:, lo:hi].conj().T
-        # the new block row of y^H y; eigvalsh reads the lower triangle
-        gram[lo:hi, :hi] = yh @ y[:, :hi]
-        ritz = np.linalg.eigvalsh(gram[:hi, :hi])[-k:]
+        zh = np.zeros((k, mat.shape[1]), dtype)
+        for rows, cols in pieces:
+            piece = mat[rows, cols]
+            y_p = piece @ q[cols, lo:hi]
+            y[rows, lo:hi] = y_p
+            zh[:, cols] += y_p.conj().T @ piece
+        # y^H y, one block row more per depth; eigvalsh reads the lower triangle
+        gram = np.pad(gram, ((0, k), (0, k)))
+        gram[lo:hi, :hi] = y[:, lo:hi].conj().T @ y[:, :hi]
+        ritz = np.linalg.eigvalsh(gram)[-k:]
         if np.max(np.abs(ritz - last)) <= _ROUND_OFF * ritz[-1]:
             return np.linalg.svd(y[:, :hi], compute_uv=False)[:k]
         last = ritz

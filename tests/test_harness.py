@@ -23,6 +23,7 @@ from tmfc import (
     Propagator,
     PumpSpec,
     RegimeParams,
+    TemporalGrid,
     conversion_support,
     decompose,
     default_ssvm_grids,
@@ -82,6 +83,14 @@ def test_sweep_spec_validation():
                 {"low_ce_margin": float("inf")}):
         with pytest.raises(ConfigurationError):
             _tiny_spec(**bad)
+    # grid and basis reach only the numeric engine
+    for engine in ("analytic-ssvm", "low-ce"):
+        for bad in ({"grid": TemporalGrid(-5.0, 5.0, 64, 10)}, {"basis": {"n_rr": 10}}):
+            with pytest.raises(ConfigurationError, match="numeric engine only"):
+                _tiny_spec(engine=engine, **bad)
+    with pytest.raises(ConfigurationError, match="numeric engine only"):
+        replace(cases.low_ce_spec("fig3a"), basis={"n_rr": 10},
+                grid=TemporalGrid(-5.0, 5.0, 64, 10))
 
 
 def test_points_row_major():
@@ -776,6 +785,24 @@ def test_cli_run_rejects_unknown_config_key(tmp_path, capsys, section, line, key
 def test_cli_run_rejects_bad_low_ce_grid(tmp_path, capsys, low_ce, message):
     cfg = tmp_path / "low_ce.yaml"
     cfg.write_text(_PARAMS_LINE + f"engine: low-ce\nlow_ce: {low_ce}\n")
+    assert main(["run", str(cfg)]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize("lines, message", [
+    ("engine: analytic-ssvm\ngrid: {t_min: -5.0, t_max: 5.0, n_t: 64, n_z: 10}",
+     "grid and basis apply to the numeric engine only, not 'analytic-ssvm'"),
+    ("engine: low-ce\nbasis: {n_rr: 10}",
+     "grid and basis apply to the numeric engine only, not 'low-ce'"),
+    ("engine: analytic-ssvm\nlow_ce: {n: 64}",
+     "low_ce applies to the low-ce engine only, not 'analytic-ssvm'"),
+    ("low_ce: {n: 64}", "low_ce applies to the low-ce engine only, not 'numeric'"),
+], ids=["ssvm-grid", "low-ce-basis", "ssvm-low-ce", "numeric-low-ce"])
+def test_cli_run_rejects_settings_the_engine_ignores(tmp_path, capsys, lines, message):
+    """A section the chosen engine never reads is a configuration error,
+    not a run that copies it into the provenance."""
+    cfg = tmp_path / "ignored.yaml"
+    cfg.write_text(_PARAMS_LINE + lines + "\n")
     assert main(["run", str(cfg)]) == 2
     assert capsys.readouterr().err == f"error: {message}\n"
 

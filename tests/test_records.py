@@ -13,12 +13,21 @@ The file is written only by running this module::
 
     PYTHONPATH=src python tests/test_records.py
 
-and only when a change moves records on purpose.
+and only when a change moves records on purpose.  To see what a change
+moved without writing anything, run::
+
+    PYTHONPATH=src python tests/test_records.py --check [--rtol R]
+
+which prints, for each family and field, how many records are ``==`` to
+the file, the largest relative move and the record that moved most, and
+exits with 1 when a move exceeds ``R`` (default 1e-12).
 """
 
+import argparse
 import json
 import math
 import os
+import sys
 
 import pytest
 
@@ -38,28 +47,34 @@ def current_records() -> dict:
     }
 
 
+def _move(g, w) -> float:
+    """Relative move of one field: a float against its own size, a list
+    against its largest entry; 0 where every value is equal (NaN to NaN),
+    inf for a change of any other field or of a list's length."""
+    if isinstance(w, float):
+        scale, pairs = abs(w), [(g, w)]
+    elif isinstance(w, list):
+        if len(g) != len(w):
+            return math.inf
+        scale, pairs = max(map(abs, w), default=0.0), list(zip(g, w))
+    else:
+        return 0.0 if g == w else math.inf
+    move = 0.0
+    for a, b in pairs:
+        if a == b or (math.isnan(a) and math.isnan(b)):
+            continue
+        d = abs(a - b)
+        move = max(move, d / scale) if scale > 0.0 and d == d else math.inf
+    return move
+
+
 def _mismatches(got: dict, want: dict, where: str):
     if set(got) != set(want):
         yield f"{where}: fields {sorted(got)} vs {sorted(want)}"
         return
     for key, w in want.items():
-        g = got[key]
-        if isinstance(w, float):
-            scale, pairs = abs(w), [(g, w)]
-        elif isinstance(w, list):
-            if len(g) != len(w):
-                yield f"{where} {key}: length {len(g)} vs {len(w)}"
-                continue
-            scale, pairs = max(map(abs, w), default=0.0), list(zip(g, w))
-        else:
-            if g != w:
-                yield f"{where} {key}: {g!r} vs {w!r}"
-            continue
-        for a, b in pairs:
-            same_nan = math.isnan(a) and math.isnan(b)
-            if not same_nan and not abs(a - b) <= RTOL * scale:
-                yield f"{where} {key}: {a!r} vs {b!r}"
-                break
+        if not _move(got[key], w) <= RTOL:
+            yield f"{where} {key}: {got[key]!r} vs {w!r}"
 
 
 @pytest.fixture(scope="module")
@@ -84,7 +99,44 @@ def test_weak_records_match_snapshot(snapshot):
     assert not problems, problems
 
 
+def check(rtol: float) -> int:
+    """Print each family's and field's moves against the file; 1 when a
+    move exceeds ``rtol`` or the records do not line up, else 0."""
+    with open(DATA) as fh:
+        want = json.load(fh)
+    got = current_records()
+    families = {
+        "fig6": [(f"fig6[{i}]", g, w) for i, (g, w) in enumerate(zip(got["fig6"], want["fig6"]))],
+        "weak": [(c, got["weak"][c], want["weak"].get(c)) for c in WEAK_CASES],
+    }
+    if len(got["fig6"]) != len(want["fig6"]) or list(want["weak"]) != list(WEAK_CASES) \
+            or any(set(g) != set(w) for recs in families.values() for _, g, w in recs):
+        print("records do not line up with the file: different counts, cases or fields")
+        return 1
+    worst = 0.0
+    print(f"{'family':<7}{'field':<14}{'==':>7}  {'largest move':>12}  record")
+    for family, recs in families.items():
+        for key in recs[0][2]:
+            moves = [(_move(g[key], w[key]), where) for where, g, w in recs]
+            top, where = max(moves)
+            same = sum(m == 0.0 for m, _ in moves)
+            print(f"{family:<7}{key:<14}{same:>3}/{len(moves):<3}  {top:>12.2g}  "
+                  f"{where if top > 0.0 else '-'}")
+            worst = max(worst, top)
+    print(f"largest move {worst:.2g} against rtol {rtol:g}: "
+          f"{'FAIL' if worst > rtol else 'ok'}")
+    return 1 if worst > rtol else 0
+
+
 if __name__ == "__main__":
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("--check", action="store_true",
+                        help="compare with the file instead of writing it")
+    parser.add_argument("--rtol", type=float, default=RTOL,
+                        help="largest relative move --check accepts")
+    args = parser.parse_args()
+    if args.check:
+        sys.exit(check(args.rtol))
     os.makedirs(os.path.dirname(DATA), exist_ok=True)
     records = current_records()
     with open(DATA, "w") as fh:

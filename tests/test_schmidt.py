@@ -29,6 +29,7 @@ from tmfc import (
     ssvm_gf,
 )
 from tmfc import schmidt
+from tmfc.gf_numeric import _row_blocks
 from tmfc.harness.cases import low_ce_spec
 from tmfc.harness.sweep import _gf_for_point
 
@@ -229,16 +230,13 @@ def _fig6_block():
 
 
 def _scanned_pieces(mat):
-    """The pieces of a scan over every row block that decides on the whole
-    block only at the end."""
-    pieces, area = [], 0
-    for start in range(0, mat.shape[0], schmidt._PIECE_ROWS):
-        rows = slice(start, start + schmidt._PIECE_ROWS)
+    """The pieces of a scan over every row block."""
+    pieces = []
+    for rows in _row_blocks(*mat.shape):
         cols = np.flatnonzero(mat[rows].any(axis=0))
         if cols.size:
             pieces.append((rows, slice(int(cols[0]), int(cols[-1]) + 1)))
-            area += mat[rows].shape[0] * (int(cols[-1]) + 1 - int(cols[0]))
-    return [(slice(None), slice(None))] if 2 * area > mat.size else pieces
+    return pieces
 
 
 class _RowReads(np.ndarray):
@@ -249,47 +247,44 @@ class _RowReads(np.ndarray):
         return np.asarray(super().__getitem__(key))
 
 
-@pytest.mark.parametrize("make, whole", [
-    (_table1_block, False),
-    (lambda: _table1_block(QuadraticChirp(5.0)), False),
-    (lambda: np.pad(_table1_block(), ((150, 200), (0, 0))), False),
-    (_fig6_block, True),
-    (lambda: _with_spectrum(1.0 / np.arange(1, 201), 300, 200), True),
+@pytest.mark.parametrize("make", [
+    _table1_block,
+    lambda: _table1_block(QuadraticChirp(5.0)),
+    lambda: np.pad(_table1_block(), ((150, 200), (0, 0))),
+    _fig6_block,
+    lambda: _with_spectrum(1.0 / np.arange(1, 201), 300, 200),
 ], ids=["table1", "table1-chirped", "zero-end-rows", "fig6", "dense"])
-def test_leading_values_band_pieces(monkeypatch, make, whole):
-    """Narrow bands are multiplied piece by piece, wide bands and dense
-    blocks whole; the pieces hold every nonzero entry, leave out all-zero
-    row blocks, equal those of a scan over every row block, and the values
-    agree with LAPACK's to round-off.  A block multiplied whole is decided
-    before its last row block is read."""
+def test_leading_values_band_pieces(monkeypatch, make):
+    """The pieces hold every nonzero entry, leave out all-zero row blocks
+    and equal those of a scan over every row block; each depth of the
+    iteration indexes every piece once, and the values agree with LAPACK's
+    to round-off."""
     mat = make()
-    seen = []
-    pieces = schmidt._pieces
-
-    def spy(m):
-        seen.append(pieces(m))
-        return seen[-1]
-
-    monkeypatch.setattr(schmidt, "_pieces", spy)
     err = _leading_error(mat)
     assert err is not None and err <= 1e-14
-    assert len(seen) == 1
-    assert (seen[0] == [(slice(None), slice(None))]) == whole
-    assert seen[0] == _scanned_pieces(mat)
-    reader = mat.view(_RowReads)
-    reader.reads = []
-    assert pieces(reader) == seen[0]
-    last_block = (mat.shape[0] - 1) // schmidt._PIECE_ROWS * schmidt._PIECE_ROWS
-    assert (max(rows.start for rows in reader.reads) < last_block) == whole
+    pieces = schmidt._pieces(mat)
+    assert pieces == _scanned_pieces(mat)
     inside = np.zeros(mat.shape, dtype=bool)
-    for rows, cols in seen[0]:
+    for rows, cols in pieces:
         inside[rows, cols] = True
     assert not mat[~inside].any()
-    if not whole:
-        assert inside.sum() <= mat.size / 2
-        live_blocks = {r // schmidt._PIECE_ROWS for r in np.flatnonzero(mat.any(axis=1))}
-        assert [rows.start // schmidt._PIECE_ROWS for rows, _ in seen[0]] == \
-            sorted(live_blocks)
+    step = _row_blocks(*mat.shape)[0].stop
+    live_blocks = {r // step for r in np.flatnonzero(mat.any(axis=1))}
+    assert [rows.start // step for rows, _ in pieces] == sorted(live_blocks)
+    # one eigvalsh call per depth reached
+    depths = []
+    eigvalsh = np.linalg.eigvalsh
+
+    def spy(a):
+        depths.append(a.shape)
+        return eigvalsh(a)
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", spy)
+    reader = mat.view(_RowReads)
+    reader.reads = []
+    assert schmidt._leading_values(reader, 8) is not None
+    products = [key for key in reader.reads if isinstance(key, tuple)]
+    assert len(depths) >= 2 and products == pieces * len(depths)
 
 
 def test_decompose_values_path_zero_block():
