@@ -272,9 +272,14 @@ def _kernel_variables(params: RegimeParams, t: np.ndarray, tau_prime: np.ndarray
     L = params.L
     tau = t - params.beta_s * L
     xi = params.beta_r * L - t + tau_prime
-    eta = np.maximum(f_out - f_in, 0.0)
-    mask = (tau - tau_prime >= 0.0) & (xi >= 0.0)
-    x = 2.0 * abs(params.gamma_bar) * np.sqrt(np.maximum(eta * xi, 0.0))
+    eta = np.asarray(f_out - f_in)
+    np.maximum(eta, 0.0, out=eta)
+    # tau >= tau' is tau - tau' >= 0 for finite times, without the difference
+    mask = (tau >= tau_prime) & (xi >= 0.0)
+    x = np.asarray(eta * xi)
+    np.maximum(x, 0.0, out=x)
+    np.sqrt(x, out=x)
+    x *= 2.0 * abs(params.gamma_bar)
     return SSVMKernelParams(tau=tau, tau_prime=tau_prime, xi=xi, eta=eta,
                             mask=mask, x=x)
 
@@ -309,12 +314,12 @@ def ssvm_gf(params: RegimeParams, pump: PumpSpec,
     axis, the pump factors only when a requested block reads them.  Each
     requested block is allocated zeroed and filled in row blocks
     (:func:`_band_blocks`), each against only the input columns that can
-    meet the band.  ``J0(x)`` is worked out in place in one float buffer
-    per row block, which then becomes the rs block:
-    ``gbar Re Ap(tau') J0(x)`` is its imaginary part, and a complex
-    amplitude adds ``-gbar Im Ap(tau') J0(x)`` as its real part.
-    ``t_in`` must be ascending.  The blocks are handed to the
-    :class:`GreenFunction` read-only, which keeps them without a copy.
+    meet the band.  There ``J0(x)`` overwrites the one float buffer of
+    ``x``, after ``2 J1(x) / x`` for rr and ss, and becomes the rs block:
+    ``gbar Re Ap(tau') J0(x)`` its imaginary part and, for a complex
+    amplitude, ``-gbar Im Ap(tau') J0(x)`` its real part.  ``t_in`` must be
+    ascending.  The blocks are handed to the :class:`GreenFunction`
+    read-only, which keeps them without a copy.
     """
     from scipy import special
 
@@ -334,34 +339,11 @@ def ssvm_gf(params: RegimeParams, pump: PumpSpec,
     # G_rs = i gap J0: the real part of gap times J0 is its imaginary part
     gap = gbar * ap_in if "rs" in need else None
     for rows, cols in _band_blocks(params, t_out, t_in):
-        if need & {"rs", "sr"}:
-            # J0(x) by the operations of _kernel_variables, in place in one buffer
-            x = np.subtract(f_out[rows], f_in[:, cols])
-            np.maximum(x, 0.0, out=x)
-            xi = params.beta_r * params.L - t_out[rows, None] + tau_prime[:, cols]
-            x *= xi
-            np.maximum(x, 0.0, out=x)
-            np.sqrt(x, out=x)
-            x *= 2.0 * abs(params.gamma_bar)
-            special.j0(x, out=x)
-            # tau < tau' is tau - tau' < 0 for finite times
-            outside = (tau[rows] < tau_prime[:, cols]) | (xi < 0.0)
-        if "sr" in need:
-            data["g_sr"][rows, cols] = np.where(
-                outside, 0.0, 1j * gbar * ap_out_c[rows] * x)
-        if "rs" in need:
-            if np.iscomplexobj(gap):
-                part = data["g_rs"].real[rows, cols]
-                np.multiply(x, -gap.imag[:, cols], out=part)
-                np.copyto(part, 0.0, where=outside)
-            x *= gap.real[:, cols]
-            np.copyto(x, 0.0, where=outside)
-            data["g_rs"].imag[rows, cols] = x
-        if not need & {"rr", "ss"}:
-            continue
         kv = _kernel_variables(params, t_out[rows, None], tau_prime[:, cols],
                                f_out[rows], f_in[:, cols])
-        j1x = _j1_over_x(kv.x)
+        j1x = _j1_over_x(kv.x) if need & {"rr", "ss"} else None
+        # J0(x) overwrites x, and the rs block is then formed in that buffer
+        j0 = special.j0(kv.x, out=kv.x) if need & {"rs", "sr"} else None
         if "rr" in need:
             data["g_rr"][rows, cols] = np.where(
                 kv.mask, -(gbar ** 2) * kv.eta * j1x, 0.0)
@@ -369,6 +351,17 @@ def ssvm_gf(params: RegimeParams, pump: PumpSpec,
             data["g_ss"][rows, cols] = np.where(
                 kv.mask, -(gbar ** 2) * kv.xi * ap_out_c[rows] * ap_in[:, cols] * j1x,
                 0.0)
+        if "sr" in need:
+            data["g_sr"][rows, cols] = np.where(
+                kv.mask, 1j * gbar * ap_out_c[rows] * j0, 0.0)
+        if "rs" in need:
+            if np.iscomplexobj(gap):
+                part = data["g_rs"].real[rows, cols]
+                np.multiply(j0, -gap.imag[:, cols], out=part)
+                np.copyto(part, 0.0, where=~kv.mask)
+            j0 *= gap.real[:, cols]
+            np.copyto(j0, 0.0, where=~kv.mask)
+            data["g_rs"].imag[rows, cols] = j0
     return GreenFunction(
         form="grid", t_out=t_out, t_in=t_in,
         delta_rr=DeltaLine(params.beta_r * params.L) if "rr" in need else None,

@@ -129,16 +129,13 @@ def spec_from_config(cfg: dict) -> SweepSpec:
     if "basis" in cfg:
         kwargs["basis"] = {k: v for k, v in dict(cfg["basis"]).items()}
     low_ce = _require_known(cfg.get("low_ce", {}), ("n", "margin"), "low_ce")
-    engine = cfg.get("engine", "numeric")
-    if "low_ce" in cfg and engine != "low-ce":
-        raise ConfigurationError(f"low_ce applies to the low-ce engine only, not {engine!r}")
     if "n" in low_ce:
         kwargs["low_ce_n"] = int(low_ce["n"])
     if "margin" in low_ce:
         kwargs["low_ce_margin"] = float(low_ce["margin"])
     return SweepSpec(
         params=params, pump=pump, axes=tuple(axes),
-        engine=engine,
+        engine=cfg.get("engine", "numeric"),
         n_report=int(cfg.get("n_report", 10)),
         want_modes=bool(cfg.get("modes", False)),
         want_fidelity=bool(cfg.get("fidelity", False)),

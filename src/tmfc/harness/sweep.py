@@ -64,8 +64,8 @@ class SweepSpec:
     want_fidelity: bool = False
     grid: Optional[TemporalGrid] = None
     basis: Optional[Dict[str, float]] = None
-    low_ce_n: int = 1024
-    low_ce_margin: float = 5.0
+    low_ce_n: Optional[int] = None
+    low_ce_margin: Optional[float] = None
 
     def __post_init__(self):
         if self.engine not in ENGINES:
@@ -74,10 +74,18 @@ class SweepSpec:
         if int(self.n_report) < 1:
             raise ConfigurationError("n_report must be at least 1")
         object.__setattr__(self, "n_report", int(self.n_report))
-        if int(self.low_ce_n) < 2:
-            raise ConfigurationError("low_ce_n must be at least 2")
-        if not (math.isfinite(self.low_ce_margin) and self.low_ce_margin > 0):
-            raise ConfigurationError("low_ce_margin must be a positive finite number")
+        if self.engine == "low-ce":
+            if self.low_ce_n is None:
+                object.__setattr__(self, "low_ce_n", 1024)
+            if self.low_ce_margin is None:
+                object.__setattr__(self, "low_ce_margin", 5.0)
+            if int(self.low_ce_n) < 2:
+                raise ConfigurationError("low_ce_n must be at least 2")
+            if not (math.isfinite(self.low_ce_margin) and self.low_ce_margin > 0):
+                raise ConfigurationError("low_ce_margin must be a positive finite number")
+        elif self.low_ce_n is not None or self.low_ce_margin is not None:
+            raise ConfigurationError(
+                f"low_ce_n and low_ce_margin apply to the low-ce engine only, not {self.engine!r}")
         if self.engine != "numeric" and (self.grid is not None or self.basis is not None):
             raise ConfigurationError(
                 f"grid and basis apply to the numeric engine only, not {self.engine!r}")

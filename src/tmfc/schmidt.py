@@ -275,7 +275,9 @@ def _leading_values(mat: np.ndarray, k: int) -> Optional[np.ndarray]:
     if depth < 2:
         return None
     pieces = _pieces(mat)
-    # preallocated: columns a short iteration never writes cost no memory
+    # q and y are preallocated for the depth cap, columns never written cost
+    # no memory; gram grows, as preallocated it pushed a fig6 point's heap
+    # past glibc's trim threshold and about 7 MB was re-faulted every point
     dtype = np.result_type(mat, float)
     q = np.empty((mat.shape[1], depth * k), dtype, order="F")
     y = np.zeros((mat.shape[0], depth * k), dtype, order="F")
@@ -297,7 +299,7 @@ def _leading_values(mat: np.ndarray, k: int) -> Optional[np.ndarray]:
             y_p = piece @ q[cols, lo:hi]
             y[rows, lo:hi] = y_p
             zh[:, cols] += y_p.conj().T @ piece
-        # y^H y, one block row more per depth; eigvalsh reads the lower triangle
+        # the new block row of y^H y; eigvalsh reads the lower triangle
         gram = np.pad(gram, ((0, k), (0, k)))
         gram[lo:hi, :hi] = y[:, lo:hi].conj().T @ y[:, :hi]
         ritz = np.linalg.eigvalsh(gram)[-k:]

@@ -87,10 +87,15 @@ def test_sweep_spec_validation():
     for engine in ("analytic-ssvm", "low-ce"):
         for bad in ({"grid": TemporalGrid(-5.0, 5.0, 64, 10)}, {"basis": {"n_rr": 10}}):
             with pytest.raises(ConfigurationError, match="numeric engine only"):
-                _tiny_spec(engine=engine, **bad)
+                SweepSpec(params=BASE, pump=PUMP, engine=engine, **bad)
     with pytest.raises(ConfigurationError, match="numeric engine only"):
         replace(cases.low_ce_spec("fig3a"), basis={"n_rr": 10},
                 grid=TemporalGrid(-5.0, 5.0, 64, 10))
+    # the low-ce grid settings reach only the low-ce engine
+    for engine in ("numeric", "analytic-ssvm"):
+        for bad in ({"low_ce_n": 128}, {"low_ce_margin": 5.0}):
+            with pytest.raises(ConfigurationError, match="low-ce engine only"):
+                SweepSpec(params=BASE, pump=PUMP, engine=engine, **bad)
 
 
 def test_points_row_major():
@@ -795,8 +800,9 @@ def test_cli_run_rejects_bad_low_ce_grid(tmp_path, capsys, low_ce, message):
     ("engine: low-ce\nbasis: {n_rr: 10}",
      "grid and basis apply to the numeric engine only, not 'low-ce'"),
     ("engine: analytic-ssvm\nlow_ce: {n: 64}",
-     "low_ce applies to the low-ce engine only, not 'analytic-ssvm'"),
-    ("low_ce: {n: 64}", "low_ce applies to the low-ce engine only, not 'numeric'"),
+     "low_ce_n and low_ce_margin apply to the low-ce engine only, not 'analytic-ssvm'"),
+    ("low_ce: {margin: 3}",
+     "low_ce_n and low_ce_margin apply to the low-ce engine only, not 'numeric'"),
 ], ids=["ssvm-grid", "low-ce-basis", "ssvm-low-ce", "numeric-low-ce"])
 def test_cli_run_rejects_settings_the_engine_ignores(tmp_path, capsys, lines, message):
     """A section the chosen engine never reads is a configuration error,
