@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from typing import Callable, List, Sequence, Tuple
+from typing import Callable, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -112,6 +112,12 @@ def low_ce_gf(params: RegimeParams, pump: PumpSpec, t, t_prime,
     ``ss`` blocks are the pure transmission deltas and are not sampled here;
     requesting them raises an error.
     """
+    return 1j * _low_ce_over_i(params, pump, t, t_prime, block)
+
+
+def _low_ce_over_i(params: RegimeParams, pump: PumpSpec, t, t_prime,
+                   block: str) -> np.ndarray:
+    """:func:`low_ce_gf` over ``i``, real for a real ``gbar Ap``."""
     if block not in ("rs", "sr"):
         raise ConfigurationError(
             "the weak-conversion kernel has only rs/sr smooth blocks"
@@ -126,10 +132,10 @@ def low_ce_gf(params: RegimeParams, pump: PumpSpec, t, t_prime,
     mask = band_mask(params, t, t_prime)
     if block == "rs":
         t_cross = (params.beta_rp * t_prime - params.beta_sp * (t - params.beta_r * L)) / brs
-        vals = 1j * gbar * eval_pump(pump, t_cross)
+        vals = gbar * eval_pump(pump, t_cross)
     else:
         t_cross = (params.beta_rp * (t - params.beta_s * L) - params.beta_sp * t_prime) / brs
-        vals = -1j * np.conj(gbar) * np.conj(eval_pump(pump, t_cross))
+        vals = -np.conj(gbar) * np.conj(eval_pump(pump, t_cross))
     return np.where(mask, vals, 0.0)
 
 
@@ -138,6 +144,36 @@ def ridge_slope(params: RegimeParams) -> float:
     if abs(params.beta_rp) <= EPS_BETA:
         raise RegimeError("the ridge is vertical when the r channel rides with the pump")
     return params.beta_sp / params.beta_rp
+
+
+def _low_ce_pieces(params: RegimeParams, pump: PumpSpec, t_out: np.ndarray,
+                   t_in: np.ndarray, block: str = "rs",
+                   weight: Optional[float] = None) -> Iterator[tuple]:
+    """Band pieces ``(rows, cols, piece)`` of one weak-conversion block: per
+    :func:`_band_blocks` row block the kernel over ``i``, 1/2 on samples
+    landing on a band edge, times ``weight`` (``sqrt(dt_out dt_in)`` for
+    ``None``); real for a real ``gbar Ap``."""
+    steps = [g[1] - g[0] for g in (t_out, t_in) if g.size > 1]
+    tol = 1e-6 * min(steps) if steps else 0.0
+    if weight is None:
+        weight = math.sqrt(t_out[1] - t_out[0]) * math.sqrt(t_in[1] - t_in[0])
+    L = params.L
+    for rows, cols in _band_blocks(params, t_out, t_in):
+        tt = t_out[rows, None]
+        pp = t_in[None, cols]
+        on_edge = (np.abs(pp - (tt - params.beta_r * L)) <= tol) \
+            | (np.abs((tt - params.beta_s * L) - pp) <= tol)
+        piece = _low_ce_over_i(params, pump, tt, pp, block)
+        np.multiply(piece, 0.5, out=piece, where=on_edge)
+        piece *= weight
+        yield rows, cols, piece
+
+
+def _put_times_i(g: np.ndarray, rows: slice, cols: slice, piece: np.ndarray) -> None:
+    """``g[rows, cols] = i piece``, without a complex copy of a real piece."""
+    g.imag[rows, cols] = piece.real
+    if np.iscomplexobj(piece):
+        g.real[rows, cols] = -piece.imag
 
 
 def sample_low_ce(params: RegimeParams, pump: PumpSpec,
@@ -156,29 +192,20 @@ def sample_low_ce(params: RegimeParams, pump: PumpSpec,
     both edges land on samples, reads separability 0.89632, 0.89497 and
     0.89427 at n = 512, 1023 and 2045.
 
-    Each requested block is allocated zeroed and filled in row blocks
-    (:func:`_band_blocks`): :func:`low_ce_gf` and the edge test run on the
-    rows of one block against only the input columns that can meet the
-    band, so no temporary spans the full grid and no sample outside the
-    band is evaluated.  ``t_in`` must be ascending.  The blocks are handed
-    to the :class:`GreenFunction` read-only, which keeps them without a
-    copy.
+    Each requested block is allocated zeroed and filled, times ``i``, from
+    the unweighted :func:`_low_ce_pieces`, so no temporary spans the full
+    grid and no sample outside the band is evaluated.  A values-only sweep
+    point reads those pieces weighted and builds no complex block.
+    ``t_in`` must be ascending.  The blocks are handed to the
+    :class:`GreenFunction` read-only, which keeps them without a copy.
     """
     t_out = np.asarray(t_out, dtype=float)
     t_in = np.asarray(t_in, dtype=float)
-    steps = [g[1] - g[0] for g in (t_out, t_in) if g.size > 1]
-    tol = 1e-6 * min(steps) if steps else 0.0
-    L = params.L
     data = {f"g_{b}": np.zeros((t_out.size, t_in.size), dtype=complex)
             for b in blocks}
-    for rows, cols in _band_blocks(params, t_out, t_in):
-        tt = t_out[rows, None]
-        pp = t_in[None, cols]
-        on_edge = (np.abs(pp - (tt - params.beta_r * L)) <= tol) \
-            | (np.abs((tt - params.beta_s * L) - pp) <= tol)
-        weight = np.where(on_edge, 0.5, 1.0)
-        for b in blocks:
-            data[f"g_{b}"][rows, cols] = low_ce_gf(params, pump, tt, pp, block=b) * weight
+    for b in blocks:
+        for rows, cols, piece in _low_ce_pieces(params, pump, t_out, t_in, b, 1.0):
+            _put_times_i(data[f"g_{b}"], rows, cols, piece)
     return GreenFunction(
         form="grid", t_out=t_out, t_in=t_in,
         delta_rr=DeltaLine(params.beta_r * params.L),
@@ -295,6 +322,40 @@ def _j1_over_x(x: np.ndarray) -> np.ndarray:
     return np.where(small, 1.0 - x * x / 8.0, out)
 
 
+def _ssvm_band(params: RegimeParams, pump: PumpSpec, t_out: np.ndarray,
+               t_in: np.ndarray) -> Iterator[Tuple[slice, slice, SSVMKernelParams]]:
+    """``(rows, cols, kv)`` per :func:`_band_blocks` row block, ``kv`` from the
+    pump cumulative intensity sampled once per axis."""
+    f_out = pump_cumulative_intensity(pump, t_out[:, None] - params.beta_s * params.L)
+    f_in = pump_cumulative_intensity(pump, t_in[None, :])
+    for rows, cols in _band_blocks(params, t_out, t_in):
+        yield rows, cols, _kernel_variables(params, t_out[rows, None], t_in[None, cols],
+                                            f_out[rows], f_in[:, cols])
+
+
+def _ssvm_rs_piece(j0: np.ndarray, gap: np.ndarray, mask: np.ndarray,
+                   weight: float) -> np.ndarray:
+    """``G_rs / i = gbar Ap(tau') J0(x)`` times ``weight`` on one row block,
+    zero off ``mask``; formed in ``j0`` for a real ``gap = gbar Ap(tau')``."""
+    piece = j0 * gap if np.iscomplexobj(gap) else np.multiply(j0, gap, out=j0)
+    np.copyto(piece, 0.0, where=~mask)
+    piece *= weight
+    return piece
+
+
+def _ssvm_rs_pieces(params: RegimeParams, pump: PumpSpec, t_out: np.ndarray,
+                    t_in: np.ndarray) -> Iterator[tuple]:
+    """Band pieces ``(rows, cols, piece)`` of the velocity-matched rs kernel
+    over ``i`` (:func:`_ssvm_rs_piece`), weighted by ``sqrt(dt_out dt_in)``."""
+    from scipy import special
+
+    gap = _check_ssvm(params) / params.beta_rs * eval_pump(pump, t_in[None, :])
+    weight = math.sqrt(t_out[1] - t_out[0]) * math.sqrt(t_in[1] - t_in[0])
+    for rows, cols, kv in _ssvm_band(params, pump, t_out, t_in):
+        j0 = special.j0(kv.x, out=kv.x)
+        yield rows, cols, _ssvm_rs_piece(j0, gap[:, cols], kv.mask, weight)
+
+
 def ssvm_gf(params: RegimeParams, pump: PumpSpec,
             t_out: np.ndarray, t_in: np.ndarray,
             blocks: Sequence[str] = _BLOCKS) -> GreenFunction:
@@ -313,13 +374,15 @@ def ssvm_gf(params: RegimeParams, pump: PumpSpec,
     The pump factors and the cumulative intensity are evaluated once per
     axis, the pump factors only when a requested block reads them.  Each
     requested block is allocated zeroed and filled in row blocks
-    (:func:`_band_blocks`), each against only the input columns that can
-    meet the band.  There ``J0(x)`` overwrites the one float buffer of
-    ``x``, after ``2 J1(x) / x`` for rr and ss, and becomes the rs block:
-    ``gbar Re Ap(tau') J0(x)`` its imaginary part and, for a complex
-    amplitude, ``-gbar Im Ap(tau') J0(x)`` its real part.  ``t_in`` must be
-    ascending.  The blocks are handed to the :class:`GreenFunction`
-    read-only, which keeps them without a copy.
+    (:func:`_ssvm_band`, one :func:`_kernel_variables` pass per row block),
+    each against only the input columns that can meet the band.  There
+    ``J0(x)`` overwrites the one float buffer of ``x``, after
+    ``2 J1(x) / x`` for rr and ss, and becomes ``G_rs / i``
+    (:func:`_ssvm_rs_piece`), stored times ``i``.  A values-only sweep
+    point reads those pieces weighted (:func:`_ssvm_rs_pieces`) and builds
+    no complex block.  ``t_in`` must be ascending.  The blocks are handed
+    to the :class:`GreenFunction` read-only, which keeps them without a
+    copy.
     """
     from scipy import special
 
@@ -328,21 +391,16 @@ def ssvm_gf(params: RegimeParams, pump: PumpSpec,
     t_in = np.asarray(t_in, dtype=float)
     tau = t_out[:, None] - params.beta_s * params.L
     tau_prime = t_in[None, :]
-    f_out = pump_cumulative_intensity(pump, tau)
-    f_in = pump_cumulative_intensity(pump, tau_prime)
     gbar = gamma_real / params.beta_rs
     need = set(blocks)
     ap_in = eval_pump(pump, tau_prime) if need & {"rs", "ss"} else None
     ap_out_c = np.conj(eval_pump(pump, tau)) if need & {"sr", "ss"} else None
     data = {f"g_{b}": np.zeros((t_out.size, t_in.size), dtype=complex)
             for b in _BLOCKS if b in need}
-    # G_rs = i gap J0: the real part of gap times J0 is its imaginary part
     gap = gbar * ap_in if "rs" in need else None
-    for rows, cols in _band_blocks(params, t_out, t_in):
-        kv = _kernel_variables(params, t_out[rows, None], tau_prime[:, cols],
-                               f_out[rows], f_in[:, cols])
+    for rows, cols, kv in _ssvm_band(params, pump, t_out, t_in):
         j1x = _j1_over_x(kv.x) if need & {"rr", "ss"} else None
-        # J0(x) overwrites x, and the rs block is then formed in that buffer
+        # J0(x) overwrites x, and the rs piece is then formed in that buffer
         j0 = special.j0(kv.x, out=kv.x) if need & {"rs", "sr"} else None
         if "rr" in need:
             data["g_rr"][rows, cols] = np.where(
@@ -355,13 +413,8 @@ def ssvm_gf(params: RegimeParams, pump: PumpSpec,
             data["g_sr"][rows, cols] = np.where(
                 kv.mask, 1j * gbar * ap_out_c[rows] * j0, 0.0)
         if "rs" in need:
-            if np.iscomplexobj(gap):
-                part = data["g_rs"].real[rows, cols]
-                np.multiply(j0, -gap.imag[:, cols], out=part)
-                np.copyto(part, 0.0, where=~kv.mask)
-            j0 *= gap.real[:, cols]
-            np.copyto(j0, 0.0, where=~kv.mask)
-            data["g_rs"].imag[rows, cols] = j0
+            _put_times_i(data["g_rs"], rows, cols,
+                         _ssvm_rs_piece(j0, gap[:, cols], kv.mask, 1.0))
     return GreenFunction(
         form="grid", t_out=t_out, t_in=t_in,
         delta_rr=DeltaLine(params.beta_r * params.L) if "rr" in need else None,

@@ -38,7 +38,7 @@ from tmfc import (
     ssvm_to_ecop_limit_check,
 )
 import tmfc.gf_analytic
-from tmfc.gf_analytic import _band_blocks, _j1_over_x, _row_blocks
+from tmfc.gf_analytic import _band_blocks, _j1_over_x, _row_blocks, _ssvm_rs_pieces
 from tmfc.gf_numeric import apply_block
 
 PUMP = PumpSpec(tau_p=1.0)
@@ -373,6 +373,31 @@ def test_ssvm_gf_matches_meshgrid_reference():
             rs_only = ssvm_gf(params, pump, t_out, t_in, blocks=("rs",))
             assert np.array_equal(rs_only.g_rs.view(float), ref["rs"].view(float))
             assert rs_only.delta_rr is None and rs_only.delta_ss is None
+
+
+def test_ssvm_kernel_variables_once_per_row_block(monkeypatch):
+    """A four-block ``ssvm_gf`` call and the values path's rs pieces each
+    compute the kernel variables once per band row block; the pieces are
+    the rs block over ``i``, weighted by ``sqrt(dt_out dt_in)``."""
+    calls = []
+    real = tmfc.gf_analytic._kernel_variables
+
+    def spy(*args):
+        calls.append(args[1].shape)
+        return real(*args)
+
+    monkeypatch.setattr(tmfc.gf_analytic, "_kernel_variables", spy)
+    params = RegimeParams(beta_r=2.0, beta_s=0.0, beta_p=0.0).with_gamma_bar(1.0)
+    pump = PumpSpec(tau_p=0.1)
+    t_out, t_in = default_ssvm_grids(params, pump)
+    n_blocks = len(_band_blocks(params, t_out, t_in))
+    gf = ssvm_gf(params, pump, t_out, t_in)
+    assert len(calls) == n_blocks > 1
+    weight = math.sqrt(gf.dt_out) * math.sqrt(gf.dt_in)
+    for rows, cols, piece in _ssvm_rs_pieces(params, pump, t_out, t_in):
+        assert piece.dtype == float
+        assert np.array_equal(piece, gf.g_rs.imag[rows, cols] * weight)
+    assert len(calls) == 2 * n_blocks
 
 
 def test_ssvm_gf_pump_terms_stay_one_dimensional(monkeypatch):
