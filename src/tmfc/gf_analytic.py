@@ -44,6 +44,7 @@ from .gf_numeric import (
     _BLOCKS,
     DeltaLine,
     GreenFunction,
+    WeightedRs,
     _read_only,
     _row_blocks,
     _run_metadata,
@@ -178,7 +179,8 @@ def _put_times_i(g: np.ndarray, rows: slice, cols: slice, piece: np.ndarray) -> 
 
 def sample_low_ce(params: RegimeParams, pump: PumpSpec,
                   t_out: np.ndarray, t_in: np.ndarray,
-                  blocks: Sequence[str] = ("rs", "sr")) -> GreenFunction:
+                  blocks: Sequence[str] = ("rs", "sr"),
+                  values_only: bool = False) -> GreenFunction | WeightedRs:
     """Sample the weak-conversion kernel on rectangular output/input grids.
 
     The rr/ss blocks are represented by unit delta lines at the free transit
@@ -194,13 +196,16 @@ def sample_low_ce(params: RegimeParams, pump: PumpSpec,
 
     Each requested block is allocated zeroed and filled, times ``i``, from
     the unweighted :func:`_low_ce_pieces`, so no temporary spans the full
-    grid and no sample outside the band is evaluated.  A values-only sweep
-    point reads those pieces weighted and builds no complex block.
+    grid and no sample outside the band is evaluated.  With
+    ``values_only`` the weighted rs pieces fill a :class:`WeightedRs`
+    instead, whatever ``blocks`` says, and no complex block is built.
     ``t_in`` must be ascending.  The blocks are handed to the
     :class:`GreenFunction` read-only, which keeps them without a copy.
     """
     t_out = np.asarray(t_out, dtype=float)
     t_in = np.asarray(t_in, dtype=float)
+    if values_only:
+        return WeightedRs.from_pieces(t_out, t_in, _low_ce_pieces(params, pump, t_out, t_in))
     data = {f"g_{b}": np.zeros((t_out.size, t_in.size), dtype=complex)
             for b in blocks}
     for b in blocks:
@@ -322,17 +327,6 @@ def _j1_over_x(x: np.ndarray) -> np.ndarray:
     return np.where(small, 1.0 - x * x / 8.0, out)
 
 
-def _ssvm_band(params: RegimeParams, pump: PumpSpec, t_out: np.ndarray,
-               t_in: np.ndarray) -> Iterator[Tuple[slice, slice, SSVMKernelParams]]:
-    """``(rows, cols, kv)`` per :func:`_band_blocks` row block, ``kv`` from the
-    pump cumulative intensity sampled once per axis."""
-    f_out = pump_cumulative_intensity(pump, t_out[:, None] - params.beta_s * params.L)
-    f_in = pump_cumulative_intensity(pump, t_in[None, :])
-    for rows, cols in _band_blocks(params, t_out, t_in):
-        yield rows, cols, _kernel_variables(params, t_out[rows, None], t_in[None, cols],
-                                            f_out[rows], f_in[:, cols])
-
-
 def _ssvm_rs_piece(j0: np.ndarray, gap: np.ndarray, mask: np.ndarray,
                    weight: float) -> np.ndarray:
     """``G_rs / i = gbar Ap(tau') J0(x)`` times ``weight`` on one row block,
@@ -343,22 +337,10 @@ def _ssvm_rs_piece(j0: np.ndarray, gap: np.ndarray, mask: np.ndarray,
     return piece
 
 
-def _ssvm_rs_pieces(params: RegimeParams, pump: PumpSpec, t_out: np.ndarray,
-                    t_in: np.ndarray) -> Iterator[tuple]:
-    """Band pieces ``(rows, cols, piece)`` of the velocity-matched rs kernel
-    over ``i`` (:func:`_ssvm_rs_piece`), weighted by ``sqrt(dt_out dt_in)``."""
-    from scipy import special
-
-    gap = _check_ssvm(params) / params.beta_rs * eval_pump(pump, t_in[None, :])
-    weight = math.sqrt(t_out[1] - t_out[0]) * math.sqrt(t_in[1] - t_in[0])
-    for rows, cols, kv in _ssvm_band(params, pump, t_out, t_in):
-        j0 = special.j0(kv.x, out=kv.x)
-        yield rows, cols, _ssvm_rs_piece(j0, gap[:, cols], kv.mask, weight)
-
-
 def ssvm_gf(params: RegimeParams, pump: PumpSpec,
             t_out: np.ndarray, t_in: np.ndarray,
-            blocks: Sequence[str] = _BLOCKS) -> GreenFunction:
+            blocks: Sequence[str] = _BLOCKS,
+            values_only: bool = False) -> GreenFunction | WeightedRs:
     """Exact Green function when the s channel co-propagates with the pump.
 
     Smooth parts, with ``x = 2 |gbar| sqrt(eta xi)``::
@@ -374,15 +356,15 @@ def ssvm_gf(params: RegimeParams, pump: PumpSpec,
     The pump factors and the cumulative intensity are evaluated once per
     axis, the pump factors only when a requested block reads them.  Each
     requested block is allocated zeroed and filled in row blocks
-    (:func:`_ssvm_band`, one :func:`_kernel_variables` pass per row block),
-    each against only the input columns that can meet the band.  There
-    ``J0(x)`` overwrites the one float buffer of ``x``, after
-    ``2 J1(x) / x`` for rr and ss, and becomes ``G_rs / i``
-    (:func:`_ssvm_rs_piece`), stored times ``i``.  A values-only sweep
-    point reads those pieces weighted (:func:`_ssvm_rs_pieces`) and builds
-    no complex block.  ``t_in`` must be ascending.  The blocks are handed
-    to the :class:`GreenFunction` read-only, which keeps them without a
-    copy.
+    (:func:`_band_blocks`), each against only the input columns that can
+    meet the band.  There ``J0(x)`` overwrites the one float buffer of
+    ``x``, after ``2 J1(x) / x`` for rr and ss, and becomes ``G_rs / i``
+    (:func:`_ssvm_rs_piece`), stored times ``i``.  With ``values_only``
+    only that piece is formed, times ``sqrt(dt_out dt_in)``, into a real
+    (complex for a complex amplitude) :class:`WeightedRs`, whatever
+    ``blocks`` says, and no complex block is built.  ``t_in`` must be
+    ascending.  The blocks are handed to the :class:`GreenFunction`
+    read-only, which keeps them without a copy.
     """
     from scipy import special
 
@@ -391,14 +373,22 @@ def ssvm_gf(params: RegimeParams, pump: PumpSpec,
     t_in = np.asarray(t_in, dtype=float)
     tau = t_out[:, None] - params.beta_s * params.L
     tau_prime = t_in[None, :]
+    f_out = pump_cumulative_intensity(pump, tau)
+    f_in = pump_cumulative_intensity(pump, tau_prime)
     gbar = gamma_real / params.beta_rs
-    need = set(blocks)
+    need = {"rs"} if values_only else set(blocks)
     ap_in = eval_pump(pump, tau_prime) if need & {"rs", "ss"} else None
     ap_out_c = np.conj(eval_pump(pump, tau)) if need & {"sr", "ss"} else None
-    data = {f"g_{b}": np.zeros((t_out.size, t_in.size), dtype=complex)
-            for b in _BLOCKS if b in need}
     gap = gbar * ap_in if "rs" in need else None
-    for rows, cols, kv in _ssvm_band(params, pump, t_out, t_in):
+    shape = (t_out.size, t_in.size)
+    if values_only:
+        weight = math.sqrt(t_out[1] - t_out[0]) * math.sqrt(t_in[1] - t_in[0])
+        rs = np.zeros(shape, np.result_type(gap, float))
+    data = {f"g_{b}": np.zeros(shape, dtype=complex)
+            for b in _BLOCKS if b in need and not values_only}
+    for rows, cols in _band_blocks(params, t_out, t_in):
+        kv = _kernel_variables(params, t_out[rows, None], tau_prime[:, cols],
+                               f_out[rows], f_in[:, cols])
         j1x = _j1_over_x(kv.x) if need & {"rr", "ss"} else None
         # J0(x) overwrites x, and the rs piece is then formed in that buffer
         j0 = special.j0(kv.x, out=kv.x) if need & {"rs", "sr"} else None
@@ -412,9 +402,13 @@ def ssvm_gf(params: RegimeParams, pump: PumpSpec,
         if "sr" in need:
             data["g_sr"][rows, cols] = np.where(
                 kv.mask, 1j * gbar * ap_out_c[rows] * j0, 0.0)
-        if "rs" in need:
+        if values_only:
+            rs[rows, cols] = _ssvm_rs_piece(j0, gap[:, cols], kv.mask, weight)
+        elif "rs" in need:
             _put_times_i(data["g_rs"], rows, cols,
                          _ssvm_rs_piece(j0, gap[:, cols], kv.mask, 1.0))
+    if values_only:
+        return WeightedRs(rs, t_out, t_in)
     return GreenFunction(
         form="grid", t_out=t_out, t_in=t_in,
         delta_rr=DeltaLine(params.beta_r * params.L) if "rr" in need else None,

@@ -199,6 +199,34 @@ class GreenFunction:
         return {"rr": self.delta_rr, "ss": self.delta_ss}.get(name)
 
 
+@dataclass(frozen=True)
+class WeightedRs:
+    """A sampled rs block in the form its Schmidt values are read from:
+    ``g_rs`` is ``G_rs / i`` times ``sqrt(dt_out dt_in)`` on the ``t_out``
+    x ``t_in`` grid, real for a real kernel over ``i`` (real coupling and
+    an unchirped pump) and complex otherwise.  The analytic samplers return
+    it for ``values_only``; :func:`~tmfc.schmidt.decompose` reads values
+    alone from it, and no complex block is built.  As for a
+    :class:`GreenFunction` holding the rs block alone, the other blocks are
+    ``None``."""
+
+    g_rs: np.ndarray
+    t_out: np.ndarray
+    t_in: np.ndarray
+    g_rr = g_sr = g_ss = None
+
+    @classmethod
+    def from_pieces(cls, t_out: np.ndarray, t_in: np.ndarray, pieces) -> WeightedRs:
+        """The block that is ``piece`` on each ``(rows, cols, piece)`` of
+        ``pieces`` and zero elsewhere; complex once a piece is."""
+        mat = np.zeros((t_out.size, t_in.size))
+        for rows, cols, piece in pieces:
+            if np.iscomplexobj(piece) and not np.iscomplexobj(mat):
+                mat = mat.astype(complex)
+            mat[rows, cols] = piece
+        return cls(mat, t_out, t_in)
+
+
 def _spectral_shift(v: np.ndarray, delay: float, dt: float) -> np.ndarray:
     """Evaluate ``v(t - delay)`` for band-limited functions sampled along
     the last axis."""

@@ -24,14 +24,14 @@ from ..model import (
     TemporalGrid,
 )
 from ..gf_analytic import (
-    _ssvm_rs_pieces,
     default_ssvm_grids,
     ecop_bessel_identity_error,
     ecop_output,
     short_pump_limit_peak,
+    ssvm_gf,
     ssvm_to_ecop_limit_check,
 )
-from ..schmidt import _band_values
+from ..schmidt import decompose
 from ..solver import Propagator
 from .sweep import SweepResult, SweepSpec, run_sweep
 
@@ -314,9 +314,8 @@ def _case_chirp_invariance(workers: int = 1):
     t_out, t_in = default_ssvm_grids(params, plain)
     # every singular value: at n_report = min(shape) one values-only SVD
     n = min(t_out.size, t_in.size)
-    rho0, rho1 = (_band_values((t_out.size, t_in.size),
-                               _ssvm_rs_pieces(params, pump, t_out, t_in), n).rho
-                  for pump in (plain, chirped))
+    rho0, rho1 = (decompose(ssvm_gf(params, pump, t_out, t_in, values_only=True), n,
+                            want_modes=False).rho for pump in (plain, chirped))
     diff = float(np.max(np.abs(rho0 - rho1)))
     checks = [
         _bound_check("spectrum invariance", diff, 1e-6,

@@ -31,15 +31,9 @@ from ..model import (
     TemporalGrid,
     conversion_support,
 )
-from ..gf_analytic import (
-    _low_ce_pieces,
-    _ssvm_rs_pieces,
-    default_ssvm_grids,
-    sample_low_ce,
-    ssvm_gf,
-)
+from ..gf_analytic import default_ssvm_grids, sample_low_ce, ssvm_gf
 from ..gf_numeric import assemble_gf
-from ..schmidt import _band_values, decompose, shape_fidelity
+from ..schmidt import decompose, shape_fidelity
 
 AXIS_NAMES = ("gamma_bar", "tau_p", "beta_p", "beta_r", "beta_rs_L")
 ENGINES = ("numeric", "analytic-ssvm", "low-ce")
@@ -157,39 +151,35 @@ class SweepResult:
     provenance: dict = field(default_factory=dict)
 
 
-def _analytic_grids(spec: SweepSpec, params: RegimeParams,
-                    pump: PumpSpec) -> Tuple[np.ndarray, np.ndarray]:
-    """Output and input sampling times of an analytic engine's point."""
-    if spec.engine == "analytic-ssvm":
-        if abs(params.beta_sp) > EPS_BETA:
-            raise RegimeError(
-                "analytic-ssvm engine requires the s channel matched to the "
-                f"pump (beta_sp = {params.beta_sp:g})")
-        return default_ssvm_grids(params, pump)
-    (o_lo, o_hi), (i_lo, i_hi) = conversion_support(
-        params, pump, margin=spec.low_ce_margin)
-    return np.linspace(o_lo, o_hi, spec.low_ce_n), np.linspace(i_lo, i_hi, spec.low_ce_n)
-
-
 def _gf_for_point(spec: SweepSpec, params: RegimeParams, pump: PumpSpec):
     """The Green function of one point, holding only the blocks its record
     reads.  Every engine supplies the rs block, which gives the Schmidt
     values.  The numeric engine also assembles ss, which pairs tau, so it
     propagates the s-input columns alone; no record reads the r-input
     columns (rr, sr), so those are neither propagated nor leak-checked.
-    The analytic engines sample the rs block alone, for points that read
-    modes; the others never build it (see :func:`evaluate_point`)."""
+    The analytic engines sample the rs block alone and, for a point that
+    reads no modes, return it as a :class:`~tmfc.gf_numeric.WeightedRs`,
+    so no complex block is built."""
     if spec.engine == "numeric":
         return assemble_gf(params, pump, grid=spec.grid, blocks=("rs", "ss"),
                            **(spec.basis or {}))
-    sample = ssvm_gf if spec.engine == "analytic-ssvm" else sample_low_ce
-    return sample(params, pump, *_analytic_grids(spec, params, pump), blocks=("rs",))
+    values_only = not (spec.want_modes or spec.want_fidelity)
+    if spec.engine == "analytic-ssvm":
+        if abs(params.beta_sp) > EPS_BETA:
+            raise RegimeError(
+                "analytic-ssvm engine requires the s channel matched to the "
+                f"pump (beta_sp = {params.beta_sp:g})")
+        t_out, t_in = default_ssvm_grids(params, pump)
+        return ssvm_gf(params, pump, t_out, t_in, blocks=("rs",), values_only=values_only)
+    (o_lo, o_hi), (i_lo, i_hi) = conversion_support(
+        params, pump, margin=spec.low_ce_margin)
+    t_out = np.linspace(o_lo, o_hi, spec.low_ce_n)
+    t_in = np.linspace(i_lo, i_hi, spec.low_ce_n)
+    return sample_low_ce(params, pump, t_out, t_in, blocks=("rs",), values_only=values_only)
 
 
 def evaluate_point(spec: SweepSpec, index: int, values: Dict[str, float]) -> dict:
-    """Evaluate one sweep point; failures are captured in the record.  An
-    analytic point that reads no modes takes its values from the sampler's
-    weighted rs band pieces (:func:`~tmfc.schmidt._band_values`)."""
+    """Evaluate one sweep point; failures are captured in the record."""
     record = {"index": index}
     record.update({name: float(v) for name, v in values.items()})
     try:
@@ -203,15 +193,9 @@ def evaluate_point(spec: SweepSpec, index: int, values: Dict[str, float]) -> dic
             "beta_p": params.beta_p,
             "L": params.L,
         })
-        want_modes = spec.want_modes or spec.want_fidelity
-        if spec.engine == "numeric" or want_modes:
-            res = decompose(_gf_for_point(spec, params, pump),
-                            n_report=spec.n_report, want_modes=want_modes)
-        else:
-            t_out, t_in = _analytic_grids(spec, params, pump)
-            pieces = _ssvm_rs_pieces if spec.engine == "analytic-ssvm" else _low_ce_pieces
-            res = _band_values((t_out.size, t_in.size), pieces(params, pump, t_out, t_in),
-                               n_report=spec.n_report)
+        gf = _gf_for_point(spec, params, pump)
+        res = decompose(gf, n_report=spec.n_report,
+                        want_modes=spec.want_modes or spec.want_fidelity)
         n = spec.n_report
         record.update(rho=[float(x) for x in res.rho[:n]],
                       ce=[float(x) for x in res.ce[:n]],
@@ -308,12 +292,10 @@ def run_sweep(spec: SweepSpec, workers: int = 1) -> SweepResult:
     ``None`` without a setter).
 
     The workers fork from a ``forkserver`` that preloads this module (and
-    with it numpy and tmfc) and, for the ``analytic-ssvm`` engine, whose
-    Bessel kernel is the only point code that imports scipy,
-    ``scipy.special``, so each is imported once per process.  A process
-    starts one forkserver, with the preload of its first pooled sweep.  A
-    script that calls ``run_sweep(workers > 1)`` needs an ``if __name__ ==
-    "__main__":`` guard, because the workers import its main module.
+    with it numpy and tmfc) and ``scipy.special``, which the analytic
+    kernels call, so each is imported once per process.  A script that
+    calls ``run_sweep(workers > 1)`` needs an ``if __name__ == "__main__":``
+    guard, because the workers import its main module.
     """
     if int(workers) < 1:
         raise ConfigurationError("workers must be a positive integer")
@@ -326,8 +308,7 @@ def run_sweep(spec: SweepSpec, workers: int = 1) -> SweepResult:
                        for i, values in enumerate(points)]
         else:
             ctx = multiprocessing.get_context("forkserver")
-            ctx.set_forkserver_preload(
-                [__name__] + ["scipy.special"] * (spec.engine == "analytic-ssvm"))
+            ctx.set_forkserver_preload([__name__, "scipy.special"])
             with ProcessPoolExecutor(max_workers=used, mp_context=ctx,
                                      initializer=_init_worker) as pool:
                 records = list(pool.map(evaluate_point, itertools.repeat(spec),

@@ -20,20 +20,24 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, List, Optional, Tuple
+from typing import List, Optional, Tuple
 
 import numpy as np
 
 from .errors import ConfigurationError, DataError, UnsupportedConfigurationError
-from .gf_numeric import GreenFunction, _row_blocks, apply_block, to_grid_form
+from .gf_numeric import (
+    GreenFunction,
+    WeightedRs,
+    _row_blocks,
+    apply_block,
+    to_grid_form,
+)
 
 _PHASE_TOL = 1e-6
 # block Krylov iteration for the leading singular values (Musco and Musco,
-# NeurIPS 2015): depth cap, depth its basis is first allocated for, and the
-# change of the squared Ritz values between two depths, relative to the
-# largest, that stops it as round-off
+# NeurIPS 2015): depth cap, and the change of the squared Ritz values between
+# two depths, relative to the largest, that stops it as round-off
 _MAX_DEPTH = 32
-_START_DEPTH = 8
 _ROUND_OFF = 16 * np.finfo(float).eps
 
 
@@ -111,7 +115,7 @@ def _canonical_phase(vecs: np.ndarray) -> np.ndarray:
     return z / np.abs(z)
 
 
-def decompose(gf: GreenFunction, n_report: int = 10,
+def decompose(gf: GreenFunction | WeightedRs, n_report: int = 10,
               want_modes: bool = True) -> SchmidtResult:
     """Schmidt-decompose the rs block and pair the transmission amplitudes.
 
@@ -126,62 +130,86 @@ def decompose(gf: GreenFunction, n_report: int = 10,
 
     Only what is read gets computed.  Singular vectors are computed, by the
     full SVD, when ``want_modes`` is set or an ss or rr block can pair
-    ``tau``.  Otherwise :func:`_spectrum` finds only the leading
-    ``n_report`` values, by block Krylov iteration (Halko, Martinsson and
-    Tropp, SIAM Rev. 53, 217 (2011); Musco and Musco, NeurIPS 2015) over
-    the block's nonzero row pieces, and ``sum_rho_sq`` as the squared
-    Frobenius norm of the weighted block; where the iteration declines, as
-    for ``n_report = min(gf.g_rs.shape)``, one values-only SVD gives every
-    value.  Either way ``conv_energy_s`` of a basis-form Green function
-    takes precedence for ``sum_rho_sq``.  An rs block with an identically
-    zero real part (``i`` times a real kernel, as every sampled kernel at
-    real coupling with an unchirped pump is) or zero imaginary part is
-    decomposed as the real matrix, with the factor ``i`` carried by the
-    output functions; any other block takes the complex SVD.  Analytic
-    sweep points that read values only never build this complex block
-    (:func:`_band_values`); points that read modes, and ``tmfc decompose``
-    on a file, still do.
+    ``tau``.  Otherwise only the leading ``n_report`` values are found, by
+    block Krylov iteration run to round-off (Halko, Martinsson and Tropp,
+    SIAM Rev. 53, 217 (2011); Musco and Musco, NeurIPS 2015; see
+    :func:`_leading_values`), which reads the block's nonzero row pieces
+    once per depth, and ``sum_rho_sq`` is the squared Frobenius norm of the
+    weighted block, which equals the sum of all squared singular values.
+    Where the basis would reach the smaller side or its depth cap, the full
+    values-only SVD runs instead, so ``n_report = min(gf.g_rs.shape)`` with
+    ``want_modes=False`` returns every singular value by that one SVD.
+    Either way ``conv_energy_s`` of a basis-form Green function takes
+    precedence for ``sum_rho_sq``.  An rs block with an identically zero real part (``i``
+    times a real kernel, as every sampled kernel at real coupling with an
+    unchirped pump is) or zero imaginary part is decomposed as the real
+    matrix, with the factor ``i`` carried by the output functions; any
+    other block takes the complex SVD.
+
+    A :class:`WeightedRs` is already that weighted matrix and gives the
+    values alone, ``tau`` from unitarity.  The analytic samplers return it
+    for ``values_only``, as they do for every analytic sweep point that
+    reads values only, so such a point builds no complex block.  Points
+    that read modes, ``tmfc decompose`` on a file and the Fourier-sampled
+    kernels still go through a complex rs block.  A non-finite entry
+    raises :class:`DataError`.
     """
-    if gf.block("rs") is None:
-        raise ConfigurationError("decomposition needs the rs block")
     if n_report < 1:
         raise ConfigurationError(f"n_report must be >= 1, got {n_report}")
-
-    basis = gf.form == "basis"
-    if basis:
-        w_out = w_in = 1.0
-        t_in = t_out = None if gf.grid is None else gf.grid.times
+    if isinstance(gf, WeightedRs):
+        if want_modes:
+            raise ConfigurationError("a WeightedRs has no modes; pass want_modes=False")
+        basis = pair_rr = pair_ss = vectors = False
+        mat, t_in, t_out = gf.g_rs, gf.t_in, gf.t_out
     else:
-        w_out = math.sqrt(gf.dt_out)
-        w_in = math.sqrt(gf.dt_in)
-        t_in, t_out = gf.t_in, gf.t_out
+        if gf.block("rs") is None:
+            raise ConfigurationError("decomposition needs the rs block")
+        basis = gf.form == "basis"
+        if basis:
+            w_out = w_in = 1.0
+            t_in = t_out = None if gf.grid is None else gf.grid.times
+        else:
+            w_out = math.sqrt(gf.dt_out)
+            w_in = math.sqrt(gf.dt_in)
+            t_in, t_out = gf.t_in, gf.t_out
 
-    def applicable(name: str) -> bool:
-        return gf.block(name) is not None and (
-            gf.delta(name) is None or gf.deltas_applicable)
+        def applicable(name: str) -> bool:
+            return gf.block(name) is not None and (
+                gf.delta(name) is None or gf.deltas_applicable)
 
-    pair_rr, pair_ss = applicable("rr"), applicable("ss")
-    vectors = want_modes or pair_rr or pair_ss
-    g = gf.g_rs
-    # a real kernel up to the factor i: the real SVD, i rides on the outputs
-    if not g.real.any():
-        part, unit = np.imag, 1j
-    elif not g.imag.any():
-        part, unit = np.real, 1.0 + 0j
-    else:
-        part, unit = np.asarray, 1.0 + 0j
-    mat = part(g) * (w_out * w_in)
+        pair_rr, pair_ss = applicable("rr"), applicable("ss")
+        vectors = want_modes or pair_rr or pair_ss
+        g = gf.g_rs
+        # a real kernel up to the factor i: the real SVD, i rides on the outputs
+        if not g.real.any():
+            part, unit = np.imag, 1j
+        elif not g.imag.any():
+            part, unit = np.real, 1.0 + 0j
+        else:
+            part, unit = np.asarray, 1.0 + 0j
+        mat = part(g) * (w_out * w_in)
     n_report = min(n_report, min(mat.shape))
-    if vectors:
-        u, sig, vh = np.linalg.svd(mat, full_matrices=False)
-        rho, sum_rho_sq = sig[:n_report], float(np.sum(sig ** 2))
-    else:
-        rho, sum_rho_sq = _spectrum(mat, n_report)
+    if not vectors:
+        # numpy's own reduction, not BLAS: its sum does not depend on the
+        # BLAS thread count, so pooled and serial records agree
+        parts = (mat.real, mat.imag) if np.iscomplexobj(mat) else (mat,)
+        with np.errstate(over="ignore", invalid="ignore"):
+            sum_rho_sq = float(sum(np.einsum("ij,ij->", p, p) for p in parts))
+        if not math.isfinite(sum_rho_sq) and not np.isfinite(mat).all():
+            raise DataError("the rs block contains non-finite entries")
+    sig = None if vectors else _leading_values(mat, n_report)
+    if sig is None:
+        if vectors:
+            u, sig, vh = np.linalg.svd(mat, full_matrices=False)
+        else:
+            sig = np.linalg.svd(mat, compute_uv=False)
+        sum_rho_sq = float(np.sum(sig ** 2))
     if basis and "conv_energy_s" in gf.metadata:
         # include the conversion weight past the finite output basis: the
         # unprojected column energies sum to the Hilbert-Schmidt weight of
         # the rs block over the spanned inputs
         sum_rho_sq = float(np.sum(gf.metadata["conv_energy_s"]))
+    rho = sig[:n_report]
 
     if vectors:
         # canonical phases: first significant component of each input
@@ -191,16 +219,20 @@ def decompose(gf: GreenFunction, n_report: int = 10,
         in_vecs = in_vecs / ph
         out_vecs = u[:, :n_report].T * unit / ph
 
-    tau, tau_source, paired = None, "unitarity", {}
+    tau_abs = np.sqrt(np.clip(1.0 - rho ** 2, 0.0, None))
+    tau_phase = np.zeros(n_report)
+    tau_source = "unitarity"
+    paired = {}
+
     if pair_rr:
         # G_rr^H Psi_n = tau_n* psi_n with unit psi_n
         imgs = apply_block(gf, "rr", out_vecs / w_out, adjoint=True) * w_in
-        *tau, paired["in_r"] = _pair_tau(imgs)
+        tau_abs, tau_phase, paired["in_r"] = _pair_tau(imgs)
         tau_source = "grr"
     if pair_ss:
         # G_ss phi_n = tau_n* Phi_n with unit Phi_n; preferred over rr
         imgs = apply_block(gf, "ss", in_vecs / w_in) * w_out
-        *tau, paired["out_s"] = _pair_tau(imgs)
+        tau_abs, tau_phase, paired["out_s"] = _pair_tau(imgs)
         tau_source = "gss"
 
     result_modes = {}
@@ -216,45 +248,19 @@ def decompose(gf: GreenFunction, n_report: int = 10,
             else:
                 result_modes[f"modes_{side}"] = \
                     vecs / (w_in if side.startswith("in") else w_out)
-    return _summary(rho, sum_rho_sq, tau, tau_source,
-                    t_in=t_in, t_out=t_out, **result_modes)
 
-
-def _band_values(shape: Tuple[int, int], pieces: Iterable[tuple],
-                 n_report: int = 10) -> SchmidtResult:
-    """Schmidt values of a sampled rs kernel from its band pieces
-    ``(rows, cols, piece)``: the kernel over ``i`` on those rows and
-    columns of a block of ``shape``, times ``sqrt(dt_out dt_in)``, zero
-    elsewhere.  The pieces are copied into a zeroed real (complex for
-    complex pieces) block, whose values come out as from :func:`decompose`
-    without modes, ``tau`` from unitarity, so an analytic sweep point that
-    reads values only builds no complex Green function.  A non-finite
-    sample raises :class:`DataError`, as a :class:`GreenFunction` would."""
-    mat = np.zeros(shape)
-    for rows, cols, piece in pieces:
-        if np.iscomplexobj(piece) and not np.iscomplexobj(mat):
-            mat = mat.astype(complex)
-        mat[rows, cols] = piece
-    return _summary(*_spectrum(mat, min(n_report, *shape)))
-
-
-def _summary(rho: np.ndarray, sum_rho_sq: float, tau=None,
-             tau_source: str = "unitarity", **fields) -> SchmidtResult:
-    """The result for the values ``rho``; ``tau`` is ``(|tau|, phase)``,
-    ``None`` for the unitarity values."""
-    if tau is None:
-        tau = np.sqrt(np.clip(1.0 - rho ** 2, 0.0, None)), np.zeros(rho.size)
     sel = float(rho[0] ** 4 / sum_rho_sq) if sum_rho_sq > 0.0 else 0.0
     sep = float(rho[0] ** 2 / sum_rho_sq) if sum_rho_sq > 0.0 else 0.0
     return SchmidtResult(
-        rho=rho, tau_abs=tau[0], tau_phase=tau[1], ce=rho ** 2,
+        rho=rho, tau_abs=tau_abs, tau_phase=tau_phase, ce=rho ** 2,
         selectivity=sel, separability=sep,
-        sum_rho_sq=sum_rho_sq, tau_source=tau_source, **fields,
+        sum_rho_sq=sum_rho_sq, tau_source=tau_source,
+        t_in=t_in, t_out=t_out, **result_modes,
     )
 
 
-def _pieces(mat: np.ndarray) -> List[Tuple[slice, slice, np.ndarray]]:
-    """``(rows, cols, view)`` pieces holding every nonzero entry of ``mat``.
+def _pieces(mat: np.ndarray) -> List[Tuple[slice, slice]]:
+    """``(rows, cols)`` pieces holding every nonzero entry of ``mat``.
 
     Rows are taken in the samplers' row blocks (:func:`_row_blocks`, about
     64 k entries each), each block with the span between its first and last
@@ -264,38 +270,13 @@ def _pieces(mat: np.ndarray) -> List[Tuple[slice, slice, np.ndarray]]:
     for rows in _row_blocks(*mat.shape):
         cols = np.flatnonzero(mat[rows].any(axis=0))
         if cols.size:
-            cols = slice(int(cols[0]), int(cols[-1]) + 1)
-            pieces.append((rows, cols, mat[rows, cols]))
+            pieces.append((rows, slice(int(cols[0]), int(cols[-1]) + 1)))
     return pieces
 
 
-def _spectrum(mat: np.ndarray, k: int) -> Tuple[np.ndarray, float]:
-    """The ``k`` leading singular values of ``mat`` and the sum of all its
-    squared ones: by :func:`_leading_values` over its :func:`_pieces` and
-    their squared Frobenius norm or, where the iteration declines, by the
-    values-only SVD.  A non-finite entry raises :class:`DataError`."""
-    pieces = _pieces(mat)
-    # numpy's own reduction, not BLAS: the sum does not depend on the BLAS
-    # thread count, so pooled and serial records agree
-    parts = [q for *_, p in pieces
-             for q in ((p.real, p.imag) if np.iscomplexobj(p) else (p,))]
-    with np.errstate(over="ignore", invalid="ignore"):
-        sum_sq = float(sum(np.einsum("ij,ij->", q, q) for q in parts))
-    if not math.isfinite(sum_sq) and not all(np.isfinite(q).all() for q in parts):
-        raise DataError("the rs kernel has non-finite samples")
-    sig = _leading_values(mat.shape, pieces, k)
-    if sig is not None:
-        return sig, sum_sq
-    sig = np.linalg.svd(mat, compute_uv=False)
-    return sig[:k], float(np.sum(sig ** 2))
-
-
-def _leading_values(shape: Tuple[int, int], pieces: List[tuple],
-                    k: int) -> Optional[np.ndarray]:
-    """The ``k`` leading singular values of the block ``mat`` of ``shape``
-    that is ``piece`` on each ``(rows, cols, piece)`` of ``pieces`` (rows
-    disjoint) and zero elsewhere, by block Krylov (block Lanczos)
-    iteration, or ``None`` where the full SVD should run instead.
+def _leading_values(mat: np.ndarray, k: int) -> Optional[np.ndarray]:
+    """The ``k`` leading singular values of ``mat`` by block Krylov (block
+    Lanczos) iteration, or ``None`` where the full SVD should run instead.
 
     The basis starts from a fixed-seed Gaussian block of ``k`` orthonormal
     columns.  Each depth keeps ``y_j = mat q_j`` and appends ``mat^H y_j``,
@@ -307,40 +288,38 @@ def _leading_values(shape: Tuple[int, int], pieces: List[tuple],
     space, are returned (Musco and Musco, NeurIPS 2015).  ``None`` when the
     basis would reach the smaller side of ``mat`` or ``_MAX_DEPTH`` blocks.
 
-    Each depth reads every piece once: a piece gives its rows of ``y_j``
-    and, still in cache, adds its share of ``y_j^H mat``.  The zeros
-    outside the pieces are never read, and rows that no piece covers stay
-    zero in ``y``.
+    Each depth reads ``mat`` once, in one pass over its :func:`_pieces`: a
+    piece gives its rows of ``y_j`` and, still in cache, adds its share of
+    ``y_j^H mat``.  The zeros outside a sampled kernel's interaction band
+    are never read, and rows that no piece covers stay zero in ``y``.  For
+    an analytic sweep point that reads values only, ``mat`` is the block of
+    the sampler's :class:`WeightedRs`, not a copy out of a complex block.
     """
-    n_rows, n_cols = shape
-    depth = min(_MAX_DEPTH, (min(shape) - 1) // k)
+    depth =min(_MAX_DEPTH, (min(mat.shape) - 1) // k)
     if depth < 2:
         return None
-    # q and y hold _START_DEPTH blocks, the depth every catalog point settles
-    # at, and double when full: sized for the depth cap they kept 3 MB more
-    # of a weak point's heap, which glibc does not trim; gram grows, as
-    # preallocated it pushed a fig6 point's heap past the trim threshold and
-    # about 7 MB was re-faulted every point
-    dtype = complex if any(np.iscomplexobj(p) for *_, p in pieces) else float
-    q = np.empty((n_cols, min(depth, _START_DEPTH) * k), dtype, order="F")
-    y = np.zeros((n_rows, q.shape[1]), dtype, order="F")
+    pieces = _pieces(mat)
+    # q and y are preallocated for the depth cap, columns never written cost
+    # no memory; gram grows, as preallocated it pushed a fig6 point's heap
+    # past glibc's trim threshold and about 7 MB was re-faulted every point
+    dtype = np.result_type(mat, float)
+    q = np.empty((mat.shape[1], depth * k), dtype, order="F")
+    y = np.zeros((mat.shape[0], depth * k), dtype, order="F")
     gram = np.zeros((0, 0), dtype)
     rng = np.random.default_rng(0)
-    q[:, :k] = np.linalg.qr(rng.standard_normal((n_cols, k)))[0]
+    q[:, :k] = np.linalg.qr(rng.standard_normal((mat.shape[1], k)))[0]
     last = np.inf
     for lo in range(0, depth * k, k):
         hi = lo + k
-        if hi > y.shape[1]:
-            grow = ((0, 0), (0, min(y.shape[1], depth * k - y.shape[1])))
-            q, y = np.pad(q, grow), np.pad(y, grow)
         if lo:
             # mat^H y_j, formed as (y_j^H mat)^H: no conjugated copy of mat
             z = zh.conj().T
             for _ in range(2):
                 z = np.linalg.qr(z - q[:, :lo] @ (q[:, :lo].conj().T @ z))[0]
             q[:, lo:hi] = z
-        zh = np.zeros((k, n_cols), dtype)
-        for rows, cols, piece in pieces:
+        zh = np.zeros((k, mat.shape[1]), dtype)
+        for rows, cols in pieces:
+            piece = mat[rows, cols]
             y_p = piece @ q[cols, lo:hi]
             y[rows, lo:hi] = y_p
             zh[:, cols] += y_p.conj().T @ piece

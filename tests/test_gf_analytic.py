@@ -38,7 +38,7 @@ from tmfc import (
     ssvm_to_ecop_limit_check,
 )
 import tmfc.gf_analytic
-from tmfc.gf_analytic import _band_blocks, _j1_over_x, _row_blocks, _ssvm_rs_pieces
+from tmfc.gf_analytic import _band_blocks, _j1_over_x, _row_blocks
 from tmfc.gf_numeric import apply_block
 
 PUMP = PumpSpec(tau_p=1.0)
@@ -376,9 +376,9 @@ def test_ssvm_gf_matches_meshgrid_reference():
 
 
 def test_ssvm_kernel_variables_once_per_row_block(monkeypatch):
-    """A four-block ``ssvm_gf`` call and the values path's rs pieces each
-    compute the kernel variables once per band row block; the pieces are
-    the rs block over ``i``, weighted by ``sqrt(dt_out dt_in)``."""
+    """A four-block ``ssvm_gf`` call and a values-only one each compute the
+    kernel variables once per band row block; the values-only block is the
+    rs block over ``i``, weighted by ``sqrt(dt_out dt_in)``."""
     calls = []
     real = tmfc.gf_analytic._kernel_variables
 
@@ -393,11 +393,11 @@ def test_ssvm_kernel_variables_once_per_row_block(monkeypatch):
     n_blocks = len(_band_blocks(params, t_out, t_in))
     gf = ssvm_gf(params, pump, t_out, t_in)
     assert len(calls) == n_blocks > 1
-    weight = math.sqrt(gf.dt_out) * math.sqrt(gf.dt_in)
-    for rows, cols, piece in _ssvm_rs_pieces(params, pump, t_out, t_in):
-        assert piece.dtype == float
-        assert np.array_equal(piece, gf.g_rs.imag[rows, cols] * weight)
+    kernel = ssvm_gf(params, pump, t_out, t_in, values_only=True)
     assert len(calls) == 2 * n_blocks
+    weight = math.sqrt(gf.dt_out) * math.sqrt(gf.dt_in)
+    assert kernel.g_rs.dtype == float and not gf.g_rs.real.any()
+    assert np.array_equal(kernel.g_rs, gf.g_rs.imag * weight)
 
 
 def test_ssvm_gf_pump_terms_stay_one_dimensional(monkeypatch):

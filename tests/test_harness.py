@@ -3,11 +3,13 @@
 import importlib
 import json
 import math
+import multiprocessing
 import os
 import re
 import subprocess
 import sys
 import time
+from concurrent.futures import ProcessPoolExecutor
 from dataclasses import replace
 
 import numpy as np
@@ -381,60 +383,23 @@ def test_run_sweep_without_blas_setter(monkeypatch):
     assert _SpyPool.sizes == [2]
 
 
-def _run_fresh(code: str) -> str:
-    """Run ``code`` in a new interpreter with this ``tmfc`` on its path; its
-    standard output."""
-    src = os.path.dirname(os.path.dirname(tmfc.__file__))
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        p for p in (src, os.environ.get("PYTHONPATH")) if p))
-    proc = subprocess.run([sys.executable, "-c", code], env=env,
-                          capture_output=True, text=True, timeout=120)
-    assert proc.returncode == 0, proc.stderr
-    return proc.stdout
-
-
-# a pooled sweep in a new process, whose forkserver it starts, then whether a
-# new worker of that forkserver has scipy.special before its first task
-_POOL_PROBE = """
-import multiprocessing
-from concurrent.futures import ProcessPoolExecutor
-from tmfc import PumpSpec, RegimeParams
-from tmfc.harness import SweepSpec, run_sweep, sweep
-
-sweep.os.sched_getaffinity = lambda pid: {{0, 1}}
-spec = SweepSpec(params=RegimeParams(beta_r=1.0, beta_s=0.0, beta_p=0.0).with_gamma_bar(0.5),
-                 pump=PumpSpec(tau_p=1.0), n_report=3, axes=(("gamma_bar", (0.5, 0.6)),),
-                 {engine})
-result = run_sweep(spec, workers=2)
-assert result.provenance["workers_used"] == 2
-assert [r["error"] for r in result.records] == ["", ""]
-ctx = multiprocessing.get_context("forkserver")
-with ProcessPoolExecutor(max_workers=1, mp_context=ctx) as pool:
-    print(pool.submit(eval, "'scipy.special' in __import__('sys').modules").result(timeout=60))
-"""
-
-
-def test_pool_workers_start_with_scipy_special():
-    """For the analytic-ssvm engine, the forkserver preloads the Bessel
-    functions, so a new worker has them before its first point."""
-    out = _run_fresh(_POOL_PROBE.format(engine='engine="analytic-ssvm"'))
-    assert out.split() == ["True"]
-
-
-def test_numeric_pool_workers_start_without_scipy():
-    """A numeric pooled sweep, whose points import no scipy, does not
-    preload ``scipy.special`` into its workers."""
-    out = _run_fresh(_POOL_PROBE.format(
-        engine='engine="numeric", basis={"n_r": 10, "n_s": 8, "tol_leak": 0.05}'))
-    assert out.split() == ["False"]
+def test_pool_workers_start_with_scipy_special(monkeypatch):
+    """The forkserver preloads the Bessel functions, so a new worker has
+    them before its first analytic point."""
+    monkeypatch.setattr(sweep_module.os, "sched_getaffinity",
+                        lambda pid: {0, 1}, raising=False)
+    assert run_sweep(_tiny_spec(), workers=2).provenance["workers_used"] == 2
+    ctx = multiprocessing.get_context("forkserver")
+    with ProcessPoolExecutor(max_workers=1, mp_context=ctx) as pool:
+        loaded = pool.submit(eval, "'scipy.special' in __import__('sys').modules")
+        assert loaded.result(timeout=60) is True
 
 
 def test_numeric_engine_runs_without_scipy():
-    """Importing tmfc and running a numeric or a low-ce sweep loads no scipy
-    module; the first Bessel kernel loads ``scipy.special``."""
-    _run_fresh("""
+    """Importing tmfc and running a numeric sweep loads no scipy module;
+    the first analytic kernel loads ``scipy.special``."""
+    code = """
 import sys
-from dataclasses import replace
 import numpy as np
 import tmfc, tmfc.harness
 from tmfc import PumpSpec, RegimeParams, ssvm_gf
@@ -448,14 +413,17 @@ spec = SweepSpec(params=RegimeParams(beta_r=1.0, beta_s=0.0, beta_p=0.0).with_ga
                  basis={"n_r": 10, "n_s": 8, "tol_leak": 0.05},
                  axes=(("gamma_bar", (0.5,)),))
 assert run_sweep(spec).records[0]["error"] == ""
-weak = SweepSpec(params=RegimeParams(beta_r=1.0, beta_s=-1.0, beta_p=1.0).with_gamma_bar(0.01),
-                 pump=PumpSpec(tau_p=1.0), engine="low-ce", n_report=3, low_ce_n=128)
-assert run_sweep(weak).records[0]["error"] == ""
 assert scipy_modules() == [], scipy_modules()
 t = np.linspace(-3.0, 3.0, 16)
 ssvm_gf(spec.params, spec.pump, t, t, blocks=("rs",))
 assert "scipy.special" in sys.modules
-""")
+"""
+    src = os.path.dirname(os.path.dirname(tmfc.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    proc = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
 
 
 def test_pooled_records_match_serial():

@@ -29,10 +29,9 @@ from tmfc import (
     ssvm_gf,
 )
 from tmfc import GreenFunction, schmidt
-from tmfc.gf_analytic import _low_ce_pieces, _ssvm_rs_pieces
-from tmfc.gf_numeric import _row_blocks
+from tmfc.gf_numeric import WeightedRs, _row_blocks
 from tmfc.harness.cases import fig6_spec, low_ce_spec
-from tmfc.harness.sweep import _analytic_grids, _gf_for_point
+from tmfc.harness.sweep import _gf_for_point
 
 PUMP = PumpSpec(tau_p=1.0)
 SSVM = RegimeParams(beta_r=1.0, beta_s=0.0, beta_p=0.0).with_gamma_bar(0.5)
@@ -163,7 +162,7 @@ def _with_spectrum(sig, m, n, seed=5, dtype=float):
 def _leading_error(mat, k=8):
     """Largest deviation of the iterated leading values from LAPACK's,
     relative to the largest value; ``None`` when the iteration declined."""
-    got = schmidt._leading_values(mat.shape, schmidt._pieces(mat), k)
+    got = schmidt._leading_values(mat, k)
     ref = np.linalg.svd(mat, compute_uv=False)[:k]
     if got is None:
         return None
@@ -208,9 +207,9 @@ def test_leading_values_on_hard_spectra(sig, dtype):
 
 
 def _table1_gf(chirp=None):
-    """The 1024 x 1024 table1-a Green function as the weak catalog samples
-    it; about a fifth of its block lies in the interaction band."""
-    spec = low_ce_spec("table1-a")
+    """The 1024 x 1024 table1-a Green function on the weak catalog's grids;
+    about a fifth of its block lies in the interaction band."""
+    spec = replace(low_ce_spec("table1-a"), want_modes=True)
     return _gf_for_point(spec, spec.params, replace(spec.pump, chirp=chirp))
 
 
@@ -231,24 +230,11 @@ def _fig6_block():
 
 
 class _RowReads(np.ndarray):
-    """An array that records the keys it is indexed with; a piece cut by a
-    ``(rows, cols)`` key records that key again at each product it enters."""
+    """An array that records the keys it is indexed with."""
 
     def __getitem__(self, key):
         self.reads.append(key)
-        view = np.asarray(super().__getitem__(key))
-        if isinstance(key, tuple):
-            view = view.view(_Products)
-            view.key, view.reads = key, self.reads
-        return view
-
-
-class _Products(np.ndarray):
-    def __array_ufunc__(self, ufunc, method, *inputs, **kwargs):
-        if ufunc is np.matmul:
-            self.reads.append(self.key)
-        inputs = [np.asarray(x) for x in inputs]
-        return getattr(ufunc, method)(*inputs, **kwargs)
+        return np.asarray(super().__getitem__(key))
 
 
 @pytest.mark.parametrize("make", [
@@ -259,24 +245,23 @@ class _Products(np.ndarray):
     lambda: _with_spectrum(1.0 / np.arange(1, 201), 300, 200),
 ], ids=["table1", "table1-chirped", "zero-end-rows", "fig6", "dense"])
 def test_leading_values_band_pieces(monkeypatch, make):
-    """The pieces are views holding every nonzero entry, each between its
-    row block's first and last nonzero column, and leave out all-zero row
-    blocks; the values agree with LAPACK's to round-off.  One values pass
-    scans every row block once, cutting its piece, then each depth of the
-    iteration reads every piece once, in two consecutive products."""
+    """The pieces hold every nonzero entry, each between its row block's
+    first and last nonzero column, and leave out all-zero row blocks; one
+    call scans every row block once, then each depth of the iteration
+    indexes every piece once, and the values agree with LAPACK's to
+    round-off."""
     mat = make()
     err = _leading_error(mat)
     assert err is not None and err <= 1e-14
     pieces = schmidt._pieces(mat)
     inside = np.zeros(mat.shape, dtype=bool)
-    for rows, cols, piece in pieces:
+    for rows, cols in pieces:
         inside[rows, cols] = True
-        assert np.shares_memory(piece, mat) and np.array_equal(piece, mat[rows, cols])
         assert mat[rows, cols.start].any() and mat[rows, cols.stop - 1].any()
     assert not mat[~inside].any()
     step = _row_blocks(*mat.shape)[0].stop
     live_blocks = {r // step for r in np.flatnonzero(mat.any(axis=1))}
-    assert [rows.start // step for rows, _, _ in pieces] == sorted(live_blocks)
+    assert [rows.start // step for rows, _ in pieces] == sorted(live_blocks)
     # one eigvalsh call per depth reached
     depths = []
     eigvalsh = np.linalg.eigvalsh
@@ -288,15 +273,10 @@ def test_leading_values_band_pieces(monkeypatch, make):
     monkeypatch.setattr(np.linalg, "eigvalsh", spy)
     reader = mat.view(_RowReads)
     reader.reads = []
-    schmidt._spectrum(reader, 8)
-    # the scan reads row blocks by a slice and cuts pieces by (rows, cols);
-    # each depth's products read the pieces
+    assert schmidt._leading_values(reader, 8) is not None
+    # the scan reads row blocks by a slice, the products pieces by (rows, cols)
     assert len(depths) >= 2
-    cuts = {rows.start: (rows, cols) for rows, cols, _ in pieces}
-    scan = [key for rows in _row_blocks(*mat.shape)
-            for key in (rows, cuts.get(rows.start)) if key is not None]
-    products = [key for key in cuts.values() for _ in range(2)]
-    assert reader.reads == scan + products * len(depths)
+    assert reader.reads == _row_blocks(*mat.shape) + pieces * len(depths)
 
 
 def test_decompose_values_path_zero_block():
@@ -406,20 +386,24 @@ def test_decompose_values_path_settles_below_depth_cap(monkeypatch, make):
     assert 2 * 8 <= width < schmidt._MAX_DEPTH * 8
 
 
-def _band_and_full(engine, params, pump, t_out=None, t_in=None, n_report=8):
-    """The values entry on an engine's weighted rs band pieces, and
-    :func:`decompose` of the rs-only Green function sampled on the same
-    grids (the point's own grids by default)."""
+def _values_and_full(engine, params, pump, t_out=None, t_in=None, n_report=8, spec=None):
+    """``decompose`` of the engine's values-only :class:`WeightedRs` and of
+    the rs-only Green function sampled on the same grids (by default those
+    of a point of ``spec``, fig6 or fig3a).  The weighted block is the
+    complex one over ``i`` times ``sqrt(dt_out dt_in)``, bit for bit."""
+    sample = ssvm_gf if engine == "analytic-ssvm" else sample_low_ce
     if t_out is None:
-        spec = low_ce_spec("fig3a") if engine == "low-ce" else fig6_spec()
-        t_out, t_in = _analytic_grids(spec, params, pump)
-    pieces, sample = ((_ssvm_rs_pieces, ssvm_gf) if engine == "analytic-ssvm"
-                      else (_low_ce_pieces, sample_low_ce))
-    got = schmidt._band_values((t_out.size, t_in.size), pieces(params, pump, t_out, t_in),
-                               n_report)
-    ref = decompose(sample(params, pump, t_out, t_in, blocks=("rs",)), n_report,
-                    want_modes=False)
-    return got, ref
+        spec = spec or (low_ce_spec("fig3a") if engine == "low-ce" else fig6_spec())
+        kernel = _gf_for_point(spec, params, pump)
+        t_out, t_in = kernel.t_out, kernel.t_in
+    else:
+        kernel = sample(params, pump, t_out, t_in, values_only=True)
+    assert isinstance(kernel, WeightedRs)
+    full = sample(params, pump, t_out, t_in, blocks=("rs",))
+    over_i = full.g_rs * -1j if np.iscomplexobj(kernel.g_rs) else full.g_rs.imag
+    assert np.array_equal(kernel.g_rs, over_i * (math.sqrt(full.dt_out) * math.sqrt(full.dt_in)))
+    got = decompose(kernel, n_report, want_modes=False)
+    return got, decompose(full, n_report, want_modes=False)
 
 
 def _assert_same_values(got, ref, rtol=1e-14):
@@ -438,21 +422,20 @@ HG = PumpSpec(shape="hermite-gauss-1", tau_p=0.7)
 
 
 @pytest.mark.parametrize("gamma_bar", [0.6, 1.15, 2.0])
-def test_band_values_match_decompose_on_fig6_points(gamma_bar):
-    """The values entry reads the ssvm sampler's band pieces and gives the
-    values of the full rs block to round-off."""
-    spec = fig6_spec()
-    params, pump = spec.point_config({"gamma_bar": gamma_bar})
-    _assert_same_values(*_band_and_full("analytic-ssvm", params, pump))
+def test_values_only_matches_decompose_on_fig6_points(gamma_bar):
+    """A fig6 point's values-only kernel gives the values of its full rs
+    block to round-off."""
+    params, pump = fig6_spec().point_config({"gamma_bar": gamma_bar})
+    _assert_same_values(*_values_and_full("analytic-ssvm", params, pump))
 
 
 @pytest.mark.parametrize("case", ["table1-a", "table1-b", "table1-c", "table1-d",
                                   "fig2", "fig3a", "fig3b", "fig5"])
-def test_band_values_match_decompose_on_weak_catalog_grids(case):
+def test_values_only_matches_decompose_on_weak_catalog_grids(case):
     """Every weak catalog grid, most of them with samples on a band edge,
     where the pieces carry the half weights."""
     spec = low_ce_spec(case)
-    _assert_same_values(*_band_and_full("low-ce", spec.params, spec.pump))
+    _assert_same_values(*_values_and_full("low-ce", spec.params, spec.pump, spec=spec))
 
 
 @pytest.mark.parametrize("engine, params, pump", [
@@ -466,14 +449,14 @@ def test_band_values_match_decompose_on_weak_catalog_grids(case):
     ("low-ce", WEAK, TABULATED),
 ], ids=["ssvm-chirped", "low-ce-complex-gamma", "low-ce-chirped", "ssvm-hg",
         "ssvm-tabulated", "low-ce-hg", "low-ce-tabulated"])
-def test_band_values_match_decompose_on_other_pumps(engine, params, pump):
-    """Complex pieces (a chirped pump, a complex coupling) and the
+def test_values_only_matches_decompose_on_other_pumps(engine, params, pump):
+    """Complex kernels over i (a chirped pump, a complex coupling) and the
     Hermite-Gauss and tabulated pumps."""
-    got, ref = _band_and_full(engine, params, pump)
+    got, ref = _values_and_full(engine, params, pump)
     complex_ = pump.chirp is not None or isinstance(params.gamma, complex)
-    pieces = _ssvm_rs_pieces if engine == "analytic-ssvm" else _low_ce_pieces
+    sample = ssvm_gf if engine == "analytic-ssvm" else sample_low_ce
     t = np.linspace(-3.0, 3.0, 64)
-    assert all(np.iscomplexobj(p) == complex_ for *_, p in pieces(params, pump, t, t))
+    assert np.iscomplexobj(sample(params, pump, t, t, values_only=True).g_rs) == complex_
     _assert_same_values(got, ref)
 
 
@@ -481,48 +464,51 @@ def test_band_values_match_decompose_on_other_pumps(engine, params, pump):
     (16, None, 8), (241, 3, 8), (241, None, 241),
 ], ids=["block-spans-input", "depth-cap", "full-spectrum"])
 @pytest.mark.parametrize("chirp", [None, QuadraticChirp(5.0)], ids=["real", "complex"])
-def test_band_values_fall_back_to_full_svd(monkeypatch, n_in, max_depth, n_report, chirp):
+def test_values_only_falls_back_to_full_svd(monkeypatch, n_in, max_depth, n_report, chirp):
     """Where the iteration declines, at depth < 2 or at its depth cap, one
-    values-only SVD of the block the pieces fill gives the values."""
+    values-only SVD of the weighted block gives the values."""
     pump = PumpSpec(tau_p=1.0, chirp=chirp)
     (o_lo, o_hi), (i_lo, i_hi) = conversion_support(WEAK, pump)
     t_out, t_in = np.linspace(o_lo, o_hi, 257), np.linspace(i_lo, i_hi, n_in)
     if max_depth is not None:
         monkeypatch.setattr(schmidt, "_MAX_DEPTH", max_depth)
-    got, ref = _band_and_full("low-ce", WEAK, pump, t_out, t_in, n_report)
+    got, ref = _values_and_full("low-ce", WEAK, pump, t_out, t_in, n_report)
+    kernel = sample_low_ce(WEAK, pump, t_out, t_in, values_only=True)
     calls = _svd_spy(monkeypatch)
-    schmidt._band_values((257, n_in), _low_ce_pieces(WEAK, pump, t_out, t_in), n_report)
+    decompose(kernel, n_report, want_modes=False)
     assert calls == [((257, n_in), False)]
     _assert_same_values(got, ref)
 
 
-def test_band_values_of_a_zero_kernel():
-    """A pump far from the grids: every piece is zero, and S is 0 without a
+def test_values_only_of_a_zero_kernel():
+    """A pump far from the grids: the kernel is zero, and S is 0 without a
     warning."""
     t = np.linspace(-3.0, 3.0, 200)
     far = PumpSpec(tau_p=0.5, center=100.0)
-    for pieces, params in ((_ssvm_rs_pieces, SSVM), (_low_ce_pieces, WEAK)):
+    for sample, params in ((ssvm_gf, SSVM), (sample_low_ce, WEAK)):
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            res = schmidt._band_values((t.size, t.size), pieces(params, far, t, t), 8)
+            res = decompose(sample(params, far, t, t, values_only=True), 8, want_modes=False)
         assert res.selectivity == 0.0 and res.separability == 0.0
         assert res.sum_rho_sq == 0.0 and not res.rho.any()
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
-def test_band_values_reject_non_finite_samples(bad):
+def test_values_only_rejects_non_finite_samples(bad):
     """A non-finite sample raises DataError, as the Green function of that
-    block does."""
+    block does; a WeightedRs has no modes to give."""
     t = np.linspace(-3.0, 3.0, 64)
-    pieces = list(_low_ce_pieces(WEAK, PUMP, t, t))
-    rows, cols, piece = pieces[0]
-    piece[0, piece.shape[1] // 2] = bad
+    kernel = sample_low_ce(WEAK, PUMP, t, t, values_only=True)
+    mat = kernel.g_rs.copy()
+    mat[t.size // 2, t.size // 2] = bad
     with pytest.raises(DataError):
-        schmidt._band_values((t.size, t.size), pieces, 8)
-    block = np.zeros((t.size, t.size), complex)
-    block.imag[rows, cols] = piece
+        decompose(WeightedRs(mat, t, t), 8, want_modes=False)
+    block = np.zeros(mat.shape, complex)
+    block.imag = mat
     with pytest.raises(DataError):
         GreenFunction(form="grid", t_out=t, t_in=t, g_rs=block)
+    with pytest.raises(ConfigurationError):
+        decompose(kernel, 8)
 
 
 def test_decompose_real_kernel_path_matches_complex_path():
