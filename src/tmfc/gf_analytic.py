@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from typing import Callable, Iterator, List, Optional, Sequence, Tuple
+from typing import Callable, List, Sequence, Tuple
 
 import numpy as np
 
@@ -147,34 +147,35 @@ def ridge_slope(params: RegimeParams) -> float:
     return params.beta_sp / params.beta_rp
 
 
-def _low_ce_pieces(params: RegimeParams, pump: PumpSpec, t_out: np.ndarray,
-                   t_in: np.ndarray, block: str = "rs",
-                   weight: Optional[float] = None) -> Iterator[tuple]:
-    """Band pieces ``(rows, cols, piece)`` of one weak-conversion block: per
-    :func:`_band_blocks` row block the kernel over ``i``, 1/2 on samples
-    landing on a band edge, times ``weight`` (``sqrt(dt_out dt_in)`` for
-    ``None``); real for a real ``gbar Ap``."""
-    steps = [g[1] - g[0] for g in (t_out, t_in) if g.size > 1]
-    tol = 1e-6 * min(steps) if steps else 0.0
-    if weight is None:
-        weight = math.sqrt(t_out[1] - t_out[0]) * math.sqrt(t_in[1] - t_in[0])
-    L = params.L
-    for rows, cols in _band_blocks(params, t_out, t_in):
-        tt = t_out[rows, None]
-        pp = t_in[None, cols]
-        on_edge = (np.abs(pp - (tt - params.beta_r * L)) <= tol) \
-            | (np.abs((tt - params.beta_s * L) - pp) <= tol)
-        piece = _low_ce_over_i(params, pump, tt, pp, block)
-        np.multiply(piece, 0.5, out=piece, where=on_edge)
-        piece *= weight
-        yield rows, cols, piece
+def _over_i_block(shape: Tuple[int, int], dtype, values_only: bool,
+                  t_out: np.ndarray, t_in: np.ndarray) -> tuple:
+    """Zeroed block for a kernel over ``i``, as ``(block, view, scale)``: a
+    band piece is stored by ``piece *= scale; view[rows, cols] = piece``.
+    With ``values_only`` the :class:`WeightedRs` block of ``dtype``, weight
+    ``sqrt(dt_out dt_in)``; else a complex block, written through ``.imag``
+    for a real kernel over ``i`` and times ``i`` for a complex one."""
+    if values_only:
+        block = np.zeros(shape, dtype)
+        return block, block, math.sqrt(t_out[1] - t_out[0]) * math.sqrt(t_in[1] - t_in[0])
+    block = np.zeros(shape, dtype=complex)
+    return (block, block.imag, 1.0) if dtype == float else (block, block, 1j)
 
 
-def _put_times_i(g: np.ndarray, rows: slice, cols: slice, piece: np.ndarray) -> None:
-    """``g[rows, cols] = i piece``, without a complex copy of a real piece."""
-    g.imag[rows, cols] = piece.real
-    if np.iscomplexobj(piece):
-        g.real[rows, cols] = -piece.imag
+def _sampled(engine: str, params: RegimeParams, pump: PumpSpec,
+             t_out: np.ndarray, t_in: np.ndarray, data: dict,
+             values_only: bool, deltas) -> GreenFunction | WeightedRs:
+    """A sampler's result: the :class:`WeightedRs` of ``data["g_rs"]`` for
+    ``values_only``, else the grid-form :class:`GreenFunction` of the blocks
+    in ``data``, handed over read-only, with the unit delta lines of the
+    blocks named in ``deltas``."""
+    if values_only:
+        return WeightedRs(data["g_rs"], t_out, t_in)
+    return GreenFunction(
+        form="grid", t_out=t_out, t_in=t_in,
+        delta_rr=DeltaLine(params.beta_r * params.L) if "rr" in deltas else None,
+        delta_ss=DeltaLine(params.beta_s * params.L) if "ss" in deltas else None,
+        metadata=_run_metadata(engine, params, pump), **_read_only(data),
+    )
 
 
 def sample_low_ce(params: RegimeParams, pump: PumpSpec,
@@ -194,29 +195,34 @@ def sample_low_ce(params: RegimeParams, pump: PumpSpec,
     both edges land on samples, reads separability 0.89632, 0.89497 and
     0.89427 at n = 512, 1023 and 2045.
 
-    Each requested block is allocated zeroed and filled, times ``i``, from
-    the unweighted :func:`_low_ce_pieces`, so no temporary spans the full
-    grid and no sample outside the band is evaluated.  With
-    ``values_only`` the weighted rs pieces fill a :class:`WeightedRs`
-    instead, whatever ``blocks`` says, and no complex block is built.
-    ``t_in`` must be ascending.  The blocks are handed to the
-    :class:`GreenFunction` read-only, which keeps them without a copy.
+    Each requested block comes from :func:`_over_i_block` and is filled in
+    one loop over the :func:`_band_blocks`, which finds the on-edge samples
+    once for every block; no temporary spans the full grid and no sample
+    outside the band is evaluated.  With ``values_only`` the rs block alone,
+    whatever ``blocks`` says, fills a :class:`WeightedRs` and no complex
+    block is built.  ``t_in`` must be ascending.
     """
     t_out = np.asarray(t_out, dtype=float)
     t_in = np.asarray(t_in, dtype=float)
-    if values_only:
-        return WeightedRs.from_pieces(t_out, t_in, _low_ce_pieces(params, pump, t_out, t_in))
-    data = {f"g_{b}": np.zeros((t_out.size, t_in.size), dtype=complex)
-            for b in blocks}
-    for b in blocks:
-        for rows, cols, piece in _low_ce_pieces(params, pump, t_out, t_in, b, 1.0):
-            _put_times_i(data[f"g_{b}"], rows, cols, piece)
-    return GreenFunction(
-        form="grid", t_out=t_out, t_in=t_in,
-        delta_rr=DeltaLine(params.beta_r * params.L),
-        delta_ss=DeltaLine(params.beta_s * params.L),
-        metadata=_run_metadata("low-ce", params, pump), **_read_only(data),
-    )
+    real = pump.is_real and not isinstance(params.gamma, complex)
+    data, views = {}, {}
+    for b in ("rs",) if values_only else blocks:
+        data[f"g_{b}"], views[b], scale = _over_i_block(
+            (t_out.size, t_in.size), float if real else complex, values_only, t_out, t_in)
+    steps = [g[1] - g[0] for g in (t_out, t_in) if g.size > 1]
+    tol = 1e-6 * min(steps) if steps else 0.0
+    L = params.L
+    for rows, cols in _band_blocks(params, t_out, t_in):
+        tt = t_out[rows, None]
+        pp = t_in[None, cols]
+        on_edge = (np.abs(pp - (tt - params.beta_r * L)) <= tol) \
+            | (np.abs((tt - params.beta_s * L) - pp) <= tol)
+        for b, view in views.items():
+            piece = _low_ce_over_i(params, pump, tt, pp, b)
+            np.multiply(piece, 0.5, out=piece, where=on_edge)
+            piece *= scale
+            view[rows, cols] = piece
+    return _sampled("low-ce", params, pump, t_out, t_in, data, values_only, ("rr", "ss"))
 
 
 def low_ce_gf_freq(params: RegimeParams, pump: PumpSpec,
@@ -327,16 +333,6 @@ def _j1_over_x(x: np.ndarray) -> np.ndarray:
     return np.where(small, 1.0 - x * x / 8.0, out)
 
 
-def _ssvm_rs_piece(j0: np.ndarray, gap: np.ndarray, mask: np.ndarray,
-                   weight: float) -> np.ndarray:
-    """``G_rs / i = gbar Ap(tau') J0(x)`` times ``weight`` on one row block,
-    zero off ``mask``; formed in ``j0`` for a real ``gap = gbar Ap(tau')``."""
-    piece = j0 * gap if np.iscomplexobj(gap) else np.multiply(j0, gap, out=j0)
-    np.copyto(piece, 0.0, where=~mask)
-    piece *= weight
-    return piece
-
-
 def ssvm_gf(params: RegimeParams, pump: PumpSpec,
             t_out: np.ndarray, t_in: np.ndarray,
             blocks: Sequence[str] = _BLOCKS,
@@ -355,16 +351,13 @@ def ssvm_gf(params: RegimeParams, pump: PumpSpec,
     rotates the s-side functions without changing any conversion magnitude.
     The pump factors and the cumulative intensity are evaluated once per
     axis, the pump factors only when a requested block reads them.  Each
-    requested block is allocated zeroed and filled in row blocks
+    requested block, rs from :func:`_over_i_block`, is filled in row blocks
     (:func:`_band_blocks`), each against only the input columns that can
     meet the band.  There ``J0(x)`` overwrites the one float buffer of
     ``x``, after ``2 J1(x) / x`` for rr and ss, and becomes ``G_rs / i``
-    (:func:`_ssvm_rs_piece`), stored times ``i``.  With ``values_only``
-    only that piece is formed, times ``sqrt(dt_out dt_in)``, into a real
-    (complex for a complex amplitude) :class:`WeightedRs`, whatever
-    ``blocks`` says, and no complex block is built.  ``t_in`` must be
-    ascending.  The blocks are handed to the :class:`GreenFunction`
-    read-only, which keeps them without a copy.
+    in place for a real amplitude.  With ``values_only`` only that piece
+    is formed, into a :class:`WeightedRs`, whatever ``blocks`` says, and no
+    complex block is built.  ``t_in`` must be ascending.
     """
     from scipy import special
 
@@ -381,16 +374,16 @@ def ssvm_gf(params: RegimeParams, pump: PumpSpec,
     ap_out_c = np.conj(eval_pump(pump, tau)) if need & {"sr", "ss"} else None
     gap = gbar * ap_in if "rs" in need else None
     shape = (t_out.size, t_in.size)
-    if values_only:
-        weight = math.sqrt(t_out[1] - t_out[0]) * math.sqrt(t_in[1] - t_in[0])
-        rs = np.zeros(shape, np.result_type(gap, float))
-    data = {f"g_{b}": np.zeros(shape, dtype=complex)
-            for b in _BLOCKS if b in need and not values_only}
+    data = {f"g_{b}": np.zeros(shape, dtype=complex) for b in _BLOCKS
+            if b in need and b != "rs"}
+    if "rs" in need:
+        data["g_rs"], rs_view, scale = _over_i_block(
+            shape, np.result_type(gap, float), values_only, t_out, t_in)
     for rows, cols in _band_blocks(params, t_out, t_in):
         kv = _kernel_variables(params, t_out[rows, None], tau_prime[:, cols],
                                f_out[rows], f_in[:, cols])
         j1x = _j1_over_x(kv.x) if need & {"rr", "ss"} else None
-        # J0(x) overwrites x, and the rs piece is then formed in that buffer
+        # J0(x) overwrites x, and a real rs piece is then formed in that buffer
         j0 = special.j0(kv.x, out=kv.x) if need & {"rs", "sr"} else None
         if "rr" in need:
             data["g_rr"][rows, cols] = np.where(
@@ -402,19 +395,12 @@ def ssvm_gf(params: RegimeParams, pump: PumpSpec,
         if "sr" in need:
             data["g_sr"][rows, cols] = np.where(
                 kv.mask, 1j * gbar * ap_out_c[rows] * j0, 0.0)
-        if values_only:
-            rs[rows, cols] = _ssvm_rs_piece(j0, gap[:, cols], kv.mask, weight)
-        elif "rs" in need:
-            _put_times_i(data["g_rs"], rows, cols,
-                         _ssvm_rs_piece(j0, gap[:, cols], kv.mask, 1.0))
-    if values_only:
-        return WeightedRs(rs, t_out, t_in)
-    return GreenFunction(
-        form="grid", t_out=t_out, t_in=t_in,
-        delta_rr=DeltaLine(params.beta_r * params.L) if "rr" in need else None,
-        delta_ss=DeltaLine(params.beta_s * params.L) if "ss" in need else None,
-        metadata=_run_metadata("analytic-ssvm", params, pump), **_read_only(data),
-    )
+        if "rs" in need:
+            piece = np.multiply(j0, gap[:, cols], out=None if np.iscomplexobj(gap) else j0)
+            np.copyto(piece, 0.0, where=~kv.mask)
+            piece *= scale
+            rs_view[rows, cols] = piece
+    return _sampled("analytic-ssvm", params, pump, t_out, t_in, data, values_only, need)
 
 
 def default_ssvm_grids(params: RegimeParams, pump: PumpSpec,

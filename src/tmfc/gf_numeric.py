@@ -204,9 +204,10 @@ class WeightedRs:
     """A sampled rs block in the form its Schmidt values are read from:
     ``g_rs`` is ``G_rs / i`` times ``sqrt(dt_out dt_in)`` on the ``t_out``
     x ``t_in`` grid, real for a real kernel over ``i`` (real coupling and
-    an unchirped pump) and complex otherwise.  The analytic samplers return
-    it for ``values_only``; :func:`~tmfc.schmidt.decompose` reads values
-    alone from it, and no complex block is built.  As for a
+    a real pump) and complex otherwise, a dtype the analytic samplers know
+    before they write a piece.  They return it for ``values_only``;
+    :func:`~tmfc.schmidt.decompose` reads values alone from it, and no
+    complex block is built.  As for a
     :class:`GreenFunction` holding the rs block alone, the other blocks are
     ``None``."""
 
@@ -214,17 +215,6 @@ class WeightedRs:
     t_out: np.ndarray
     t_in: np.ndarray
     g_rr = g_sr = g_ss = None
-
-    @classmethod
-    def from_pieces(cls, t_out: np.ndarray, t_in: np.ndarray, pieces) -> WeightedRs:
-        """The block that is ``piece`` on each ``(rows, cols, piece)`` of
-        ``pieces`` and zero elsewhere; complex once a piece is."""
-        mat = np.zeros((t_out.size, t_in.size))
-        for rows, cols, piece in pieces:
-            if np.iscomplexobj(piece) and not np.iscomplexobj(mat):
-                mat = mat.astype(complex)
-            mat[rows, cols] = piece
-        return cls(mat, t_out, t_in)
 
 
 def _spectral_shift(v: np.ndarray, delay: float, dt: float) -> np.ndarray:
@@ -314,9 +304,7 @@ def default_basis_layout(params: RegimeParams, pump: PumpSpec,
 
 
 def grid_for_basis(params: RegimeParams, pump: PumpSpec,
-                   layout: Dict[str, BasisSpec],
-                   n_t: Optional[int] = None,
-                   n_z: Optional[int] = None) -> TemporalGrid:
+                   layout: Dict[str, BasisSpec]) -> TemporalGrid:
     """Covering grid for an assembly: interaction support plus basis tails,
     sampled finely enough for the pump and the highest basis order."""
     edges = []
@@ -326,9 +314,7 @@ def grid_for_basis(params: RegimeParams, pump: PumpSpec,
         # quarter of the Nyquist bound of the highest mode
         dt_req = min(dt_req, 0.25 * math.pi * spec.width
                      / math.sqrt(2.0 * spec.n + 1.0))
-    return TemporalGrid.for_interaction(
-        params, pump, n_t=n_t, n_z=n_z, dt_max=dt_req, extra=edges,
-    )
+    return TemporalGrid.for_interaction(params, pump, dt_max=dt_req, extra=edges)
 
 
 def assemble_gf(
@@ -341,8 +327,6 @@ def assemble_gf(
     width_s: Optional[float] = None,
     layout: Optional[Dict[str, BasisSpec]] = None,
     tol_leak: float = 1e-2,
-    n_t: Optional[int] = None,
-    n_z: Optional[int] = None,
     blocks: Sequence[str] = _BLOCKS,
 ) -> GreenFunction:
     """Assemble the basis-form Green function by propagating test signals.
@@ -374,7 +358,7 @@ def assemble_gf(
         layout = default_basis_layout(params, pump, n_r=n_r, n_s=n_s,
                                       width_r=width_r, width_s=width_s)
     if grid is None:
-        grid = grid_for_basis(params, pump, layout, n_t=n_t, n_z=n_z)
+        grid = grid_for_basis(params, pump, layout)
     else:
         lo = min(e for spec in layout.values() for e in spec.extent())
         hi = max(e for spec in layout.values() for e in spec.extent())

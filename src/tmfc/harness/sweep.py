@@ -103,6 +103,9 @@ class SweepSpec:
             norm.append((name, vals))
         object.__setattr__(self, "axes", tuple(norm))
         if self.basis is not None:
+            unknown = set(self.basis) - {"n_r", "n_s", "width_r", "width_s", "tol_leak"}
+            if unknown:
+                raise ConfigurationError(f"unknown basis keys: {', '.join(sorted(unknown))}")
             object.__setattr__(self, "basis", dict(self.basis))
 
     def points(self) -> List[Dict[str, float]]:
@@ -157,9 +160,10 @@ def _gf_for_point(spec: SweepSpec, params: RegimeParams, pump: PumpSpec):
     values.  The numeric engine also assembles ss, which pairs tau, so it
     propagates the s-input columns alone; no record reads the r-input
     columns (rr, sr), so those are neither propagated nor leak-checked.
-    The analytic engines sample the rs block alone and, for a point that
-    reads no modes, return it as a :class:`~tmfc.gf_numeric.WeightedRs`,
-    so no complex block is built."""
+    The analytic engines sample the rs block alone, through one write path
+    either way: a complex block for a point that reads modes, and a
+    :class:`~tmfc.gf_numeric.WeightedRs` for one that reads no modes, so
+    no complex block is built."""
     if spec.engine == "numeric":
         return assemble_gf(params, pump, grid=spec.grid, blocks=("rs", "ss"),
                            **(spec.basis or {}))

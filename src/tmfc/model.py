@@ -505,8 +505,6 @@ class TemporalGrid:
         cls,
         params: RegimeParams,
         pump: PumpSpec,
-        n_t: Optional[int] = None,
-        n_z: Optional[int] = None,
         dt_max: Optional[float] = None,
         extra: Sequence[float] = (),
     ) -> "TemporalGrid":
@@ -514,25 +512,21 @@ class TemporalGrid:
 
         ``extra`` lists additional time points the window must contain
         (basis tails, custom input supports).  ``dt_max`` forces a finer
-        sampling than the default 1024 points when needed; ``n_z`` defaults
-        to the advection stability bound with a safety factor of 2.
+        sampling than the default 1024 points when needed; ``n_z`` is the
+        advection stability bound with a safety factor of 2.
         """
         lo, hi = interaction_support(params, pump)
         if len(extra):
             lo = min(lo, float(np.min(extra)))
             hi = max(hi, float(np.max(extra)))
         span = hi - lo
-        nt = 1024 if n_t is None else int(n_t)
+        nt = 1024
         if dt_max is not None:
             nt = max(nt, int(math.ceil(span / dt_max)) + 1)
-        if n_t is None:
-            nt = _next_fast_len(nt)
+        nt = _next_fast_len(nt)
         dt = span / (nt - 1)
-        if n_z is None:
-            beta_max = max(abs(params.beta_r), abs(params.beta_s), abs(params.beta_p))
-            nz = max(64, int(math.ceil(2.0 * beta_max * params.L / dt)))
-        else:
-            nz = int(n_z)
+        beta_max = max(abs(params.beta_r), abs(params.beta_s), abs(params.beta_p))
+        nz = max(64, int(math.ceil(2.0 * beta_max * params.L / dt)))
         return cls(lo, hi, nt, nz)
 
 

@@ -147,9 +147,10 @@ def decompose(gf: GreenFunction | WeightedRs, n_report: int = 10,
     other block takes the complex SVD.
 
     A :class:`WeightedRs` is already that weighted matrix and gives the
-    values alone, ``tau`` from unitarity.  The analytic samplers return it
-    for ``values_only``, as they do for every analytic sweep point that
-    reads values only, so such a point builds no complex block.  Points
+    values alone, ``tau`` from unitarity.  The analytic samplers write it
+    for ``values_only`` through the one path that writes their complex
+    blocks, as they do for every analytic sweep point that reads values
+    only, so such a point builds no complex block.  Points
     that read modes, ``tmfc decompose`` on a file and the Fourier-sampled
     kernels still go through a complex rs block.  A non-finite entry
     raises :class:`DataError`.
@@ -292,8 +293,9 @@ def _leading_values(mat: np.ndarray, k: int) -> Optional[np.ndarray]:
     piece gives its rows of ``y_j`` and, still in cache, adds its share of
     ``y_j^H mat``.  The zeros outside a sampled kernel's interaction band
     are never read, and rows that no piece covers stay zero in ``y``.  For
-    an analytic sweep point that reads values only, ``mat`` is the block of
-    the sampler's :class:`WeightedRs`, not a copy out of a complex block.
+    an analytic sweep point that reads values only, ``mat`` is the block
+    the sampler wrote for its :class:`WeightedRs`, not a copy out of a
+    complex block.
     """
     depth =min(_MAX_DEPTH, (min(mat.shape) - 1) // k)
     if depth < 2:

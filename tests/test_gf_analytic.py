@@ -1,6 +1,7 @@
 """Closed-form kernel tests: weak-conversion, velocity-matched, limits."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -40,6 +41,7 @@ from tmfc import (
 import tmfc.gf_analytic
 from tmfc.gf_analytic import _band_blocks, _j1_over_x, _row_blocks
 from tmfc.gf_numeric import apply_block
+from tmfc.harness.cases import low_ce_spec
 
 PUMP = PumpSpec(tau_p=1.0)
 
@@ -421,6 +423,40 @@ def test_ssvm_gf_pump_terms_stay_one_dimensional(monkeypatch):
     assert sizes["pump_cumulative_intensity"]
     for seen in sizes.values():
         assert max(seen) <= max(t_out.size, t_in.size)
+
+
+def _table1_a_low_ce():
+    """``sample_low_ce`` rs and sr of table1-a on its 1024 x 1024 grids."""
+    spec = low_ce_spec("table1-a")
+    (o_lo, o_hi), (i_lo, i_hi) = conversion_support(
+        spec.params, spec.pump, margin=spec.low_ce_margin)
+    return sample_low_ce(spec.params, spec.pump, np.linspace(o_lo, o_hi, spec.low_ce_n),
+                         np.linspace(i_lo, i_hi, spec.low_ce_n))
+
+
+def _fig6_four_blocks():
+    params = RegimeParams(beta_r=2.0, beta_s=0.0, beta_p=0.0).with_gamma_bar(1.0)
+    pump = PumpSpec(tau_p=0.1)
+    return ssvm_gf(params, pump, *default_ssvm_grids(params, pump))
+
+
+@pytest.mark.parametrize("make, bound", [(_table1_a_low_ce, 1.1), (_fig6_four_blocks, 1.2)],
+                         ids=["low-ce-rs-sr", "ssvm-four-blocks"])
+def test_sampled_gf_holds_no_full_size_temporary(make, bound):
+    """A sampler's traced allocation peak stays within ``bound`` times the
+    blocks it returns, so no temporary spans the grid, and a real kernel
+    over ``i`` leaves +0.0 in every real part of its rs block, the sign
+    that keeps its saved bytes fixed and that ``np.array_equal`` misses."""
+    make()
+    tracemalloc.start()
+    try:
+        gf = make()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    held = sum(m.nbytes for m in (gf.g_rr, gf.g_rs, gf.g_sr, gf.g_ss) if m is not None)
+    assert peak <= bound * held
+    assert not np.signbit(gf.g_rs.real).any()
 
 
 def test_short_pump_limit_node_convergence():

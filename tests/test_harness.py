@@ -771,6 +771,7 @@ _PARAMS_LINE = "params: {beta_r: 1.0, beta_s: -1.0, beta_p: 1.0, gamma_bar: 0.01
     ("pump", "pump: {tau: 0.1}", "tau"),
     ("grid", "grid: {t_min: -5.0, t_max: 5.0, nt: 64}", "nt"),
     ("low_ce", "low_ce: {num: 64}", "num"),
+    ("basis", "basis: {n_rr: 10}", "n_rr"),
     ("axes entry", "axes: [{name: gamma_bar, value: [0.5]}]", "value"),
 ])
 def test_cli_run_rejects_unknown_config_key(tmp_path, capsys, section, line, key):
