@@ -147,14 +147,18 @@ def ridge_slope(params: RegimeParams) -> float:
     return params.beta_sp / params.beta_rp
 
 
-def _over_i_block(shape: Tuple[int, int], dtype, values_only: bool,
+def _over_i_block(shape: Tuple[int, int], dtype, weighted: bool,
                   t_out: np.ndarray, t_in: np.ndarray) -> tuple:
     """Zeroed block for a kernel over ``i``, as ``(block, view, scale)``: a
     band piece is stored by ``piece *= scale; view[rows, cols] = piece``.
-    With ``values_only`` the :class:`WeightedRs` block of ``dtype``, weight
-    ``sqrt(dt_out dt_in)``; else a complex block, written through ``.imag``
-    for a real kernel over ``i`` and times ``i`` for a complex one."""
-    if values_only:
+    With ``weighted`` the :class:`WeightedRs` block of ``dtype``, weight
+    ``sqrt(dt_out dt_in)``, which needs two samples on each axis; else a
+    complex block, written through ``.imag`` for a real kernel over ``i``
+    and times ``i`` for a complex one."""
+    if weighted:
+        for name, t in (("output", t_out), ("input", t_in)):
+            if t.size < 2:
+                raise ConfigurationError(f"a weighted block needs two {name} samples, got {t.size}")
         block = np.zeros(shape, dtype)
         return block, block, math.sqrt(t_out[1] - t_out[0]) * math.sqrt(t_in[1] - t_in[0])
     block = np.zeros(shape, dtype=complex)
@@ -163,12 +167,12 @@ def _over_i_block(shape: Tuple[int, int], dtype, values_only: bool,
 
 def _sampled(engine: str, params: RegimeParams, pump: PumpSpec,
              t_out: np.ndarray, t_in: np.ndarray, data: dict,
-             values_only: bool, deltas) -> GreenFunction | WeightedRs:
-    """A sampler's result: the :class:`WeightedRs` of ``data["g_rs"]`` for
-    ``values_only``, else the grid-form :class:`GreenFunction` of the blocks
+             weighted: bool, deltas) -> GreenFunction | WeightedRs:
+    """A sampler's result: the :class:`WeightedRs` of ``data["g_rs"]`` if
+    ``weighted``, else the grid-form :class:`GreenFunction` of the blocks
     in ``data``, handed over read-only, with the unit delta lines of the
     blocks named in ``deltas``."""
-    if values_only:
+    if weighted:
         return WeightedRs(data["g_rs"], t_out, t_in)
     return GreenFunction(
         form="grid", t_out=t_out, t_in=t_in,
@@ -181,7 +185,7 @@ def _sampled(engine: str, params: RegimeParams, pump: PumpSpec,
 def sample_low_ce(params: RegimeParams, pump: PumpSpec,
                   t_out: np.ndarray, t_in: np.ndarray,
                   blocks: Sequence[str] = ("rs", "sr"),
-                  values_only: bool = False) -> GreenFunction | WeightedRs:
+                  weighted: bool = False) -> GreenFunction | WeightedRs:
     """Sample the weak-conversion kernel on rectangular output/input grids.
 
     The rr/ss blocks are represented by unit delta lines at the free transit
@@ -198,17 +202,18 @@ def sample_low_ce(params: RegimeParams, pump: PumpSpec,
     Each requested block comes from :func:`_over_i_block` and is filled in
     one loop over the :func:`_band_blocks`, which finds the on-edge samples
     once for every block; no temporary spans the full grid and no sample
-    outside the band is evaluated.  With ``values_only`` the rs block alone,
-    whatever ``blocks`` says, fills a :class:`WeightedRs` and no complex
+    outside the band is evaluated.  With ``weighted`` the rs block alone,
+    whatever ``blocks`` says, fills a :class:`WeightedRs`, from which
+    :func:`~tmfc.schmidt.decompose` reads values and modes, and no complex
     block is built.  ``t_in`` must be ascending.
     """
     t_out = np.asarray(t_out, dtype=float)
     t_in = np.asarray(t_in, dtype=float)
     real = pump.is_real and not isinstance(params.gamma, complex)
     data, views = {}, {}
-    for b in ("rs",) if values_only else blocks:
+    for b in ("rs",) if weighted else blocks:
         data[f"g_{b}"], views[b], scale = _over_i_block(
-            (t_out.size, t_in.size), float if real else complex, values_only, t_out, t_in)
+            (t_out.size, t_in.size), float if real else complex, weighted, t_out, t_in)
     steps = [g[1] - g[0] for g in (t_out, t_in) if g.size > 1]
     tol = 1e-6 * min(steps) if steps else 0.0
     L = params.L
@@ -222,7 +227,7 @@ def sample_low_ce(params: RegimeParams, pump: PumpSpec,
             np.multiply(piece, 0.5, out=piece, where=on_edge)
             piece *= scale
             view[rows, cols] = piece
-    return _sampled("low-ce", params, pump, t_out, t_in, data, values_only, ("rr", "ss"))
+    return _sampled("low-ce", params, pump, t_out, t_in, data, weighted, ("rr", "ss"))
 
 
 def low_ce_gf_freq(params: RegimeParams, pump: PumpSpec,
@@ -336,7 +341,7 @@ def _j1_over_x(x: np.ndarray) -> np.ndarray:
 def ssvm_gf(params: RegimeParams, pump: PumpSpec,
             t_out: np.ndarray, t_in: np.ndarray,
             blocks: Sequence[str] = _BLOCKS,
-            values_only: bool = False) -> GreenFunction | WeightedRs:
+            weighted: bool = False) -> GreenFunction | WeightedRs:
     """Exact Green function when the s channel co-propagates with the pump.
 
     Smooth parts, with ``x = 2 |gbar| sqrt(eta xi)``::
@@ -355,9 +360,10 @@ def ssvm_gf(params: RegimeParams, pump: PumpSpec,
     (:func:`_band_blocks`), each against only the input columns that can
     meet the band.  There ``J0(x)`` overwrites the one float buffer of
     ``x``, after ``2 J1(x) / x`` for rr and ss, and becomes ``G_rs / i``
-    in place for a real amplitude.  With ``values_only`` only that piece
-    is formed, into a :class:`WeightedRs`, whatever ``blocks`` says, and no
-    complex block is built.  ``t_in`` must be ascending.
+    in place for a real amplitude.  With ``weighted`` only that piece is
+    formed, into a :class:`WeightedRs` that gives values and modes, whatever
+    ``blocks`` says, and no complex block is built.  ``t_in`` must be
+    ascending.
     """
     from scipy import special
 
@@ -369,7 +375,7 @@ def ssvm_gf(params: RegimeParams, pump: PumpSpec,
     f_out = pump_cumulative_intensity(pump, tau)
     f_in = pump_cumulative_intensity(pump, tau_prime)
     gbar = gamma_real / params.beta_rs
-    need = {"rs"} if values_only else set(blocks)
+    need = {"rs"} if weighted else set(blocks)
     ap_in = eval_pump(pump, tau_prime) if need & {"rs", "ss"} else None
     ap_out_c = np.conj(eval_pump(pump, tau)) if need & {"sr", "ss"} else None
     gap = gbar * ap_in if "rs" in need else None
@@ -378,7 +384,7 @@ def ssvm_gf(params: RegimeParams, pump: PumpSpec,
             if b in need and b != "rs"}
     if "rs" in need:
         data["g_rs"], rs_view, scale = _over_i_block(
-            shape, np.result_type(gap, float), values_only, t_out, t_in)
+            shape, np.result_type(gap, float), weighted, t_out, t_in)
     for rows, cols in _band_blocks(params, t_out, t_in):
         kv = _kernel_variables(params, t_out[rows, None], tau_prime[:, cols],
                                f_out[rows], f_in[:, cols])
@@ -400,7 +406,7 @@ def ssvm_gf(params: RegimeParams, pump: PumpSpec,
             np.copyto(piece, 0.0, where=~kv.mask)
             piece *= scale
             rs_view[rows, cols] = piece
-    return _sampled("analytic-ssvm", params, pump, t_out, t_in, data, values_only, need)
+    return _sampled("analytic-ssvm", params, pump, t_out, t_in, data, weighted, need)
 
 
 def default_ssvm_grids(params: RegimeParams, pump: PumpSpec,

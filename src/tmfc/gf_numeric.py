@@ -201,15 +201,14 @@ class GreenFunction:
 
 @dataclass(frozen=True)
 class WeightedRs:
-    """A sampled rs block in the form its Schmidt values are read from:
+    """A sampled rs block in the form its Schmidt decomposition is read from:
     ``g_rs`` is ``G_rs / i`` times ``sqrt(dt_out dt_in)`` on the ``t_out``
     x ``t_in`` grid, real for a real kernel over ``i`` (real coupling and
     a real pump) and complex otherwise, a dtype the analytic samplers know
-    before they write a piece.  They return it for ``values_only``;
-    :func:`~tmfc.schmidt.decompose` reads values alone from it, and no
-    complex block is built.  As for a
-    :class:`GreenFunction` holding the rs block alone, the other blocks are
-    ``None``."""
+    before they write a piece.  They return it when ``weighted``;
+    :func:`~tmfc.schmidt.decompose` reads values and modes from it, and no
+    complex block is built.  As for a :class:`GreenFunction` holding the
+    rs block alone, the other blocks are ``None``."""
 
     g_rs: np.ndarray
     t_out: np.ndarray

@@ -314,7 +314,7 @@ def _case_chirp_invariance(workers: int = 1):
     t_out, t_in = default_ssvm_grids(params, plain)
     # every singular value: at n_report = min(shape) one values-only SVD
     n = min(t_out.size, t_in.size)
-    rho0, rho1 = (decompose(ssvm_gf(params, pump, t_out, t_in, values_only=True), n,
+    rho0, rho1 = (decompose(ssvm_gf(params, pump, t_out, t_in, weighted=True), n,
                             want_modes=False).rho for pump in (plain, chirped))
     diff = float(np.max(np.abs(rho0 - rho1)))
     checks = [

@@ -27,7 +27,7 @@ from ..model import PumpSpec, QuadraticChirp, RegimeParams, TemporalGrid
 from ..schmidt import decompose
 from .cases import CaseReport, case_ids, reproduce
 from .gfio import _sink, export_result, load_gf
-from .sweep import SweepSpec, _single_blas_thread, run_sweep
+from .sweep import BASIS_KEYS, SweepSpec, _single_blas_thread, run_sweep
 
 EXIT_OK = 0
 EXIT_TOLERANCE = 1
@@ -127,7 +127,9 @@ def spec_from_config(cfg: dict) -> SweepSpec:
             t_min=float(g["t_min"]), t_max=float(g["t_max"]),
             n_t=int(g.get("n_t", 1024)), n_z=int(g.get("n_z", 64)))
     if "basis" in cfg:
-        kwargs["basis"] = {k: v for k, v in dict(cfg["basis"]).items()}
+        # another engine's basis is SweepSpec's error, whatever its keys
+        kwargs["basis"] = cfg["basis"] if cfg.get("engine", "numeric") != "numeric" \
+            else _require_known(cfg["basis"], BASIS_KEYS, "basis")
     low_ce = _require_known(cfg.get("low_ce", {}), ("n", "margin"), "low_ce")
     if "n" in low_ce:
         kwargs["low_ce_n"] = int(low_ce["n"])

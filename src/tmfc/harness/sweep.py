@@ -37,6 +37,7 @@ from ..schmidt import decompose, shape_fidelity
 
 AXIS_NAMES = ("gamma_bar", "tau_p", "beta_p", "beta_r", "beta_rs_L")
 ENGINES = ("numeric", "analytic-ssvm", "low-ce")
+BASIS_KEYS = ("n_r", "n_s", "width_r", "width_s", "tol_leak")
 
 
 @dataclass(frozen=True)
@@ -103,7 +104,7 @@ class SweepSpec:
             norm.append((name, vals))
         object.__setattr__(self, "axes", tuple(norm))
         if self.basis is not None:
-            unknown = set(self.basis) - {"n_r", "n_s", "width_r", "width_s", "tol_leak"}
+            unknown = set(self.basis) - set(BASIS_KEYS)
             if unknown:
                 raise ConfigurationError(f"unknown basis keys: {', '.join(sorted(unknown))}")
             object.__setattr__(self, "basis", dict(self.basis))
@@ -157,29 +158,24 @@ class SweepResult:
 def _gf_for_point(spec: SweepSpec, params: RegimeParams, pump: PumpSpec):
     """The Green function of one point, holding only the blocks its record
     reads.  Every engine supplies the rs block, which gives the Schmidt
-    values.  The numeric engine also assembles ss, which pairs tau, so it
-    propagates the s-input columns alone; no record reads the r-input
-    columns (rr, sr), so those are neither propagated nor leak-checked.
-    The analytic engines sample the rs block alone, through one write path
-    either way: a complex block for a point that reads modes, and a
-    :class:`~tmfc.gf_numeric.WeightedRs` for one that reads no modes, so
-    no complex block is built."""
+    values and modes.  The numeric engine also assembles ss, which pairs
+    tau, so it propagates the s-input columns alone; no record reads the
+    r-input columns (rr, sr), so those are neither propagated nor
+    leak-checked.  The analytic engines sample the rs block alone, as a
+    :class:`~tmfc.gf_numeric.WeightedRs`, so no complex block is built."""
     if spec.engine == "numeric":
         return assemble_gf(params, pump, grid=spec.grid, blocks=("rs", "ss"),
                            **(spec.basis or {}))
-    values_only = not (spec.want_modes or spec.want_fidelity)
     if spec.engine == "analytic-ssvm":
         if abs(params.beta_sp) > EPS_BETA:
             raise RegimeError(
                 "analytic-ssvm engine requires the s channel matched to the "
                 f"pump (beta_sp = {params.beta_sp:g})")
-        t_out, t_in = default_ssvm_grids(params, pump)
-        return ssvm_gf(params, pump, t_out, t_in, blocks=("rs",), values_only=values_only)
+        return ssvm_gf(params, pump, *default_ssvm_grids(params, pump), weighted=True)
     (o_lo, o_hi), (i_lo, i_hi) = conversion_support(
         params, pump, margin=spec.low_ce_margin)
-    t_out = np.linspace(o_lo, o_hi, spec.low_ce_n)
-    t_in = np.linspace(i_lo, i_hi, spec.low_ce_n)
-    return sample_low_ce(params, pump, t_out, t_in, blocks=("rs",), values_only=values_only)
+    return sample_low_ce(params, pump, np.linspace(o_lo, o_hi, spec.low_ce_n),
+                         np.linspace(i_lo, i_hi, spec.low_ce_n), weighted=True)
 
 
 def evaluate_point(spec: SweepSpec, index: int, values: Dict[str, float]) -> dict:

@@ -140,46 +140,43 @@ def decompose(gf: GreenFunction | WeightedRs, n_report: int = 10,
     values-only SVD runs instead, so ``n_report = min(gf.g_rs.shape)`` with
     ``want_modes=False`` returns every singular value by that one SVD.
     Either way ``conv_energy_s`` of a basis-form Green function takes
-    precedence for ``sum_rho_sq``.  An rs block with an identically zero real part (``i``
-    times a real kernel, as every sampled kernel at real coupling with an
-    unchirped pump is) or zero imaginary part is decomposed as the real
-    matrix, with the factor ``i`` carried by the output functions; any
-    other block takes the complex SVD.
+    precedence for ``sum_rho_sq``.  An rs block with an identically zero
+    real part (``i`` times a real kernel, as every sampled kernel at real
+    coupling with an unchirped pump is) or zero imaginary part is
+    decomposed as the real matrix, with the factor ``i`` carried by the
+    output functions; any other block takes the complex SVD.
 
-    A :class:`WeightedRs` is already that weighted matrix and gives the
-    values alone, ``tau`` from unitarity.  The analytic samplers write it
-    for ``values_only`` through the one path that writes their complex
-    blocks, as they do for every analytic sweep point that reads values
-    only, so such a point builds no complex block.  Points
-    that read modes, ``tmfc decompose`` on a file and the Fourier-sampled
-    kernels still go through a complex rs block.  A non-finite entry
-    raises :class:`DataError`.
+    A :class:`WeightedRs`, which the analytic samplers write for every
+    analytic sweep point, is already that weighted matrix of the kernel
+    over ``i``: its unit is ``i``, its weights are the square roots of its
+    axis steps, and ``tau`` comes from unitarity.  Values and modes come
+    from the same lines as for a grid-form Green function.  Where values
+    alone are read, a non-finite entry raises :class:`DataError`; the full
+    SVD raises ``LinAlgError`` on one.
     """
     if n_report < 1:
         raise ConfigurationError(f"n_report must be >= 1, got {n_report}")
-    if isinstance(gf, WeightedRs):
-        if want_modes:
-            raise ConfigurationError("a WeightedRs has no modes; pass want_modes=False")
-        basis = pair_rr = pair_ss = vectors = False
-        mat, t_in, t_out = gf.g_rs, gf.t_in, gf.t_out
+    weighted = isinstance(gf, WeightedRs)
+    if not weighted and gf.block("rs") is None:
+        raise ConfigurationError("decomposition needs the rs block")
+    basis = not weighted and gf.form == "basis"
+    if basis:
+        w_out = w_in = 1.0
+        t_in = t_out = None if gf.grid is None else gf.grid.times
     else:
-        if gf.block("rs") is None:
-            raise ConfigurationError("decomposition needs the rs block")
-        basis = gf.form == "basis"
-        if basis:
-            w_out = w_in = 1.0
-            t_in = t_out = None if gf.grid is None else gf.grid.times
-        else:
-            w_out = math.sqrt(gf.dt_out)
-            w_in = math.sqrt(gf.dt_in)
-            t_in, t_out = gf.t_in, gf.t_out
+        t_in, t_out = gf.t_in, gf.t_out
+        w_out = math.sqrt(t_out[1] - t_out[0])
+        w_in = math.sqrt(t_in[1] - t_in[0])
 
-        def applicable(name: str) -> bool:
-            return gf.block(name) is not None and (
-                gf.delta(name) is None or gf.deltas_applicable)
+    def applicable(name: str) -> bool:
+        return getattr(gf, f"g_{name}") is not None and (
+            gf.delta(name) is None or gf.deltas_applicable)
 
-        pair_rr, pair_ss = applicable("rr"), applicable("ss")
-        vectors = want_modes or pair_rr or pair_ss
+    pair_rr, pair_ss = applicable("rr"), applicable("ss")
+    vectors = want_modes or pair_rr or pair_ss
+    if weighted:
+        mat, unit = gf.g_rs, 1j
+    else:
         g = gf.g_rs
         # a real kernel up to the factor i: the real SVD, i rides on the outputs
         if not g.real.any():
@@ -293,11 +290,10 @@ def _leading_values(mat: np.ndarray, k: int) -> Optional[np.ndarray]:
     piece gives its rows of ``y_j`` and, still in cache, adds its share of
     ``y_j^H mat``.  The zeros outside a sampled kernel's interaction band
     are never read, and rows that no piece covers stay zero in ``y``.  For
-    an analytic sweep point that reads values only, ``mat`` is the block
-    the sampler wrote for its :class:`WeightedRs`, not a copy out of a
-    complex block.
+    an analytic sweep point, ``mat`` is the block the sampler wrote for its
+    :class:`WeightedRs`, not a copy out of a complex block.
     """
-    depth =min(_MAX_DEPTH, (min(mat.shape) - 1) // k)
+    depth = min(_MAX_DEPTH, (min(mat.shape) - 1) // k)
     if depth < 2:
         return None
     pieces = _pieces(mat)

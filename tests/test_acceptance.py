@@ -201,7 +201,9 @@ def test_criterion_05_limiting_selectivity(capsys):
     spec = ssvm_limit_spec()
     s_star, gbar_star = short_pump_limit_peak(spec.params)
     tau_fine = spec.pump.tau_p
-    fine = _refined_peak(run_sweep(spec).records)[1]
+    result, report = cases.reproduce("ssvm-limit-0.85")
+    assert result.spec == spec
+    fine = _refined_peak(result.records)[1]
     coarse_spec = replace(spec, pump=replace(spec.pump, tau_p=2.0 * tau_fine))
     coarse = _refined_peak(run_sweep(coarse_spec).records)[1]
     # first-order Richardson extrapolation of the peaks to tau_p -> 0
@@ -220,10 +222,12 @@ def test_criterion_05_limiting_selectivity(capsys):
     assert coarse < s_star
     assert fine < s_star
     assert rich_dev <= 1e-3
+    assert report.passed
 
 
 def test_criterion_06_scup_optimum(capsys):
-    result = run_sweep(scup_opt_spec())
+    result, report = cases.reproduce("scup-opt")
+    assert result.spec == scup_opt_spec()
     recs = [r for r in result.records if not r["error"]]
     best = max(recs, key=lambda r: r["selectivity"])
     peak, tau, gbar = best["selectivity"], best["tau_p"], best["gamma_bar"]
@@ -234,6 +238,7 @@ def test_criterion_06_scup_optimum(capsys):
              f"gamma_bar {gbar:g} (bands [1, 2] x [0.6, 0.9])")
     assert value_ok
     assert loc_ok
+    assert report.passed
 
 
 def test_criterion_07_pump_slowness_reflection(capsys):
@@ -242,8 +247,10 @@ def test_criterion_07_pump_slowness_reflection(capsys):
     spec = SweepSpec(params=base, pump=pump,
                      axes=(("beta_p", (0.5, 1.0, 1.5, 2.5, 3.0, 3.5)),),
                      engine="low-ce", n_report=8)
+    result, report = cases.reproduce("betap-symmetry")
+    assert result.spec == spec
     by_bp = {r["beta_p"]: r["selectivity"] / GBAR_WEAK ** 2
-             for r in run_sweep(spec).records}
+             for r in result.records}
     worst_weak = max(abs(by_bp[2.0 - d] - by_bp[2.0 + d])
                      for d in (0.5, 1.0, 1.5))
     # finite-coupling spot pair through the full numeric pipeline
@@ -260,6 +267,7 @@ def test_criterion_07_pump_slowness_reflection(capsys):
              f"pair dev {diff_num:.1e} (tol 1e-3)")
     assert worst_weak <= 1e-3
     assert diff_num <= 1e-3
+    assert report.passed
 
 
 def test_criterion_08_chirp_invariance(capsys):

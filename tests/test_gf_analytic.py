@@ -202,6 +202,21 @@ def test_sample_low_ce_delta_lines_and_edge_weight():
     assert np.isclose(halved[0, 0], 0.5 * full[0, 0])
 
 
+@pytest.mark.parametrize("axis", ["output", "input"])
+@pytest.mark.parametrize("sample, params", [
+    (ssvm_gf, RegimeParams(beta_r=1.0, beta_s=0.0, beta_p=0.0).with_gamma_bar(0.5)),
+    (sample_low_ce, RegimeParams(beta_r=1.0, beta_s=-1.0, beta_p=1.0).with_gamma_bar(0.01)),
+], ids=["ssvm", "low-ce"])
+def test_weighted_block_needs_two_samples_per_axis(sample, params, axis):
+    """The weight sqrt(dt_out dt_in) needs two samples on each axis; the
+    Green-function path keeps a one-sample axis."""
+    one, five = np.array([1.0]), np.linspace(-1.0, 1.0, 5)
+    t_out, t_in = (one, five) if axis == "output" else (five, one)
+    with pytest.raises(ConfigurationError, match=f"two {axis} samples, got 1"):
+        sample(params, PUMP, t_out, t_in, weighted=True)
+    assert sample(params, PUMP, t_out, t_in, blocks=("rs",)).g_rs.shape == (t_out.size, t_in.size)
+
+
 def test_sample_low_ce_matches_meshgrid_reference():
     """Broadcast-axis sampling is bit-identical to the kernel on meshgrid
     arrays times the half-weight mask, on dyadic axes whose samples fall
@@ -395,7 +410,7 @@ def test_ssvm_kernel_variables_once_per_row_block(monkeypatch):
     n_blocks = len(_band_blocks(params, t_out, t_in))
     gf = ssvm_gf(params, pump, t_out, t_in)
     assert len(calls) == n_blocks > 1
-    kernel = ssvm_gf(params, pump, t_out, t_in, values_only=True)
+    kernel = ssvm_gf(params, pump, t_out, t_in, weighted=True)
     assert len(calls) == 2 * n_blocks
     weight = math.sqrt(gf.dt_out) * math.sqrt(gf.dt_in)
     assert kernel.g_rs.dtype == float and not gf.g_rs.real.any()

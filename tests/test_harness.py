@@ -22,6 +22,7 @@ from tmfc import (
     GreenFunction,
     Propagator,
     PumpSpec,
+    QuadraticChirp,
     RegimeParams,
     TemporalGrid,
     conversion_support,
@@ -46,7 +47,7 @@ from tmfc.harness import (
     run_sweep,
     save_gf,
 )
-from tmfc.harness.cli import main
+from tmfc.harness.cli import main, spec_from_config
 from tmfc.harness.gfio import FORMAT_LINE
 
 BASE = RegimeParams(beta_r=1.0, beta_s=-1.0, beta_p=1.0).with_gamma_bar(0.01)
@@ -185,6 +186,42 @@ def test_analytic_sweep_records_match_full_block_gf(engine):
     assert rec["rho"] == [float(x) for x in res.rho]
     assert rec["selectivity"] == res.selectivity
     assert rec["separability"] == res.separability
+
+
+@pytest.mark.parametrize("spec", [
+    replace(cases.fig6_spec(), axes=(("gamma_bar", (0.6, 1.1, 2.0)),), want_fidelity=True),
+    replace(cases.low_ce_spec("table1-b"), want_modes=True),
+], ids=["fig6-fidelity", "table1-b-modes"])
+def test_analytic_sweep_modes_and_fidelity_records(tmp_path, spec):
+    """The modes and fidelity records of an analytic sweep equal those of
+    the complex rs block sampled on the same grids, decomposed with one
+    BLAS thread as sweeps are, and a JSON export reads them back."""
+    result = run_sweep(spec)
+    for values, rec in zip(spec.points(), result.records):
+        params, pump = spec.point_config(values)
+        if spec.engine == "analytic-ssvm":
+            grids = default_ssvm_grids(params, pump)
+            gf = ssvm_gf(params, pump, *grids, blocks=("rs",))
+        else:
+            (o_lo, o_hi), (i_lo, i_hi) = conversion_support(
+                params, pump, margin=spec.low_ce_margin)
+            gf = sample_low_ce(params, pump, np.linspace(o_lo, o_hi, spec.low_ce_n),
+                               np.linspace(i_lo, i_hi, spec.low_ce_n), blocks=("rs",))
+        with sweep_module._single_blas_thread():
+            res = decompose(gf, n_report=spec.n_report, want_modes=True)
+        assert rec["error"] == ""
+        assert rec["rho"] == [float(x) for x in res.rho]
+        fidelity = [float(shape_fidelity(res.modes_in_s[k], res.modes_out_r[k],
+                                         res.dt_in, res.dt_out)) for k in range(3)]
+        assert rec.get("fidelity") == (fidelity if spec.want_fidelity else None)
+        modes = {"t_in": [float(x) for x in gf.t_in], "t_out": [float(x) for x in gf.t_out],
+                 **{side: [[[float(v.real), float(v.imag)] for v in m]
+                           for m in getattr(res, f"modes_{side}")]
+                    for side in ("in_s", "out_r")}}
+        assert rec.get("modes") == (modes if spec.want_modes else None)
+    path = tmp_path / "sweep.json"
+    export_json(result, str(path))
+    assert import_json(str(path))["records"] == result.records
 
 
 NUMERIC = RegimeParams(beta_r=1.0, beta_s=0.0, beta_p=0.0).with_gamma_bar(0.5)
@@ -675,6 +712,13 @@ def test_reproduce_ssvm_limit_exact():
     assert any("0.829644" in n and "1.1272" in n for n in report.notes)
 
 
+def test_reproduce_fig6():
+    result, report = reproduce("fig6")
+    assert report.passed
+    assert len(result.records) == 25
+    assert [c.name for c in report.checks] == ["peak selectivity", "peak location"]
+
+
 def test_refined_peak_vertex_and_edge():
     """The parabola vertex of an exact parabola is found from three points;
     a peak on the sweep edge or records with errors are handled."""
@@ -783,6 +827,28 @@ def test_cli_run_rejects_unknown_config_key(tmp_path, capsys, section, line, key
     assert capsys.readouterr().err == f"error: unknown {section} keys: {key}\n"
 
 
+@pytest.mark.parametrize("line", ["basis: 5", "basis: [n_r, 4]"])
+def test_cli_run_rejects_non_mapping_basis(tmp_path, capsys, line):
+    cfg = tmp_path / "basis.yaml"
+    cfg.write_text(_PARAMS_LINE + line + "\n")
+    assert main(["run", str(cfg)]) == 2
+    assert capsys.readouterr().err == "error: config basis must be a mapping\n"
+
+
+def test_spec_from_config_builds_chirped_and_tabulated_pumps():
+    params = {"beta_r": 1.0, "beta_s": -1.0, "beta_p": 1.0, "gamma_bar": 0.01}
+    chirped = spec_from_config(
+        {"params": params, "pump": {"tau_p": 0.5, "chirp": {"quadratic": 2.5}}}).pump
+    assert chirped == PumpSpec(tau_p=0.5, chirp=QuadraticChirp(2.5))
+    times, values = [-1.0, 0.0, 1.0], [0.0, 1.0, 0.0]
+    tabulated = spec_from_config({"params": params, "pump": {
+        "shape": "custom-tabulated", "center": 0.5, "table": [times, values]}}).pump
+    ref = PumpSpec(shape="custom-tabulated", center=0.5,
+                   table=(np.array(times), np.array(values)))
+    assert (tabulated.shape, tabulated.center) == (ref.shape, ref.center)
+    assert all(np.array_equal(a, b) for a, b in zip(tabulated.table, ref.table))
+
+
 @pytest.mark.parametrize("low_ce, message", [
     ("{n: 1}", "low_ce_n must be at least 2"),
     ("{margin: -1}", "low_ce_margin must be a positive finite number"),
@@ -854,6 +920,20 @@ def test_cli_decompose_saved_gf(tmp_path, capsys):
     ref = decompose(gf, n_report=4, want_modes=False)
     assert np.allclose(payload["rho"], ref.rho)
     assert np.isclose(payload["selectivity"], ref.selectivity)
+
+
+def test_cli_decompose_csv_matches_json(tmp_path, capsys):
+    """The CSV row holds the JSON output's values at 12 significant digits."""
+    _, path = _saved_weak_gf(tmp_path)
+    assert main(["decompose", str(path), "--n-report", "3"]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert main(["decompose", str(path), "--n-report", "3", "--format", "csv"]) == 0
+    header, row, end = capsys.readouterr().out.split("\n")
+    assert header.split(",") == ["rho_1", "rho_2", "rho_3", "ce_1", "ce_2", "ce_3",
+                                 "selectivity", "separability"]
+    assert row.split(",") == ["%.12g" % v for v in payload["rho"] + payload["ce"]
+                              + [payload["selectivity"], payload["separability"]]]
+    assert end == ""
 
 
 @pytest.mark.parametrize("n_report", ["0", "-3"])

@@ -111,6 +111,21 @@ def test_pump_spectrum_against_direct_transform():
     assert np.isclose(pump_spectrum(hg, 0.0), 0.0, atol=1e-14)
 
 
+def test_tabulated_pump_spectrum_converges_at_second_order():
+    """A Gaussian tabulated on [-8, 8] around center 0.7: over |w| <= 3 the
+    quadrature spectrum approaches the closed form four times closer per
+    halving of the table step."""
+    w = np.linspace(-3.0, 3.0, 121)
+    ref = pump_spectrum(PumpSpec(tau_p=1.0, center=0.7), w)
+    errs = []
+    for n in (201, 401, 801):
+        t = np.linspace(-8.0, 8.0, n)
+        pump = PumpSpec(shape="custom-tabulated", center=0.7, table=(t, np.exp(-0.5 * t * t)))
+        errs.append(np.max(np.abs(pump_spectrum(pump, w) - ref)) / np.max(np.abs(ref)))
+    assert all(3.5 <= a / b <= 4.5 for a, b in zip(errs, errs[1:]))
+    assert errs[-1] <= 5e-5
+
+
 def test_tabulated_pump_renormalizes():
     times = np.linspace(-3.0, 3.0, 401)
     values = 5.0 * np.exp(-times ** 2)  # deliberately unnormalized

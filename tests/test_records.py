@@ -1,4 +1,4 @@
-"""Committed snapshot of the cheap record families.
+"""Committed snapshots of the sweep record families.
 
 The 49 records of ``fig6_spec(step=0.05)`` and the eight weak-conversion
 records of ``low_ce_spec`` are compared with ``tests/data/records.json``,
@@ -21,20 +21,34 @@ moved without writing anything, run::
 which prints, for each family and field, how many records are ``==`` to
 the file, the largest relative move and the record that moved most, and
 exits with 1 when a move exceeds ``R`` (default 1e-12).
+
+``--full`` works on a second file, ``tests/data/records_full.json``,
+instead: the 11 numeric records of the velocity-matched short-pump sweep
+over ``POOL_GAMMAS``, serial and at ``workers=2``, the 32 ``scup-opt``
+records and the ``tmfc reproduce all --out`` JSON report, one record per
+case.  These take about half a minute, so no test reads them.
 """
 
 import argparse
+import contextlib
+import io
 import json
 import math
 import os
 import sys
+import tempfile
 
 import pytest
 
-from tmfc.harness.cases import fig6_spec, low_ce_spec
-from tmfc.harness.sweep import run_sweep
+from tmfc import PumpSpec, RegimeParams
+from tmfc.harness import SweepSpec
+from tmfc.harness.cases import fig6_spec, low_ce_spec, scup_opt_spec
+from tmfc.harness.cli import main
+from tmfc.harness.sweep import _single_blas_thread, run_sweep
 
 DATA = os.path.join(os.path.dirname(__file__), "data", "records.json")
+DATA_FULL = os.path.join(os.path.dirname(__file__), "data", "records_full.json")
+POOL_GAMMAS = tuple(round(0.5 + 0.1 * i, 10) for i in range(11))
 WEAK_CASES = ("table1-a", "table1-b", "table1-c", "table1-d",
               "fig2", "fig3a", "fig3b", "fig5")
 RTOL = 1e-12
@@ -47,13 +61,33 @@ def current_records() -> dict:
     }
 
 
+def full_records() -> dict:
+    """The families of the second file, computed with one BLAS thread."""
+    pool = SweepSpec(
+        params=RegimeParams(beta_r=2.0, beta_s=0.0, beta_p=0.0).with_gamma_bar(1.0),
+        pump=PumpSpec(tau_p=0.1), axes=(("gamma_bar", POOL_GAMMAS),),
+        engine="numeric", n_report=8)
+    with _single_blas_thread(), tempfile.TemporaryDirectory() as tmp:
+        report = os.path.join(tmp, "reproduce.json")
+        with contextlib.redirect_stdout(io.StringIO()):
+            main(["reproduce", "all", "--out", report])
+        with open(report) as fh:
+            reports = json.load(fh)["reports"]
+        return {
+            "pool": run_sweep(pool).records,
+            "pool-2": run_sweep(pool, workers=2).records,
+            "scup-opt": run_sweep(scup_opt_spec()).records,
+            "reproduce": reports,
+        }
+
+
 def _move(g, w) -> float:
-    """Relative move of one field: a float against its own size, a list
-    against its largest entry; 0 where every value is equal (NaN to NaN),
-    inf for a change of any other field or of a list's length."""
+    """Relative move of one field: a float against its own size, a list of
+    floats against its largest entry; 0 where every value is equal (NaN to
+    NaN), inf for a change of any other field or of a list's length."""
     if isinstance(w, float):
         scale, pairs = abs(w), [(g, w)]
-    elif isinstance(w, list):
+    elif isinstance(w, list) and all(isinstance(v, float) for v in w):
         if len(g) != len(w):
             return math.inf
         scale, pairs = max(map(abs, w), default=0.0), list(zip(g, w))
@@ -99,28 +133,40 @@ def test_weak_records_match_snapshot(snapshot):
     assert not problems, problems
 
 
-def check(rtol: float) -> int:
-    """Print each family's and field's moves against the file; 1 when a
-    move exceeds ``rtol`` or the records do not line up, else 0."""
-    with open(DATA) as fh:
+def check(rtol: float, full: bool = False) -> int:
+    """Print each family's and field's moves against the file (the second
+    file for ``full``); 1 when a move exceeds ``rtol`` or the records do
+    not line up, else 0."""
+    with open(DATA_FULL if full else DATA) as fh:
         want = json.load(fh)
-    got = current_records()
-    families = {
-        "fig6": [(f"fig6[{i}]", g, w) for i, (g, w) in enumerate(zip(got["fig6"], want["fig6"]))],
-        "weak": [(c, got["weak"][c], want["weak"].get(c)) for c in WEAK_CASES],
-    }
-    if len(got["fig6"]) != len(want["fig6"]) or list(want["weak"]) != list(WEAK_CASES) \
-            or any(set(g) != set(w) for recs in families.values() for _, g, w in recs):
+
+    def indexed(name):
+        return [(f"{name}[{i}]", g, w) for i, (g, w) in enumerate(zip(got[name], want[name]))]
+
+    if full:
+        got = full_records()
+        lined_up = list(got) == list(want) and all(
+            len(got[name]) == len(want[name]) for name in want)
+        families = {name: indexed(name) for name in want if name in got}
+    else:
+        got = current_records()
+        families = {
+            "fig6": indexed("fig6"),
+            "weak": [(c, got["weak"][c], want["weak"].get(c)) for c in WEAK_CASES],
+        }
+        lined_up = len(got["fig6"]) == len(want["fig6"]) and list(want["weak"]) == list(WEAK_CASES)
+    if not lined_up or any(set(g) != set(w) for recs in families.values() for _, g, w in recs):
         print("records do not line up with the file: different counts, cases or fields")
         return 1
     worst = 0.0
-    print(f"{'family':<7}{'field':<14}{'==':>7}  {'largest move':>12}  record")
+    width = max(7, max(map(len, families)) + 1)
+    print(f"{'family':<{width}}{'field':<14}{'==':>7}  {'largest move':>12}  record")
     for family, recs in families.items():
         for key in recs[0][2]:
             moves = [(_move(g[key], w[key]), where) for where, g, w in recs]
             top, where = max(moves)
             same = sum(m == 0.0 for m, _ in moves)
-            print(f"{family:<7}{key:<14}{same:>3}/{len(moves):<3}  {top:>12.2g}  "
+            print(f"{family:<{width}}{key:<14}{same:>3}/{len(moves):<3}  {top:>12.2g}  "
                   f"{where if top > 0.0 else '-'}")
             worst = max(worst, top)
     print(f"largest move {worst:.2g} against rtol {rtol:g}: "
@@ -132,15 +178,18 @@ if __name__ == "__main__":
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--check", action="store_true",
                         help="compare with the file instead of writing it")
+    parser.add_argument("--full", action="store_true",
+                        help="the second file and its families instead")
     parser.add_argument("--rtol", type=float, default=RTOL,
                         help="largest relative move --check accepts")
     args = parser.parse_args()
     if args.check:
-        sys.exit(check(args.rtol))
-    os.makedirs(os.path.dirname(DATA), exist_ok=True)
-    records = current_records()
-    with open(DATA, "w") as fh:
+        sys.exit(check(args.rtol, args.full))
+    path = DATA_FULL if args.full else DATA
+    os.makedirs(os.path.dirname(path), exist_ok=True)
+    records = full_records() if args.full else current_records()
+    with open(path, "w") as fh:
         json.dump(records, fh, indent=1, allow_nan=True)
         fh.write("\n")
-    print(f"wrote {DATA}: {len(records['fig6'])} fig6 and "
-          f"{len(records['weak'])} weak records")
+    print(f"wrote {path}: " + ", ".join(f"{len(recs)} {name}" for name, recs in records.items())
+          + " records")

@@ -209,8 +209,12 @@ def test_leading_values_on_hard_spectra(sig, dtype):
 def _table1_gf(chirp=None):
     """The 1024 x 1024 table1-a Green function on the weak catalog's grids;
     about a fifth of its block lies in the interaction band."""
-    spec = replace(low_ce_spec("table1-a"), want_modes=True)
-    return _gf_for_point(spec, spec.params, replace(spec.pump, chirp=chirp))
+    spec = low_ce_spec("table1-a")
+    pump = replace(spec.pump, chirp=chirp)
+    (o_lo, o_hi), (i_lo, i_hi) = conversion_support(spec.params, pump,
+                                                    margin=spec.low_ce_margin)
+    return sample_low_ce(spec.params, pump, np.linspace(o_lo, o_hi, spec.low_ce_n),
+                         np.linspace(i_lo, i_hi, spec.low_ce_n), blocks=("rs",))
 
 
 def _fig6_gf():
@@ -397,7 +401,7 @@ def _values_and_full(engine, params, pump, t_out=None, t_in=None, n_report=8, sp
         kernel = _gf_for_point(spec, params, pump)
         t_out, t_in = kernel.t_out, kernel.t_in
     else:
-        kernel = sample(params, pump, t_out, t_in, values_only=True)
+        kernel = sample(params, pump, t_out, t_in, weighted=True)
     assert isinstance(kernel, WeightedRs)
     full = sample(params, pump, t_out, t_in, blocks=("rs",))
     over_i = full.g_rs * -1j if np.iscomplexobj(kernel.g_rs) else full.g_rs.imag
@@ -456,7 +460,7 @@ def test_values_only_matches_decompose_on_other_pumps(engine, params, pump):
     complex_ = pump.chirp is not None or isinstance(params.gamma, complex)
     sample = ssvm_gf if engine == "analytic-ssvm" else sample_low_ce
     t = np.linspace(-3.0, 3.0, 64)
-    assert np.iscomplexobj(sample(params, pump, t, t, values_only=True).g_rs) == complex_
+    assert np.iscomplexobj(sample(params, pump, t, t, weighted=True).g_rs) == complex_
     _assert_same_values(got, ref)
 
 
@@ -473,7 +477,7 @@ def test_values_only_falls_back_to_full_svd(monkeypatch, n_in, max_depth, n_repo
     if max_depth is not None:
         monkeypatch.setattr(schmidt, "_MAX_DEPTH", max_depth)
     got, ref = _values_and_full("low-ce", WEAK, pump, t_out, t_in, n_report)
-    kernel = sample_low_ce(WEAK, pump, t_out, t_in, values_only=True)
+    kernel = sample_low_ce(WEAK, pump, t_out, t_in, weighted=True)
     calls = _svd_spy(monkeypatch)
     decompose(kernel, n_report, want_modes=False)
     assert calls == [((257, n_in), False)]
@@ -488,7 +492,7 @@ def test_values_only_of_a_zero_kernel():
     for sample, params in ((ssvm_gf, SSVM), (sample_low_ce, WEAK)):
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            res = decompose(sample(params, far, t, t, values_only=True), 8, want_modes=False)
+            res = decompose(sample(params, far, t, t, weighted=True), 8, want_modes=False)
         assert res.selectivity == 0.0 and res.separability == 0.0
         assert res.sum_rho_sq == 0.0 and not res.rho.any()
 
@@ -496,9 +500,9 @@ def test_values_only_of_a_zero_kernel():
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
 def test_values_only_rejects_non_finite_samples(bad):
     """A non-finite sample raises DataError, as the Green function of that
-    block does; a WeightedRs has no modes to give."""
+    block does; the clean kernel gives the modes of the complex block."""
     t = np.linspace(-3.0, 3.0, 64)
-    kernel = sample_low_ce(WEAK, PUMP, t, t, values_only=True)
+    kernel = sample_low_ce(WEAK, PUMP, t, t, weighted=True)
     mat = kernel.g_rs.copy()
     mat[t.size // 2, t.size // 2] = bad
     with pytest.raises(DataError):
@@ -507,8 +511,9 @@ def test_values_only_rejects_non_finite_samples(bad):
     block.imag = mat
     with pytest.raises(DataError):
         GreenFunction(form="grid", t_out=t, t_in=t, g_rs=block)
-    with pytest.raises(ConfigurationError):
-        decompose(kernel, 8)
+    modes, ref = decompose(kernel, 8), decompose(sample_low_ce(WEAK, PUMP, t, t, blocks=("rs",)), 8)
+    for name in ("rho", "modes_in_s", "modes_out_r"):
+        assert np.array_equal(getattr(modes, name), getattr(ref, name))
 
 
 def test_decompose_real_kernel_path_matches_complex_path():
