@@ -49,6 +49,7 @@ from .gf_numeric import (
     _row_blocks,
     _run_metadata,
     _spectral_shift,
+    _sqrt_steps,
 )
 
 
@@ -156,11 +157,9 @@ def _over_i_block(shape: Tuple[int, int], dtype, weighted: bool,
     complex block, written through ``.imag`` for a real kernel over ``i``
     and times ``i`` for a complex one."""
     if weighted:
-        for name, t in (("output", t_out), ("input", t_in)):
-            if t.size < 2:
-                raise ConfigurationError(f"a weighted block needs two {name} samples, got {t.size}")
+        w_out, w_in = _sqrt_steps(t_out, t_in)
         block = np.zeros(shape, dtype)
-        return block, block, math.sqrt(t_out[1] - t_out[0]) * math.sqrt(t_in[1] - t_in[0])
+        return block, block, w_out * w_in
     block = np.zeros(shape, dtype=complex)
     return (block, block.imag, 1.0) if dtype == float else (block, block, 1j)
 

@@ -216,6 +216,16 @@ class WeightedRs:
     g_rr = g_sr = g_ss = None
 
 
+def _sqrt_steps(t_out: np.ndarray, t_in: np.ndarray) -> Tuple[float, float]:
+    """``(sqrt(dt_out), sqrt(dt_in))``, the quadrature weights of a block
+    sampled on ``t_out`` x ``t_in``; an axis of one sample has no step."""
+    for name, t in (("output", t_out), ("input", t_in)):
+        if t.size < 2:
+            raise ConfigurationError(
+                f"the weight sqrt(dt_out dt_in) needs two {name} samples, got {t.size}")
+    return math.sqrt(t_out[1] - t_out[0]), math.sqrt(t_in[1] - t_in[0])
+
+
 def _spectral_shift(v: np.ndarray, delay: float, dt: float) -> np.ndarray:
     """Evaluate ``v(t - delay)`` for band-limited functions sampled along
     the last axis."""

@@ -16,8 +16,10 @@ import itertools
 import math
 import multiprocessing
 import os
+import threading
 import time
 from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures.process import BrokenProcessPool
 from dataclasses import asdict, dataclass, field, replace
 from typing import Dict, List, Optional, Tuple
 
@@ -272,9 +274,73 @@ def _single_blas_thread():
             _set_blas_threads(before)
 
 
+# the process's worker pool and its size; a forked child starts without one
+_pool: Optional[ProcessPoolExecutor] = None
+_pool_size = 0
+_in_pool_worker = False
+
+
+def _drop_pool(shutdown: bool = True) -> None:
+    """Forget the process's pool, shutting it down if there is one.
+
+    Its workers are killed before the shutdown rather than asked to
+    leave: one that died or hung while it waited on the call queue holds
+    the queue's lock, so the others could never read the request and the
+    shutdown would wait for them forever."""
+    global _pool, _pool_size
+    pool, _pool, _pool_size = _pool, None, 0
+    if shutdown and pool is not None:
+        for proc in list((pool._processes or {}).values()):
+            if proc.is_alive():
+                proc.kill()
+        pool.shutdown()
+
+
+os.register_at_fork(after_in_child=functools.partial(_drop_pool, shutdown=False))
+# the exit hooks run in reverse order, so this one runs before the one
+# concurrent.futures registered on import, which shuts pools down gracefully
+threading._register_atexit(_drop_pool)
+
+
+def _worker_pool(size: int) -> Tuple[ProcessPoolExecutor, bool]:
+    """The process's pool of ``size`` workers, and whether it was just made.
+
+    A pool of another size is dropped first.  The workers fork from a
+    ``forkserver`` that preloads this module and ``scipy.special``."""
+    global _pool, _pool_size
+    if _pool is not None and _pool_size == size:
+        return _pool, False
+    _drop_pool()
+    ctx = multiprocessing.get_context("forkserver")
+    ctx.set_forkserver_preload([__name__, "scipy.special"])
+    _pool = ProcessPoolExecutor(max_workers=size, mp_context=ctx,
+                                initializer=_init_worker)
+    _pool_size = size
+    return _pool, True
+
+
+def _pooled_records(spec: SweepSpec, points: List[Dict[str, float]],
+                    size: int) -> List[dict]:
+    """The sweep's records from the process's pool.  A reused pool that
+    turns out broken (a worker died since the last sweep) is rebuilt and
+    the sweep run once more; a new pool that breaks raises."""
+    while True:
+        pool, new = _worker_pool(size)
+        try:
+            return list(pool.map(evaluate_point, itertools.repeat(spec),
+                                 range(len(points)), points))
+        except BrokenProcessPool:
+            _drop_pool()
+            if new:
+                raise
+
+
 def _init_worker() -> None:
     """Pool initializer: one BLAS thread, and no OpenBLAS thread pool, which
-    the setter restarts after a fork and whose idle thread spins before it sleeps."""
+    the setter restarts after a fork and whose idle thread spins before it
+    sleeps.  A worker that calls :func:`run_sweep` runs it serially."""
+    global _in_pool_worker
+    _in_pool_worker = True
     if _set_blas_threads(1) and hasattr(_openblas(), "blas_thread_shutdown_"):
         _openblas().blas_thread_shutdown_()
 
@@ -296,23 +362,28 @@ def run_sweep(spec: SweepSpec, workers: int = 1) -> SweepResult:
     kernels call, so each is imported once per process.  A script that
     calls ``run_sweep(workers > 1)`` needs an ``if __name__ == "__main__":``
     guard, because the workers import its main module.
+
+    A process keeps one pool.  The first pooled sweep starts it, and later
+    sweeps of the same size run in the same workers; a sweep of another
+    size replaces it.  A reused pool found broken (a worker died since the
+    last sweep) is rebuilt and the sweep run again, and the interpreter's
+    exit shuts the pool down.  Idle workers keep their memory: about 48 MB
+    resident each after the ``numeric-ssvm-pool`` points of perfbench, and
+    58 MB after a fig6 sweep (2-CPU x86-64 VM, numpy 2.4).  A pool worker
+    runs any sweep it calls serially.
     """
     if int(workers) < 1:
         raise ConfigurationError("workers must be a positive integer")
     points = spec.points()
     t0 = time.time()
-    used = max(1, min(int(workers), len(points), _available_cpus()))
+    used = 1 if _in_pool_worker else max(1, min(int(workers), len(points),
+                                                 _available_cpus()))
     with _single_blas_thread() as blas_threads:
         if used == 1:
             records = [evaluate_point(spec, i, values)
                        for i, values in enumerate(points)]
         else:
-            ctx = multiprocessing.get_context("forkserver")
-            ctx.set_forkserver_preload([__name__, "scipy.special"])
-            with ProcessPoolExecutor(max_workers=used, mp_context=ctx,
-                                     initializer=_init_worker) as pool:
-                records = list(pool.map(evaluate_point, itertools.repeat(spec),
-                                        range(len(points)), points))
+            records = _pooled_records(spec, points, used)
     from .. import __version__
 
     provenance = {

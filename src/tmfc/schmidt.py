@@ -29,6 +29,7 @@ from .gf_numeric import (
     GreenFunction,
     WeightedRs,
     _row_blocks,
+    _sqrt_steps,
     apply_block,
     to_grid_form,
 )
@@ -165,8 +166,7 @@ def decompose(gf: GreenFunction | WeightedRs, n_report: int = 10,
         t_in = t_out = None if gf.grid is None else gf.grid.times
     else:
         t_in, t_out = gf.t_in, gf.t_out
-        w_out = math.sqrt(t_out[1] - t_out[0])
-        w_in = math.sqrt(t_in[1] - t_in[0])
+        w_out, w_in = _sqrt_steps(t_out, t_in)
 
     def applicable(name: str) -> bool:
         return getattr(gf, f"g_{name}") is not None and (
@@ -375,15 +375,22 @@ def shape_fidelity(mode_a: np.ndarray, mode_b: np.ndarray,
                    dt_a: float, dt_b: float) -> float:
     """Maximum squared overlap of two mode shapes over a relative delay.
 
-    Both modes must share the sampling step.  The discrete cross-correlation
-    is scanned for its peak magnitude, refined with a three-point parabola,
-    and normalized by the mode energies, giving a number in [0, 1] that is
-    insensitive to global phase and to any time offset between the grids.
+    Where the sampling steps differ, the mode on the coarser step is first
+    interpolated linearly onto the finer step over its own support.  The
+    discrete cross-correlation is scanned for its peak magnitude, refined
+    with a three-point parabola, and normalized by the mode energies, giving
+    a number in [0, 1] that is insensitive to global phase and to any time
+    offset between the grids.
     """
-    if not math.isclose(dt_a, dt_b, rel_tol=1e-9):
-        raise ConfigurationError("modes must share one sampling step")
     a = np.asarray(mode_a, dtype=complex)
     b = np.asarray(mode_b, dtype=complex)
+    if not math.isclose(dt_a, dt_b, rel_tol=1e-9):
+        if not all(0.0 < dt < math.inf for dt in (dt_a, dt_b)):
+            raise ConfigurationError("sampling steps must be positive and finite")
+        if dt_a > dt_b:
+            a = _resampled(a, dt_a, dt_b)
+        else:
+            b = _resampled(b, dt_b, dt_a)
     ea = float(np.sum(np.abs(a) ** 2))
     eb = float(np.sum(np.abs(b) ** 2))
     if ea == 0.0 or eb == 0.0:
@@ -400,6 +407,16 @@ def shape_fidelity(mode_a: np.ndarray, mode_b: np.ndarray,
             if abs(delta) <= 1.0:
                 peak = y1 - 0.25 * (y0 - y2) * delta
     return float(min(1.0, peak ** 2 / (ea * eb)))
+
+
+def _resampled(mode: np.ndarray, dt: float, step: float) -> np.ndarray:
+    """``mode``, sampled at ``dt``, interpolated linearly at the multiples of
+    the finer ``step`` that lie on its support."""
+    if mode.size < 2:
+        return mode
+    end = (mode.size - 1) * dt
+    n = int(math.floor(end / step * (1.0 + 1e-12))) + 1
+    return np.interp(np.arange(n) * step, np.arange(mode.size) * dt, mode)
 
 
 # ---------------------------------------------------------------------------

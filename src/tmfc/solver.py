@@ -20,9 +20,18 @@ step size; the splitting and the midpoint sample make the scheme second
 order in dz.
 
 For real ``kappa`` (real ``gamma``, real pump) the rotation is real, so the
-real and imaginary input rows propagate apart in real dtype with ``rfft``
-advection; rows zero in both channels are skipped.  Otherwise (chirp,
-complex ``gamma``) the same loop runs in complex dtype with ``fft``.  For
+real and imaginary input rows propagate apart in real arithmetic; rows
+zero in both channels are skipped.  Each live row pair is held as one
+complex row ``w = a_r + i b_s``, on which the rotation is one in-place
+multiply by ``c - i o`` (formed once for a static pump), because::
+
+    (c - i o)(a + i b) = (c a + o b) + i (c b - o a),   c = cos, o = off
+
+numpy's complex multiply may fuse those products, which moves fields by
+round-off only.  The advection shifts ``w.real``, and
+``w.imag`` where ``beta_s != 0``, in place with ``rfft`` and ``irfft``
+through one preallocated spectrum buffer.  Otherwise (chirp, complex
+``gamma``) the same loop runs on separate complex rows with ``fft``.  For
 even ``n_t``, ``irfft`` keeps only the real part of the Nyquist bin after
 each shift: a round-off-level difference for resolved fields.
 
@@ -52,7 +61,7 @@ class Propagator:
     :meth:`run` computes its rotation once.  :meth:`run`
     takes one envelope per channel or a ``(n_cols, n_t)`` stack of them and
     propagates every row in the same pass (as in Green-function assembly);
-    the pass runs in real dtype when ``kappa`` is real (module docstring).
+    the pass runs in real arithmetic when ``kappa`` is real (module docstring).
     A grid that violates the advection stability bound raises
     :class:`ConfigurationError`; one that does not cover the interaction
     support raises :class:`CoverageError` (``TemporalGrid.require_coverage``).
@@ -115,16 +124,21 @@ class Propagator:
         shape = a_r.shape
         b_s = 1j * a_s
         if self._real:
-            # real and imaginary parts evolve apart; all-zero rows stay zero
+            # real and imaginary parts evolve apart; all-zero rows stay zero;
+            # each live row pair is one complex row w = a_r + i b_s
             rows = np.stack([a_r.real, a_r.imag, b_s.real, b_s.imag]).reshape(2, -1, n_t)
             live = np.flatnonzero(rows.any(axis=(0, 2)))
-            a_r, b_s = rows[:, live]
-            fwd, inv = np.fft.rfft, lambda f: np.fft.irfft(f, n_t)
-        else:
-            fwd, inv = np.fft.fft, np.fft.ifft
+            w = np.empty((live.size, n_t), dtype=complex)
+            w.real, w.imag = rows[:, live]
+            a_r, b_s = w.real, w.imag
+            spectrum = np.empty((live.size, n_t // 2 + 1), dtype=complex)
 
-        def shift(v, phase):
-            return inv(fwd(v) * phase)
+            def shift(v, phase):
+                np.multiply(np.fft.rfft(v, out=spectrum), phase, out=spectrum)
+                return np.fft.irfft(spectrum, n_t, out=v)
+        else:
+            def shift(v, phase):
+                return np.fft.ifft(np.fft.fft(v) * phase)
 
         if self._shift_r:
             a_r = shift(a_r, self._half_r)
@@ -135,14 +149,20 @@ class Propagator:
             if couple:
                 if k == 0 or not static:
                     cos, off, off_conj = self._rotation(k)
-                a_r, b_s = cos * a_r + off * b_s, cos * b_s - off_conj * a_r
+                    if self._real:
+                        turn = cos - 1j * off
+                if self._real:
+                    w *= turn
+                else:
+                    a_r, b_s = cos * a_r + off * b_s, cos * b_s - off_conj * a_r
             last = k == self.grid.n_z - 1
             if self._shift_r:
                 a_r = shift(a_r, self._half_r if last else self._full_r)
             if self._shift_s:
                 b_s = shift(b_s, self._half_s if last else self._full_s)
             if k % _FINITE_CHECK_STRIDE == 0 or last:
-                if not (np.all(np.isfinite(a_r.view(float))) and np.all(np.isfinite(b_s.view(float)))):
+                fields = (w,) if self._real else (a_r, b_s)
+                if not all(np.all(np.isfinite(f.view(float))) for f in fields):
                     raise NumericalError(
                         f"numerical blow-up: non-finite field after z-step {k + 1}"
                         f" of {self.grid.n_z}"

@@ -6,6 +6,7 @@ import math
 import multiprocessing
 import os
 import re
+import signal
 import subprocess
 import sys
 import time
@@ -52,6 +53,14 @@ from tmfc.harness.gfio import FORMAT_LINE
 
 BASE = RegimeParams(beta_r=1.0, beta_s=-1.0, beta_p=1.0).with_gamma_bar(0.01)
 PUMP = PumpSpec(tau_p=1.0)
+
+
+@pytest.fixture(autouse=True)
+def _no_cached_pool():
+    """Each test starts and ends without the sweep module's cached pool."""
+    sweep_module._drop_pool()
+    yield
+    sweep_module._drop_pool()
 
 
 def _tiny_spec(**over):
@@ -224,6 +233,19 @@ def test_analytic_sweep_modes_and_fidelity_records(tmp_path, spec):
     assert import_json(str(path))["records"] == result.records
 
 
+def test_weak_specs_record_fidelities():
+    """Every weak catalog spec records three fidelities, also where its
+    output and input supports differ in length and so in sampling step
+    (table1-a, -c, -d, fig3a, fig3b, fig5); 256 samples per axis keep the
+    steps apart as the catalog's 1024 do."""
+    for case_id in ("table1-a", "table1-b", "table1-c", "table1-d",
+                    "fig2", "fig3a", "fig3b", "fig5"):
+        spec = replace(cases.low_ce_spec(case_id), want_fidelity=True, low_ce_n=256)
+        (rec,) = run_sweep(spec).records
+        assert rec["error"] == "", case_id
+        assert len(rec["fidelity"]) == 3 and all(0.0 < f <= 1.0 for f in rec["fidelity"])
+
+
 NUMERIC = RegimeParams(beta_r=1.0, beta_s=0.0, beta_p=0.0).with_gamma_bar(0.5)
 SMALL_BASIS = {"n_r": 10, "n_s": 8, "tol_leak": 0.05}
 
@@ -259,6 +281,7 @@ class _SpyPool:
     """Stands in for the process pool: records its size, maps in-process."""
 
     sizes = []
+    _processes = {}  # no worker processes to terminate
 
     def __init__(self, max_workers, mp_context=None, initializer=None,
                  initargs=()):
@@ -272,6 +295,9 @@ class _SpyPool:
 
     def map(self, fn, *iterables):
         return map(fn, *iterables)
+
+    def shutdown(self, wait=True):
+        pass
 
 
 @pytest.mark.parametrize("workers, cpus, n_points, used", [
@@ -478,6 +504,58 @@ def test_pooled_records_match_serial():
         pooled = run_sweep(spec, workers=2).records
         assert [r["error"] for r in serial] == [""] * len(serial)
         assert pooled == serial
+
+
+@pytest.fixture
+def two_cpus(monkeypatch):
+    monkeypatch.setattr(sweep_module.os, "sched_getaffinity",
+                        lambda pid: {0, 1}, raising=False)
+
+
+def test_pooled_sweeps_share_one_pool(two_cpus):
+    """Consecutive pooled sweeps run in the same worker processes."""
+    spec = _tiny_spec()
+    first = run_sweep(spec, workers=2)
+    pool = sweep_module._pool
+    pids = set(pool._processes)
+    second = run_sweep(spec, workers=2)
+    assert sweep_module._pool is pool
+    assert pids and set(pool._processes) == pids
+    assert second.records == first.records
+
+
+def test_pool_rebuilt_after_a_worker_dies(two_cpus):
+    """A worker killed between sweeps breaks the pool; the next pooled
+    sweep rebuilds it and records what a serial sweep records."""
+    spec = _tiny_spec()
+    run_sweep(spec, workers=2)
+    pool = sweep_module._pool
+    victim = next(iter(pool._processes.values()))
+    victim.kill()
+    victim.join(timeout=60)
+    rebuilt = run_sweep(spec, workers=2)
+    assert sweep_module._pool is not pool
+    assert rebuilt.provenance["workers_used"] == 2
+    assert rebuilt.records == run_sweep(spec).records
+
+
+def test_forked_child_starts_without_the_pool(two_cpus):
+    """A child forked after a pooled sweep does not inherit the parent's
+    pool, whose manager thread it lacks."""
+    run_sweep(_tiny_spec(), workers=2)
+    assert sweep_module._pool is not None
+    pid = os.fork()
+    if pid == 0:
+        os._exit(0 if sweep_module._pool is None else 1)
+    assert os.waitpid(pid, 0)[1] == 0
+
+
+def test_pool_worker_runs_sweeps_serially(two_cpus):
+    """A pool worker that calls ``run_sweep`` starts no pool of its own."""
+    pool, _ = sweep_module._worker_pool(2)
+    nested = pool.submit(run_sweep, _tiny_spec(), 2).result(timeout=120)
+    assert nested.provenance["workers_used"] == 1
+    assert nested.records == run_sweep(_tiny_spec()).records
 
 
 def test_export_csv_layout(tmp_path):
@@ -949,6 +1027,19 @@ def test_cli_decompose_container_without_form(tmp_path, capsys):
     assert capsys.readouterr().err == f"error: {path}: container header lacks 'form'\n"
 
 
+@pytest.mark.parametrize("axis", ["output", "input"])
+def test_cli_decompose_one_sample_axis(tmp_path, capsys, axis):
+    """A container whose rs block has one sample on an axis exits 2 with
+    that axis named: the quadrature weight needs a step."""
+    one, three = np.array([0.0]), np.linspace(-1.0, 1.0, 3)
+    t_out, t_in = (one, three) if axis == "output" else (three, one)
+    path = tmp_path / "one.gf"
+    save_gf(sample_low_ce(BASE, PUMP, t_out, t_in), str(path))
+    assert main(["decompose", str(path)]) == 2
+    assert capsys.readouterr().err == (
+        f"error: the weight sqrt(dt_out dt_in) needs two {axis} samples, got 1\n")
+
+
 @pytest.mark.parametrize("fault", ["unlisted block", "trailing bytes"])
 def test_cli_decompose_rejects_malformed_payload(tmp_path, capsys, fault):
     path, message = _malformed_gf(tmp_path, fault)
@@ -971,6 +1062,85 @@ def _session_members(sid: int):
         if fields[0] != "Z" and int(fields[3]) == sid:
             members.append(int(entry))
     return members
+
+
+def _session_left(sid: int):
+    """The session's live members once they have had 30 s to leave."""
+    deadline = time.monotonic() + 30.0
+    while _session_members(sid) and time.monotonic() < deadline:
+        time.sleep(0.05)
+    return _session_members(sid)
+
+
+_SCRIPT_HEAD = """
+from tmfc import PumpSpec, RegimeParams
+from tmfc.harness import SweepSpec, sweep
+params = RegimeParams(beta_r=1.0, beta_s=-1.0, beta_p=1.0).with_gamma_bar(0.01)
+def spec(n):
+    return SweepSpec(params=params, pump=PumpSpec(tau_p=1.0), engine="low-ce",
+                     n_report=3, low_ce_n=128,
+                     axes=(("gamma_bar", tuple(0.01 * (k + 1) for k in range(n))),))
+def stop_lock_holder():
+    # the idle worker blocked reading the call queue's pipe holds the
+    # queue's lock, and the others wait on the lock; stopped, it holds the
+    # lock for good, as a worker killed there does
+    import os, signal, time
+    time.sleep(0.2)
+    procs = list(sweep._pool._processes.values())
+    holder = next((p for p in procs if "pipe" in open(f"/proc/{p.pid}/wchan").read()),
+                  procs[0])
+    os.kill(holder.pid, signal.SIGSTOP)
+"""
+
+
+def _script_session(body: str) -> int:
+    """Run ``body`` after ``_SCRIPT_HEAD`` in a new session; assert that it
+    exits 0 within 120 s (else kill the session) and return the session id."""
+    src = os.path.dirname(os.path.dirname(tmfc.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    proc = subprocess.Popen([sys.executable, "-c", _SCRIPT_HEAD + body], env=env,
+                            start_new_session=True)
+    try:
+        assert proc.wait(timeout=120) == 0
+    except subprocess.TimeoutExpired:
+        os.killpg(proc.pid, signal.SIGKILL)
+        proc.wait()
+        raise
+    return proc.pid
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self"), reason="needs /proc")
+@pytest.mark.parametrize("stop", ["", "stop_lock_holder()"],
+                         ids=["idle", "lock-held"])
+def test_cached_pool_leaves_with_its_process(stop):
+    """A process that runs two pooled sweeps and exits leaves no live
+    process in its session: the interpreter's exit shuts the pool down,
+    also when a worker holds the call queue's lock for good, which the
+    graceful exit hook of concurrent.futures alone would wait on forever."""
+    sid = _script_session(f"""
+sweep._available_cpus = lambda: 2
+for _ in range(2):
+    assert sweep.run_sweep(spec(2), workers=2).provenance["workers_used"] == 2
+{stop}
+""")
+    assert _session_left(sid) == []
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self"), reason="needs /proc")
+def test_pool_of_another_size_while_a_worker_holds_the_queue_lock():
+    """A worker that holds the call queue's lock for good (stopped here,
+    or killed while it waited) when a sweep of another size comes: dropping
+    the old pool kills its workers, so its shutdown does not wait forever."""
+    sid = _script_session("""
+sweep._available_cpus = lambda: 3
+assert sweep.run_sweep(spec(2), workers=3).provenance["workers_used"] == 2
+stop_lock_holder()
+pooled = sweep.run_sweep(spec(3), workers=3)
+assert pooled.provenance["workers_used"] == 3
+assert pooled.records == sweep.run_sweep(spec(3)).records
+""")
+    assert _session_left(sid) == []
 
 
 @pytest.mark.skipif(not os.path.isdir("/proc/self"), reason="needs /proc")
@@ -1001,9 +1171,6 @@ axes:
         assert proc.wait(timeout=300) == 0
         written[workers] = out.read_bytes()
         # the server and the workers leave when the command's pipes close
-        deadline = time.monotonic() + 30.0
-        while _session_members(proc.pid) and time.monotonic() < deadline:
-            time.sleep(0.05)
-        assert _session_members(proc.pid) == []
+        assert _session_left(proc.pid) == []
     assert written["2"] == written["1"]
     assert written["1"].count(b"\r\n") == 3

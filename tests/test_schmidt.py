@@ -634,10 +634,29 @@ def test_shape_fidelity_chirped_gaussian():
     assert abs(shape_fidelity(a, b, dt, dt) - 1.0 / math.sqrt(5.0)) < 1e-6
 
 
-def test_shape_fidelity_dt_mismatch():
+def test_shape_fidelity_unequal_steps():
+    """A Hermite-Gauss mode against its delayed, phased copy on a step 1.2
+    times coarser: the coarser mode is interpolated linearly, so the
+    fidelity deficit falls at least as h^3 over two halvings of h (h^4 is
+    expected), whichever argument is the coarser.  An empty mode reads 0,
+    as on equal steps, and a step that is not positive and finite raises."""
+    deficits = []
+    for h in (0.1, 0.05, 0.025, 0.0125, 0.00625):
+        t_a = np.arange(-8.0, 8.0 + 0.5 * h, h)
+        t_b = np.arange(-8.0, 8.0 + 0.6 * h, 1.2 * h)
+        a = t_a * np.exp(-t_a ** 2 / 2.0) + 0j
+        b = (t_b - 0.7371) * np.exp(-(t_b - 0.7371) ** 2 / 2.0 + 0.4j)
+        deficit = 1.0 - shape_fidelity(a, b, h, 1.2 * h)
+        assert 1.0 - shape_fidelity(b, a, 1.2 * h, h) == deficit
+        deficits.append(deficit)
+    assert all(d > 0 for d in deficits)
+    assert all(d0 / d2 > 64.0 for d0, d2 in zip(deficits, deficits[2:]))
+    assert deficits[-1] < 1e-9
     a = np.ones(8, dtype=complex)
-    with pytest.raises(ConfigurationError):
-        shape_fidelity(a, a, 0.01, 0.02)
+    assert shape_fidelity(np.zeros(0), a, 0.02, 0.01) == 0.0
+    for bad in (0.0, -0.02, math.inf, math.nan):
+        with pytest.raises(ConfigurationError):
+            shape_fidelity(a, a, 0.01, bad)
 
 
 def test_gf_fourier_preserves_singular_values(gf_weak_grid):

@@ -10,6 +10,7 @@ from tmfc import (
     CoverageError,
     DataError,
     FieldState,
+    NumericalError,
     Propagator,
     PumpSpec,
     QuadraticChirp,
@@ -120,6 +121,32 @@ def test_real_and_complex_dtype_agree(n_t):
     ref = Propagator(params, replace(PUMP, chirp=QuadraticChirp(0.0)), grid).run(a_r, a_s)
     assert _rel_diff(out, ref) <= 1e-12
     assert not out.a_r[-1].any() and not out.a_s[-1].any()
+
+
+@pytest.mark.parametrize("beta_s", [0.0, -0.5])
+def test_packed_real_path_matches_complex_path(beta_s):
+    """The real-kappa pass holds each live row pair (a_r, b_s) as one
+    complex row a_r + i b_s, rotated by one multiply; it agrees with the
+    complex-dtype pass (reached through a zero chirp) on the same batch,
+    with and without an s-channel shift."""
+    params = replace(PARAMS, beta_s=beta_s, gamma=1.3)
+    cols = [_inputs(GRID, seed=k) for k in range(4)]
+    a_r = np.array([c[0] for c in cols])
+    a_s = np.array([c[1] for c in cols])
+    packed = Propagator(params, PUMP, GRID)
+    assert packed._real
+    ref = Propagator(params, replace(PUMP, chirp=QuadraticChirp(0.0)), GRID).run(a_r, a_s)
+    assert _rel_diff(packed.run(a_r, a_s), ref) <= 1e-13
+
+
+@pytest.mark.parametrize("pump", [PUMP, replace(PUMP, chirp=QuadraticChirp(0.0))],
+                         ids=["real", "complex"])
+def test_blow_up_raises_numerical_error(pump):
+    """A finite input whose spectrum overflows leaves non-finite fields
+    after the first z-step; both passes raise instead of returning them."""
+    with pytest.raises(NumericalError, match=f"after z-step 1 of {GRID.n_z}$"), \
+            np.errstate(over="ignore", invalid="ignore"):
+        Propagator(PARAMS, pump, GRID).run(np.full(GRID.n_t, 1e308), np.zeros(GRID.n_t))
 
 
 @pytest.mark.parametrize("gamma", [1.1, complex(1.1, 0.4)])
