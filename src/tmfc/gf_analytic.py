@@ -128,8 +128,6 @@ def _low_ce_over_i(params: RegimeParams, pump: PumpSpec, t, t_prime,
     t_prime = np.asarray(t_prime, dtype=float)
     L = params.L
     brs = params.beta_rs
-    if abs(brs) <= EPS_BETA:
-        raise RegimeError("beta_r and beta_s must differ for a conversion band")
     gbar = params.gamma_bar
     mask = band_mask(params, t, t_prime)
     if block == "rs":
@@ -247,8 +245,6 @@ def low_ce_gf_freq(params: RegimeParams, pump: PumpSpec,
     omega = np.asarray(omega, dtype=float)
     omega_prime = np.asarray(omega_prime, dtype=float)
     brs = params.beta_rs
-    if abs(brs) <= EPS_BETA:
-        raise RegimeError("beta_r and beta_s must differ for a conversion band")
     L = params.L
     gbar = params.gamma_bar
     diff = omega - omega_prime

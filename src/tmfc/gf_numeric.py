@@ -476,8 +476,8 @@ def unitarity_defect(gf: GreenFunction) -> float:
     return float(np.linalg.norm(u.conj().T @ u - np.eye(n)) / math.sqrt(n))
 
 
-def to_grid_form(gf: GreenFunction, grid: Optional[TemporalGrid] = None) -> GreenFunction:
-    """Synthesize a basis-form Green function onto a time grid.
+def to_grid_form(gf: GreenFunction) -> GreenFunction:
+    """Synthesize a basis-form Green function onto its time grid.
 
     ``g(t, t') = sum_kl B_out_k(t) c_kl B_in_l(t')`` per block.  The result
     has no delta descriptors: for a numerically assembled operator the
@@ -485,11 +485,9 @@ def to_grid_form(gf: GreenFunction, grid: Optional[TemporalGrid] = None) -> Gree
     """
     if gf.form != "basis":
         return gf
-    if grid is None:
-        grid = gf.grid
-    if grid is None:
+    if gf.grid is None:
         raise ConfigurationError("no grid available for synthesis")
-    t = grid.times
+    t = gf.grid.times
     # only the bases of the blocks present: a partial assembly lacks the rest
     samples = {key: spec.sample(t) for key in
                ("in_r", "in_s", "out_r", "out_s")

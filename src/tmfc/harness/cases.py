@@ -20,6 +20,7 @@ from ..model import (
     FieldState,
     PumpShape,
     PumpSpec,
+    QuadraticChirp,
     RegimeParams,
     TemporalGrid,
 )
@@ -31,7 +32,7 @@ from ..gf_analytic import (
     ssvm_gf,
     ssvm_to_ecop_limit_check,
 )
-from ..schmidt import decompose
+from ..schmidt import _parabola_vertex, decompose
 from ..solver import Propagator
 from .sweep import SweepResult, SweepSpec, run_sweep
 
@@ -197,10 +198,8 @@ def _refined_peak(records: Sequence[dict]) -> Tuple[float, float]:
     k = int(np.argmax(sel))
     if not 0 < k < sel.size - 1:
         raise ConfigurationError("selectivity peak on the sweep edge")
-    y0, y1, y2 = sel[k - 1:k + 2]
-    offset = 0.5 * (y0 - y2) / (y0 - 2.0 * y1 + y2)
-    return (float(gbar[k] + offset * (gbar[k + 1] - gbar[k])),
-            float(y1 - 0.25 * (y0 - y2) * offset))
+    offset, peak = _parabola_vertex(sel, k)
+    return float(gbar[k] + offset * (gbar[k + 1] - gbar[k])), float(peak)
 
 
 def _case_fig6(workers: int = 1):
@@ -306,8 +305,6 @@ def _case_betap_symmetry(workers: int = 1):
 
 
 def _case_chirp_invariance(workers: int = 1):
-    from ..model import QuadraticChirp
-
     params = RegimeParams(beta_r=1.0, beta_s=0.0, beta_p=0.0).with_gamma_bar(1.0)
     plain = PumpSpec(tau_p=1.0)
     chirped = replace(plain, chirp=QuadraticChirp(5.0))
@@ -334,10 +331,9 @@ def _case_ecop_limit(workers: int = 1):
               + ", ".join(f"{b:g}" for b, _ in rows)),
         _abs_check("limit error at beta_rs=1e-3", errs[-1], 0.0, 1e-2),
     ]
-    for g in (0.5, 2.0, 10.0):
-        err = ecop_bessel_identity_error(g)
-        checks.append(_bound_check(f"band integral identity g={g:g}", err, 1e-8,
-                                   f"residual {err:.2e}"))
+    identity = [(g, ecop_bessel_identity_error(g)) for g in (0.5, 2.0, 10.0)]
+    checks += [_bound_check(f"band integral identity g={g:g}", err, 1e-8,
+                            f"residual {err:.2e}") for g, err in identity]
     params = RegimeParams(beta_r=0.3, beta_s=0.3, beta_p=1.0, gamma=1.2)
     pump = PumpSpec(tau_p=0.5)
     grid = TemporalGrid(-6.0, 6.0, 2048, 400)
@@ -351,6 +347,7 @@ def _case_ecop_limit(workers: int = 1):
     checks.append(_bound_check("solver vs closed form", max(err_r, err_s), 1e-4,
                                f"rel L2 r {err_r:.2e}, s {err_s:.2e}"))
     payload = {"limit_rows": [[b, e] for b, e in rows],
+               "identity_residuals": [[g, e] for g, e in identity],
                "solver_rel_l2": [float(err_r), float(err_s)]}
     return payload, _report("ecop-limit", checks)
 

@@ -20,11 +20,13 @@ import numpy as np
 
 from ..errors import ConfigurationError, DataError
 from ..gf_numeric import BasisSpec, DeltaLine, GreenFunction, _run_metadata
+from ..model import TemporalGrid
 from .sweep import SweepResult
 
 FORMAT_LINE = "TMFC-GF 1"
 _BLOCK_ORDER = ("g_rr", "g_rs", "g_sr", "g_ss")
 _BASIS_KEYS = ("basis_out_r", "basis_out_s", "basis_in_r", "basis_in_s")
+_GRID_KEYS = ("t_min", "t_max", "n_t", "n_z")
 
 
 # ---------------------------------------------------------------------------
@@ -199,7 +201,8 @@ def load_gf(path: str) -> GreenFunction:
     The header is read line by line, then each axis and block is read
     straight into its final array; no copy of the file is held.  The
     blocks are handed to the :class:`GreenFunction` read-only, which keeps
-    them without a copy.
+    them without a copy.  A basis-form function gets back the grid that
+    its ``meta.t_min``, ``meta.t_max``, ``meta.n_t`` and ``meta.n_z`` describe.
 
     A header that is incomplete, repeats a key or names a block its
     ``blocks`` line does not list, and a payload that is short or followed
@@ -282,4 +285,6 @@ def load_gf(path: str) -> GreenFunction:
         trailing = size - fh.tell()
     if trailing:
         raise DataError(f"{path}: {trailing} bytes follow the container payload")
+    if form == "basis" and all(key in metadata for key in _GRID_KEYS):
+        kwargs["grid"] = TemporalGrid(*(metadata[key] for key in _GRID_KEYS))
     return GreenFunction(form=form, metadata=metadata, **kwargs)

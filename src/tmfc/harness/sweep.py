@@ -18,6 +18,7 @@ import multiprocessing
 import os
 import threading
 import time
+from collections.abc import Mapping
 from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import asdict, dataclass, field, replace
@@ -78,11 +79,13 @@ class SweepSpec:
             raise ConfigurationError("n_report must be at least 1")
         object.__setattr__(self, "n_report", int(self.n_report))
         if self.engine == "low-ce":
-            if self.low_ce_n is None:
-                object.__setattr__(self, "low_ce_n", 1024)
+            n = 1024 if self.low_ce_n is None else self.low_ce_n
+            if not float(n).is_integer():
+                raise ConfigurationError("low_ce_n must be an integer")
+            object.__setattr__(self, "low_ce_n", int(n))
             if self.low_ce_margin is None:
                 object.__setattr__(self, "low_ce_margin", 5.0)
-            if int(self.low_ce_n) < 2:
+            if self.low_ce_n < 2:
                 raise ConfigurationError("low_ce_n must be at least 2")
             if not (math.isfinite(self.low_ce_margin) and self.low_ce_margin > 0):
                 raise ConfigurationError("low_ce_margin must be a positive finite number")
@@ -106,6 +109,8 @@ class SweepSpec:
             norm.append((name, vals))
         object.__setattr__(self, "axes", tuple(norm))
         if self.basis is not None:
+            if not isinstance(self.basis, Mapping):
+                raise ConfigurationError("basis must be a mapping")
             unknown = set(self.basis) - set(BASIS_KEYS)
             if unknown:
                 raise ConfigurationError(f"unknown basis keys: {', '.join(sorted(unknown))}")
@@ -164,15 +169,12 @@ def _gf_for_point(spec: SweepSpec, params: RegimeParams, pump: PumpSpec):
     tau, so it propagates the s-input columns alone; no record reads the
     r-input columns (rr, sr), so those are neither propagated nor
     leak-checked.  The analytic engines sample the rs block alone, as a
-    :class:`~tmfc.gf_numeric.WeightedRs`, so no complex block is built."""
+    :class:`~tmfc.gf_numeric.WeightedRs`, so no complex block is built.
+    The analytic samplers raise :class:`~tmfc.errors.RegimeError` outside their regimes."""
     if spec.engine == "numeric":
         return assemble_gf(params, pump, grid=spec.grid, blocks=("rs", "ss"),
                            **(spec.basis or {}))
     if spec.engine == "analytic-ssvm":
-        if abs(params.beta_sp) > EPS_BETA:
-            raise RegimeError(
-                "analytic-ssvm engine requires the s channel matched to the "
-                f"pump (beta_sp = {params.beta_sp:g})")
         return ssvm_gf(params, pump, *default_ssvm_grids(params, pump), weighted=True)
     (o_lo, o_hi), (i_lo, i_hi) = conversion_support(
         params, pump, margin=spec.low_ce_margin)

@@ -379,12 +379,7 @@ def classify_regime(params: RegimeParams) -> RegimeClass:
         return RegimeClass.GENERIC
     if abs(params.beta_rp + params.beta_sp) <= EPS_BETA:
         return RegimeClass.SCUP
-    product = params.beta_rp * params.beta_sp
-    if product < 0:
-        return RegimeClass.CUP
-    if product > 0:
-        return RegimeClass.COP
-    return RegimeClass.GENERIC
+    return RegimeClass.CUP if params.beta_rp * params.beta_sp < 0 else RegimeClass.COP
 
 
 # ---------------------------------------------------------------------------

@@ -395,18 +395,24 @@ def shape_fidelity(mode_a: np.ndarray, mode_b: np.ndarray,
     eb = float(np.sum(np.abs(b) ** 2))
     if ea == 0.0 or eb == 0.0:
         return 0.0
-    corr = np.correlate(b, a, mode="full")
-    mags = np.abs(corr)
-    k = int(np.argmax(mags))
-    peak = mags[k]
-    if 0 < k < mags.size - 1:
-        y0, y1, y2 = mags[k - 1], mags[k], mags[k + 1]
-        denom = y0 - 2.0 * y1 + y2
-        if denom < -1e-30 * max(peak, 1.0):
-            delta = 0.5 * (y0 - y2) / denom
-            if abs(delta) <= 1.0:
-                peak = y1 - 0.25 * (y0 - y2) * delta
+    mags = np.abs(np.correlate(b, a, mode="full"))
+    peak = _parabola_vertex(mags, int(np.argmax(mags)))[1]
     return float(min(1.0, peak ** 2 / (ea * eb)))
+
+
+def _parabola_vertex(y: np.ndarray, k: int) -> Tuple[float, float]:
+    """Offset from ``k``, in samples, and height of the vertex of the parabola
+    through ``y[k - 1:k + 2]``; ``(0, y[k])`` at an end sample or where the
+    samples do not bend down to a vertex within one sample of ``k``."""
+    y1 = y[k]
+    if 0 < k < y.size - 1:
+        y0, y2 = y[k - 1], y[k + 1]
+        denom = y0 - 2.0 * y1 + y2
+        if denom < -1e-30 * max(y1, 1.0):
+            offset = 0.5 * (y0 - y2) / denom
+            if abs(offset) <= 1.0:
+                return offset, y1 - 0.25 * (y0 - y2) * offset
+    return 0.0, y1
 
 
 def _resampled(mode: np.ndarray, dt: float, step: float) -> np.ndarray:

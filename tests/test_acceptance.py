@@ -44,21 +44,15 @@ from tmfc import (
     conversion_support,
     decompose,
     default_ssvm_grids,
-    ecop_bessel_identity_error,
-    ecop_output,
     energy,
     gf_fourier,
     hermite_gauss_basis,
-    low_ce_gf,
     low_ce_gf_freq,
-    ridge_slope,
     sample_low_ce,
     shape_fidelity,
     short_pump_limit_peak,
     ssvm_gf,
-    ssvm_to_ecop_limit_check,
 )
-from tmfc.model import QuadraticChirp
 from tmfc.harness import SweepSpec, cases, run_sweep
 from tmfc.harness.cases import (
     _refined_peak,
@@ -181,9 +175,9 @@ def test_criterion_03_exact_vs_numeric(capsys):
     assert worst_wall < 300.0
 
 
-def test_criterion_04_selectivity_peak(capsys):
+def test_criterion_04_selectivity_peak(shared, capsys):
     spec = fig6_spec(step=0.05)
-    loc, peak = _refined_peak(run_sweep(spec).records)
+    loc, peak = _refined_peak(shared("fig6-fine").records)
     _, gbar_star = short_pump_limit_peak(spec.params)
     # the peak drifts up from the tau_p -> 0 location by about 0.3 tau_p
     lo, hi = gbar_star, gbar_star + 0.5 * spec.pump.tau_p
@@ -270,42 +264,19 @@ def test_criterion_07_pump_slowness_reflection(capsys):
     assert report.passed
 
 
-def test_criterion_08_chirp_invariance(capsys):
-    params = RegimeParams(beta_r=1.0, beta_s=0.0, beta_p=0.0).with_gamma_bar(1.0)
-    plain = PumpSpec(tau_p=1.0)
-    chirped = PumpSpec(tau_p=1.0, chirp=QuadraticChirp(5.0))
-    t_out, t_in = default_ssvm_grids(params, plain)
-    n_all = min(t_out.size, t_in.size)
-    rho0 = decompose(ssvm_gf(params, plain, t_out, t_in), n_all,
-                     want_modes=False).rho
-    rho1 = decompose(ssvm_gf(params, chirped, t_out, t_in), n_all,
-                     want_modes=False).rho
-    n = min(rho0.size, rho1.size)
-    diff = float(np.max(np.abs(rho0[:n] - rho1[:n])))
+def test_criterion_08_chirp_invariance(shared, capsys):
+    diff = shared("chirp-invariance")[0]["max_abs_diff"]
     ok = diff <= 1e-6
     _verdict(capsys, 8, "pump-chirp invariance", ok,
              f"max per-value spectrum dev {diff:.1e} (tol 1e-6)")
     assert diff <= 1e-6
 
 
-def test_criterion_09_equal_slowness_limits(capsys):
-    # (i) solver against the closed equal-slowness output
-    params = RegimeParams(beta_r=0.3, beta_s=0.3, beta_p=1.0, gamma=1.2)
-    pump = PumpSpec(tau_p=0.5)
-    grid = TemporalGrid(-6.0, 6.0, 2048, 400)
-    t = grid.times
-    a_r0 = np.exp(-((t - 0.3) ** 2)) + 0j
-    a_s0 = (t + 0.1) * np.exp(-(t ** 2) / 0.8) + 0j
-    out = Propagator(params, pump, grid).run(a_r0, a_s0)
-    ref = ecop_output(params, pump, grid, FieldState(a_r=a_r0, a_s=a_s0))
-    solver_dev = max(
-        np.linalg.norm(out.a_r - ref.a_r) / np.linalg.norm(ref.a_r),
-        np.linalg.norm(out.a_s - ref.a_s) / np.linalg.norm(ref.a_s))
-    # (ii) exact-kernel quadrature converging to the equal-slowness form
-    rows = ssvm_to_ecop_limit_check(beta_rs_values=(0.1, 0.01, 1e-3))
-    limit_dev = rows[-1][1]
-    # (iii) band integral identity
-    identity_dev = max(ecop_bessel_identity_error(g) for g in (0.5, 2.0, 10.0))
+def test_criterion_09_equal_slowness_limits(shared, capsys):
+    payload, _ = shared("ecop-limit")
+    solver_dev = max(payload["solver_rel_l2"])  # vs the closed equal-slowness output
+    limit_dev = payload["limit_rows"][-1][1]  # exact-kernel quadrature at beta_rs 1e-3
+    identity_dev = max(err for _, err in payload["identity_residuals"])  # band integral
     ok = solver_dev <= 1e-4 and limit_dev <= 1e-2 and identity_dev <= 1e-8
     _verdict(capsys, 9, "equal-slowness limits and identities", ok,
              f"solver dev {solver_dev:.1e} (tol 1e-4), limit dev "
@@ -322,32 +293,6 @@ def _random_state(grid: TemporalGrid, seed: int):
     c_r = rng.normal(size=6) + 1j * rng.normal(size=6)
     c_s = rng.normal(size=6) + 1j * rng.normal(size=6)
     return c_r @ basis, c_s @ basis
-
-
-def _slope_law_worst() -> float:
-    pump = PumpSpec(tau_p=0.2)
-    worst = 0.0
-    for betas, (t_lo, t_hi) in [((1.0, -1.0, 0.0), (0.0, 1.0)),
-                                ((4.0, 0.0, 2.0), (2.0, 4.0)),
-                                ((2.0, 1.0, 3.0), (2.0, 3.0))]:
-        params = RegimeParams(*betas).with_gamma_bar(0.01)
-        span = t_hi - t_lo
-        rows = np.linspace(t_lo + 0.2 * span, t_hi - 0.2 * span, 9)
-        peaks = []
-        for t in rows:
-            tp = np.linspace(t - params.beta_r, t - params.beta_s, 4001)
-            mag = np.abs(low_ce_gf(params, pump, np.full_like(tp, t), tp))
-            k = int(np.argmax(mag))
-            tp_pk = tp[k]
-            if 0 < k < mag.size - 1:
-                y0, y1, y2 = mag[k - 1], mag[k], mag[k + 1]
-                den = y0 - 2.0 * y1 + y2
-                if den < 0:
-                    tp_pk += 0.5 * (y0 - y2) / den * (tp[1] - tp[0])
-            peaks.append(tp_pk)
-        slope = np.polyfit(rows, peaks, 1)[0]
-        worst = max(worst, abs(slope / ridge_slope(params) - 1.0))
-    return worst
 
 
 def _fourier_consistency():
@@ -384,7 +329,7 @@ def _fourier_consistency():
     return folded_central, naive_full
 
 
-def test_criterion_10_property_suites(capsys):
+def test_criterion_10_property_suites(shared, capsys):
     pump = PumpSpec(tau_p=1.0)
     params = RegimeParams(beta_r=1.0, beta_s=-0.5, beta_p=0.3, gamma=1.1)
     grid = TemporalGrid(-9.0, 9.0, 1024, 128)
@@ -410,7 +355,7 @@ def test_criterion_10_property_suites(capsys):
     recon = (u[:, :sig.size] * sig) @ vh
     svd_dev = np.linalg.norm(recon - gf.g_rs) / np.linalg.norm(gf.g_rs)
 
-    slope_dev = _slope_law_worst()
+    slope_dev = max(shared("ridge-slope"))
     fourier_central, fourier_naive = _fourier_consistency()
 
     ok = (lin_dev <= 1e-8 and energy_dev <= 1e-6 and pairing_dev <= 1e-3

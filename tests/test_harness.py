@@ -88,11 +88,17 @@ def test_sweep_spec_validation():
         _tiny_spec(axes=(("tau_p", ()),))
     with pytest.raises(ConfigurationError):
         _tiny_spec(n_report=0)
-    for bad in ({"low_ce_n": 1}, {"low_ce_margin": 0.0},
+    for bad in ({"low_ce_n": 1}, {"low_ce_n": 64.5}, {"low_ce_margin": 0.0},
                 {"low_ce_margin": -1.0}, {"low_ce_margin": float("nan")},
                 {"low_ce_margin": float("inf")}):
         with pytest.raises(ConfigurationError):
             _tiny_spec(**bad)
+    spec = replace(cases.low_ce_spec("fig2"), low_ce_n=64.0)
+    assert type(spec.low_ce_n) is int
+    assert run_sweep(spec).records[0]["error"] == ""
+    for bad in (5, [("n_r", 4)]):
+        with pytest.raises(ConfigurationError, match="basis must be a mapping"):
+            SweepSpec(params=BASE, pump=PUMP, basis=bad)
     # grid and basis reach only the numeric engine
     for engine in ("analytic-ssvm", "low-ce"):
         for bad in ({"grid": TemporalGrid(-5.0, 5.0, 64, 10)}, {"basis": {"n_rr": 10}}):
@@ -633,10 +639,13 @@ def test_gf_container_basis_roundtrip(tmp_path):
     for name in ("g_rr", "g_rs", "g_sr", "g_ss"):
         assert np.array_equal(getattr(back, name), getattr(gf, name))
     assert back.basis_in_s == gf.basis_in_s
-    a = decompose(gf, want_modes=False)
-    b = decompose(back, want_modes=False)
+    assert back.grid == gf.grid
+    a = decompose(gf, want_modes=True)
+    b = decompose(back, want_modes=True)
     assert np.array_equal(a.rho, b.rho)
     assert a.sum_rho_sq == b.sum_rho_sq
+    for name in ("t_in", "t_out", "modes_in_s", "modes_out_r"):
+        assert np.array_equal(getattr(a, name), getattr(b, name))
 
 
 def test_gf_container_partial_basis_roundtrip(tmp_path):
@@ -700,21 +709,33 @@ def test_gf_container_rejects_missing_header_key(tmp_path, key):
 
 
 def _malformed_gf(tmp_path, fault):
-    """A saved weak GF whose ``blocks`` line drops g_sr while its shape line
-    and payload stay, or with bytes appended after the payload."""
+    """A saved weak GF with one ``fault`` (``unlisted block``: the blocks
+    line drops g_sr while its shape line and payload stay), and the message
+    that loading it must raise."""
     _, path = _saved_weak_gf(tmp_path)
     data = path.read_bytes()
-    if fault == "unlisted block":
-        assert b"\nblocks = g_rs,g_sr\n" in data
-        path.write_bytes(data.replace(b"\nblocks = g_rs,g_sr\n",
-                                      b"\nblocks = g_rs\n", 1))
-        return path, f"{path}: container header has 'shape_g_sr' for a block " \
-            "its 'blocks' line does not list"
-    path.write_bytes(data + bytes(400))
-    return path, f"{path}: 400 bytes follow the container payload"
+    head, sep, payload = data.partition(b"\nend\n")
+    assert b"\nblocks = g_rs,g_sr\n" in head
+    contents, message = {
+        "unlisted block": (data.replace(b"\nblocks = g_rs,g_sr\n", b"\nblocks = g_rs\n", 1),
+                           "container header has 'shape_g_sr' for a block its "
+                           "'blocks' line does not list"),
+        "truncated header": (head[:len(head) // 2], "truncated container header"),
+        "no separator": (head + b"\nform: grid" + sep + payload,
+                         "malformed header line 'form: grid'"),
+        "unknown key": (head + b"\ncolour = blue" + sep + payload, "unknown header key 'colour'"),
+        "short payload": (data[:-16], "truncated container payload"),
+        "trailing bytes": (data + bytes(400), "400 bytes follow the container payload"),
+    }[fault]
+    path.write_bytes(contents)
+    return path, f"{path}: {message}"
 
 
-@pytest.mark.parametrize("fault", ["unlisted block", "trailing bytes"])
+MALFORMED = ["unlisted block", "truncated header", "no separator", "unknown key",
+             "short payload", "trailing bytes"]
+
+
+@pytest.mark.parametrize("fault", MALFORMED)
 def test_gf_container_rejects_malformed_payload(tmp_path, fault):
     path, message = _malformed_gf(tmp_path, fault)
     with pytest.raises(DataError) as err:
@@ -774,9 +795,9 @@ def test_reproduce_unknown_case():
     assert "table1-a" in str(err.value)
 
 
-def test_reproduce_ecop_limit():
+def test_reproduce_ecop_limit(shared):
     assert "ecop-limit" in case_ids()
-    payload, report = reproduce("ecop-limit")
+    payload, report = shared("ecop-limit")
     assert report.passed
     assert report.lines()[0] == "ecop-limit: PASS"
     assert all(c.ok for c in report.checks)
@@ -809,7 +830,7 @@ def test_refined_peak_vertex_and_edge():
         cases._refined_peak(records[:2])
 
 
-def test_check_detail_reports_tolerance_share():
+def test_check_detail_reports_tolerance_share(shared):
     rel = cases._rel_check("x", 1.0199, 1.0, 0.02)
     assert rel.ok and rel.detail.endswith("(tol 0.02, 99.5 % used)")
     over = cases._abs_check("y", 0.5, 0.2, 0.1)
@@ -819,7 +840,7 @@ def test_check_detail_reports_tolerance_share():
                "ecop-limit": ["band integral identity g=0.5", "band integral identity g=2",
                               "band integral identity g=10", "solver vs closed form"]}
     for case_id, names in bounded.items():
-        _, report = reproduce(case_id)
+        _, report = shared(case_id)
         details = {c.name: c.detail for c in report.checks}
         for name in names:
             assert re.search(r"\(tol [0-9.e+-]+, [0-9.]+ % used\)$", details[name]), name
@@ -1040,7 +1061,7 @@ def test_cli_decompose_one_sample_axis(tmp_path, capsys, axis):
         f"error: the weight sqrt(dt_out dt_in) needs two {axis} samples, got 1\n")
 
 
-@pytest.mark.parametrize("fault", ["unlisted block", "trailing bytes"])
+@pytest.mark.parametrize("fault", MALFORMED)
 def test_cli_decompose_rejects_malformed_payload(tmp_path, capsys, fault):
     path, message = _malformed_gf(tmp_path, fault)
     assert main(["decompose", str(path)]) == 2

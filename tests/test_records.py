@@ -54,9 +54,10 @@ WEAK_CASES = ("table1-a", "table1-b", "table1-c", "table1-d",
 RTOL = 1e-12
 
 
-def current_records() -> dict:
+def current_records(fig6=None) -> dict:
+    """The first file's families; ``fig6`` is the fig6 sweep if already run."""
     return {
-        "fig6": run_sweep(fig6_spec(step=0.05)).records,
+        "fig6": (fig6 or run_sweep(fig6_spec(step=0.05))).records,
         "weak": {c: run_sweep(low_ce_spec(c)).records[0] for c in WEAK_CASES},
     }
 
@@ -112,9 +113,9 @@ def _mismatches(got: dict, want: dict, where: str):
 
 
 @pytest.fixture(scope="module")
-def snapshot():
+def snapshot(shared):
     with open(DATA) as fh:
-        return json.load(fh), current_records()
+        return json.load(fh), current_records(shared("fig6-fine"))
 
 
 def test_fig6_records_match_snapshot(snapshot):
