@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from typing import Callable, List, Sequence, Tuple
+from typing import Callable, Iterator, List, Sequence, Tuple
 
 import numpy as np
 
@@ -74,30 +74,33 @@ def band_mask(params: RegimeParams, t, t_prime) -> np.ndarray:
 
 
 def _band_blocks(params: RegimeParams, t_out: np.ndarray,
-                 t_in: np.ndarray) -> List[Tuple[slice, slice]]:
-    """Row blocks (:func:`_row_blocks`) of a sampled kernel, each paired with
-    the span of input columns that can meet the band; blocks whose band
-    holds no input sample are left out.
+                 t_in: np.ndarray) -> Iterator[Tuple[slice, slice, np.ndarray]]:
+    """Band pieces ``(rows, cols, mask)`` of a sampled kernel: each row
+    block (:func:`_row_blocks`) whose band holds an input sample, its span
+    of input columns and the band mask of that piece.
 
-    Output times ``t`` of a block reach inputs in
-    ``[min t - beta_r L, max t - beta_s L]``.  The span of samples inside
-    is found by bisection on ``t_in``, which must be ascending, and padded
-    by one sample on each side, so that a kernel whose band test rounds
-    differently from :func:`band_mask` still sees every sample its test
-    admits.  Every sample outside the spans lies outside the band, where
-    the kernels vanish.
+    Output sample ``i`` meets the range ``[lo_i, hi_i)`` of the ascending
+    ``t_in`` from ``fast = t - beta_r L`` to ``slow = t - beta_s L``, both
+    included, found by bisection.  IEEE subtraction gives zero only for
+    equal operands, so :func:`band_mask`'s ``t' - fast >= 0`` is
+    ``t' >= fast``, and the ranges are its band.  A span is the union of
+    its rows' non-empty ranges; its mask, each row's range as a run of
+    ``True``, is built as the piece is reached.
     """
     if np.any(np.diff(t_in) < 0.0):
         raise ConfigurationError("input times must be ascending")
-    L = params.L
-    spans = []
+    lo = np.searchsorted(t_in, t_out - params.beta_r * params.L)
+    hi = np.searchsorted(t_in, t_out - params.beta_s * params.L, side="right")
     for rows in _row_blocks(t_out.size, t_in.size):
-        tt = t_out[rows]
-        lo = int(np.searchsorted(t_in, tt.min() - params.beta_r * L))
-        hi = int(np.searchsorted(t_in, tt.max() - params.beta_s * L, side="right"))
-        if lo < hi:
-            spans.append((rows, slice(max(lo - 1, 0), min(hi + 1, t_in.size))))
-    return spans
+        r_lo, r_hi = lo[rows], hi[rows]
+        inside = r_lo < r_hi
+        if inside.any():
+            c0, c1 = int(r_lo[inside].min()), int(r_hi[inside].max())
+            # per row: False before its range, True over it, False after
+            a, b = (r_lo - c0) * inside, (r_hi - c0) * inside
+            runs = np.column_stack([a, b - a, c1 - c0 - b]).ravel()
+            mask = np.repeat(np.arange(runs.size) % 3 == 1, runs).reshape(-1, c1 - c0)
+            yield rows, slice(c0, c1), mask
 
 
 # ---------------------------------------------------------------------------
@@ -114,12 +117,12 @@ def low_ce_gf(params: RegimeParams, pump: PumpSpec, t, t_prime,
     ``ss`` blocks are the pure transmission deltas and are not sampled here;
     requesting them raises an error.
     """
-    return 1j * _low_ce_over_i(params, pump, t, t_prime, block)
+    return 1j * _low_ce_over_i(params, pump, t, t_prime, block, band_mask(params, t, t_prime))
 
 
 def _low_ce_over_i(params: RegimeParams, pump: PumpSpec, t, t_prime,
-                   block: str) -> np.ndarray:
-    """:func:`low_ce_gf` over ``i``, real for a real ``gbar Ap``."""
+                   block: str, mask: np.ndarray) -> np.ndarray:
+    """:func:`low_ce_gf` over ``i``, real for a real ``gbar Ap``, on the band ``mask``."""
     if block not in ("rs", "sr"):
         raise ConfigurationError(
             "the weak-conversion kernel has only rs/sr smooth blocks"
@@ -129,7 +132,6 @@ def _low_ce_over_i(params: RegimeParams, pump: PumpSpec, t, t_prime,
     L = params.L
     brs = params.beta_rs
     gbar = params.gamma_bar
-    mask = band_mask(params, t, t_prime)
     if block == "rs":
         t_cross = (params.beta_rp * t_prime - params.beta_sp * (t - params.beta_r * L)) / brs
         vals = gbar * eval_pump(pump, t_cross)
@@ -197,12 +199,12 @@ def sample_low_ce(params: RegimeParams, pump: PumpSpec,
     0.89427 at n = 512, 1023 and 2045.
 
     Each requested block comes from :func:`_over_i_block` and is filled in
-    one loop over the :func:`_band_blocks`, which finds the on-edge samples
-    once for every block; no temporary spans the full grid and no sample
-    outside the band is evaluated.  With ``weighted`` the rs block alone,
-    whatever ``blocks`` says, fills a :class:`WeightedRs`, from which
-    :func:`~tmfc.schmidt.decompose` reads values and modes, and no complex
-    block is built.  ``t_in`` must be ascending.
+    one loop over the :func:`_band_blocks`, whose masks zero a piece's
+    samples outside their row's band; on-edge samples are found once for
+    all blocks, and no temporary spans the full grid.  With ``weighted`` the
+    rs block alone, whatever ``blocks`` says, fills a :class:`WeightedRs`,
+    from which :func:`~tmfc.schmidt.decompose` reads values and modes, and
+    no complex block is built.  ``t_in`` must be ascending.
     """
     t_out = np.asarray(t_out, dtype=float)
     t_in = np.asarray(t_in, dtype=float)
@@ -213,14 +215,13 @@ def sample_low_ce(params: RegimeParams, pump: PumpSpec,
             (t_out.size, t_in.size), float if real else complex, weighted, t_out, t_in)
     steps = [g[1] - g[0] for g in (t_out, t_in) if g.size > 1]
     tol = 1e-6 * min(steps) if steps else 0.0
-    L = params.L
-    for rows, cols in _band_blocks(params, t_out, t_in):
+    for rows, cols, mask in _band_blocks(params, t_out, t_in):
         tt = t_out[rows, None]
         pp = t_in[None, cols]
-        on_edge = (np.abs(pp - (tt - params.beta_r * L)) <= tol) \
-            | (np.abs((tt - params.beta_s * L) - pp) <= tol)
+        on_edge = (np.abs(pp - (tt - params.beta_r * params.L)) <= tol) \
+            | (np.abs((tt - params.beta_s * params.L) - pp) <= tol)
         for b, view in views.items():
-            piece = _low_ce_over_i(params, pump, tt, pp, b)
+            piece = _low_ce_over_i(params, pump, tt, pp, b, mask)
             np.multiply(piece, 0.5, out=piece, where=on_edge)
             piece *= scale
             view[rows, cols] = piece
@@ -267,7 +268,7 @@ class SSVMKernelParams:
     ``tau``/``tau_prime`` are the pump-frame arrival times of the output and
     input rays, ``xi`` the r-channel walk-through duration, ``eta`` the pump
     intensity accumulated between the two arrival times, and ``mask`` the
-    causal support ``tau >= tau_prime``, ``xi >= 0``.  ``tau``/``tau_prime``
+    band (:func:`band_mask`), ``tau >= tau_prime``, ``xi >= 0``.  ``tau``/``tau_prime``
     keep their input shapes; the other fields broadcast to ``(n_out, n_in)``.
     """
 
@@ -299,27 +300,23 @@ def ssvm_kernel_variables(params: RegimeParams, pump: PumpSpec,
     return _kernel_variables(
         params, t, tau_prime,
         pump_cumulative_intensity(pump, t - params.beta_s * params.L),
-        pump_cumulative_intensity(pump, tau_prime))
+        pump_cumulative_intensity(pump, tau_prime), band_mask(params, t, tau_prime))
 
 
 def _kernel_variables(params: RegimeParams, t: np.ndarray, tau_prime: np.ndarray,
-                      f_out: np.ndarray, f_in: np.ndarray) -> SSVMKernelParams:
-    """:func:`ssvm_kernel_variables` from the pump cumulative intensity
-    already sampled at the output arrival times (``f_out``) and at the
-    input times (``f_in``), each broadcasting like its time array."""
-    L = params.L
-    tau = t - params.beta_s * L
-    xi = params.beta_r * L - t + tau_prime
+                      f_out: np.ndarray, f_in: np.ndarray, mask: np.ndarray) -> SSVMKernelParams:
+    """:func:`ssvm_kernel_variables` on the band ``mask`` of ``(t, tau_prime)``
+    from the pump cumulative intensity at the output arrival times
+    (``f_out``) and the input times (``f_in``), each shaped like its times."""
+    tau = t - params.beta_s * params.L
+    xi = params.beta_r * params.L - t + tau_prime
     eta = np.asarray(f_out - f_in)
     np.maximum(eta, 0.0, out=eta)
-    # tau >= tau' is tau - tau' >= 0 for finite times, without the difference
-    mask = (tau >= tau_prime) & (xi >= 0.0)
     x = np.asarray(eta * xi)
     np.maximum(x, 0.0, out=x)
     np.sqrt(x, out=x)
     x *= 2.0 * abs(params.gamma_bar)
-    return SSVMKernelParams(tau=tau, tau_prime=tau_prime, xi=xi, eta=eta,
-                            mask=mask, x=x)
+    return SSVMKernelParams(tau=tau, tau_prime=tau_prime, xi=xi, eta=eta, mask=mask, x=x)
 
 
 def _j1_over_x(x: np.ndarray) -> np.ndarray:
@@ -351,12 +348,12 @@ def ssvm_gf(params: RegimeParams, pump: PumpSpec,
     rotates the s-side functions without changing any conversion magnitude.
     The pump factors and the cumulative intensity are evaluated once per
     axis, the pump factors only when a requested block reads them.  Each
-    requested block, rs from :func:`_over_i_block`, is filled in row blocks
-    (:func:`_band_blocks`), each against only the input columns that can
-    meet the band.  There ``J0(x)`` overwrites the one float buffer of
-    ``x``, after ``2 J1(x) / x`` for rr and ss, and becomes ``G_rs / i``
-    in place for a real amplitude.  With ``weighted`` only that piece is
-    formed, into a :class:`WeightedRs` that gives values and modes, whatever
+    requested block, rs from :func:`_over_i_block`, is filled over the
+    :func:`_band_blocks`, whose mask zeroes a piece's samples outside their
+    row's band.  There ``J0(x)`` overwrites the one float buffer of ``x``,
+    after ``2 J1(x) / x`` for rr and ss, and becomes ``G_rs / i`` in place
+    for a real amplitude.  With ``weighted`` only that piece is formed,
+    into a :class:`WeightedRs` that gives values and modes, whatever
     ``blocks`` says, and no complex block is built.  ``t_in`` must be
     ascending.
     """
@@ -380,9 +377,9 @@ def ssvm_gf(params: RegimeParams, pump: PumpSpec,
     if "rs" in need:
         data["g_rs"], rs_view, scale = _over_i_block(
             shape, np.result_type(gap, float), weighted, t_out, t_in)
-    for rows, cols in _band_blocks(params, t_out, t_in):
+    for rows, cols, mask in _band_blocks(params, t_out, t_in):
         kv = _kernel_variables(params, t_out[rows, None], tau_prime[:, cols],
-                               f_out[rows], f_in[:, cols])
+                               f_out[rows], f_in[:, cols], mask)
         j1x = _j1_over_x(kv.x) if need & {"rr", "ss"} else None
         # J0(x) overwrites x, and a real rs piece is then formed in that buffer
         j0 = special.j0(kv.x, out=kv.x) if need & {"rs", "sr"} else None

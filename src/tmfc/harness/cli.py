@@ -125,20 +125,20 @@ def spec_from_config(cfg: dict) -> SweepSpec:
         g = _require_known(cfg["grid"], ("t_min", "t_max", "n_t", "n_z"), "grid")
         kwargs["grid"] = TemporalGrid(
             t_min=float(g["t_min"]), t_max=float(g["t_max"]),
-            n_t=int(g.get("n_t", 1024)), n_z=int(g.get("n_z", 64)))
+            n_t=g.get("n_t", 1024), n_z=g.get("n_z", 64))
     if "basis" in cfg:
         # another engine's basis is SweepSpec's error, whatever its keys
         kwargs["basis"] = cfg["basis"] if cfg.get("engine", "numeric") != "numeric" \
             else _require_known(cfg["basis"], BASIS_KEYS, "basis")
     low_ce = _require_known(cfg.get("low_ce", {}), ("n", "margin"), "low_ce")
     if "n" in low_ce:
-        kwargs["low_ce_n"] = int(low_ce["n"])
+        kwargs["low_ce_n"] = low_ce["n"]
     if "margin" in low_ce:
         kwargs["low_ce_margin"] = float(low_ce["margin"])
     return SweepSpec(
         params=params, pump=pump, axes=tuple(axes),
         engine=cfg.get("engine", "numeric"),
-        n_report=int(cfg.get("n_report", 10)),
+        n_report=cfg.get("n_report", 10),
         want_modes=bool(cfg.get("modes", False)),
         want_fidelity=bool(cfg.get("fidelity", False)),
         **kwargs)

@@ -185,8 +185,7 @@ def _parse_meta(raw: str):
         values = [float(x) for x in inner.split(",")] if inner else []
         return np.asarray(values, dtype=float)
     try:
-        as_int = int(raw)
-        return as_int
+        return int(raw)
     except ValueError:
         pass
     try:
@@ -204,9 +203,9 @@ def load_gf(path: str) -> GreenFunction:
     them without a copy.  A basis-form function gets back the grid that
     its ``meta.t_min``, ``meta.t_max``, ``meta.n_t`` and ``meta.n_z`` describe.
 
-    A header that is incomplete, repeats a key or names a block its
-    ``blocks`` line does not list, and a payload that is short or followed
-    by more bytes, raise :class:`DataError`.
+    A malformed header (incomplete, a repeated key, a block its ``blocks``
+    line does not list, a function or grid its constructor rejects) and a
+    payload that is short or followed by more bytes raise :class:`DataError`.
     """
     with open(path, "rb") as fh:
         first = fh.readline(len(FORMAT_LINE) + 1)
@@ -285,6 +284,9 @@ def load_gf(path: str) -> GreenFunction:
         trailing = size - fh.tell()
     if trailing:
         raise DataError(f"{path}: {trailing} bytes follow the container payload")
-    if form == "basis" and all(key in metadata for key in _GRID_KEYS):
-        kwargs["grid"] = TemporalGrid(*(metadata[key] for key in _GRID_KEYS))
-    return GreenFunction(form=form, metadata=metadata, **kwargs)
+    try:
+        if form == "basis" and all(key in metadata for key in _GRID_KEYS):
+            kwargs["grid"] = TemporalGrid(*(metadata[key] for key in _GRID_KEYS))
+        return GreenFunction(form=form, metadata=metadata, **kwargs)
+    except ConfigurationError as exc:
+        raise DataError(f"{path}: {exc}") from None

@@ -75,7 +75,9 @@ class SweepSpec:
         if self.engine not in ENGINES:
             raise ConfigurationError(
                 f"unknown engine {self.engine!r}; expected one of {ENGINES}")
-        if int(self.n_report) < 1:
+        if not float(self.n_report).is_integer():
+            raise ConfigurationError("n_report must be an integer")
+        if self.n_report < 1:
             raise ConfigurationError("n_report must be at least 1")
         object.__setattr__(self, "n_report", int(self.n_report))
         if self.engine == "low-ce":
@@ -96,8 +98,7 @@ class SweepSpec:
             raise ConfigurationError(
                 f"grid and basis apply to the numeric engine only, not {self.engine!r}")
         norm = []
-        for entry in self.axes:
-            name, values = entry
+        for name, values in self.axes:
             if name not in AXIS_NAMES:
                 raise ConfigurationError(
                     f"unknown sweep axis {name!r}; expected one of {AXIS_NAMES}")

@@ -39,9 +39,11 @@ from tmfc import (
     ssvm_to_ecop_limit_check,
 )
 import tmfc.gf_analytic
+from tmfc import schmidt
 from tmfc.gf_analytic import _band_blocks, _j1_over_x, _row_blocks
 from tmfc.gf_numeric import apply_block
-from tmfc.harness.cases import low_ce_spec
+from tmfc.harness.cases import _WEAK_CASES, fig6_spec, low_ce_spec
+from tmfc.harness.sweep import _gf_for_point
 
 PUMP = PumpSpec(tau_p=1.0)
 
@@ -133,11 +135,11 @@ def _row_block_grids():
     blocks = _row_blocks(t_out.size, t_in.size)
     assert len(blocks) > 1 and blocks[-1].stop > t_out.size
     wide = np.linspace(t_out[0] - 4.0, t_out[-1] + 4.0, 1153)
-    spans = _band_blocks(params, wide, t_in)
+    spans = list(_band_blocks(params, wide, t_in))
     assert len(spans) < len(_row_blocks(wide.size, t_in.size))
-    assert any(cols == slice(0, t_in.size) for _, cols in spans)
-    assert any(cols.start == 0 < cols.stop < t_in.size for _, cols in spans)
-    assert any(0 < cols.start < cols.stop == t_in.size for _, cols in spans)
+    assert any(cols == slice(0, t_in.size) for _, cols, _ in spans)
+    assert any(cols.start == 0 < cols.stop < t_in.size for _, cols, _ in spans)
+    assert any(0 < cols.start < cols.stop == t_in.size for _, cols, _ in spans)
     return params, [(t_out, t_in), (t_out[700:701], t_in), (t_out, t_in[200:201]),
                     (wide, t_in)]
 
@@ -154,13 +156,76 @@ def test_band_blocks_skip_empty_rows_and_need_ascending_inputs():
     params = RegimeParams(beta_r=2.0, beta_s=0.0, beta_p=0.0).with_gamma_bar(1.0)
     t_out = np.linspace(-10.0, -5.0, 50)
     t_in = np.linspace(0.0, 1.0, 20)
-    assert _band_blocks(params, t_out, t_in) == []
+    assert list(_band_blocks(params, t_out, t_in)) == []
     gf = sample_low_ce(params, PUMP, t_out, t_in)
     assert not gf.g_rs.any() and not gf.g_sr.any()
     with pytest.raises(ConfigurationError):
         sample_low_ce(params, PUMP, t_out, t_in[::-1])
     with pytest.raises(ConfigurationError):
         ssvm_gf(params, PUMP, t_out, t_in[::-1])
+
+
+def _band_rule_case(case):
+    """``(params, t_out, t_in, block)`` of one band-rule case: a sweep
+    point's sampled weighted rs block on its grid (``fig6 <gbar>`` or a
+    weak catalog id), or a bare grid (``block`` None): the velocity-matched
+    grid of beta (1, -1, -1) at tau_p 0.2 (``ssvm``), ``fig2-edge``, a
+    band narrower than both steps (``sparse``), so that rows meeting no
+    input sample lie among rows that meet one, or random
+    betas, length and axes (``random <seed>``) with input samples placed on
+    both band edges and repeated input times."""
+    kind, _, arg = case.partition(" ")
+    if kind in ("fig6", *_WEAK_CASES):
+        spec = fig6_spec() if kind == "fig6" else low_ce_spec(kind)
+        params, pump = spec.point_config({"gamma_bar": float(arg)} if arg else {})
+        block = _gf_for_point(spec, params, pump)
+        return params, block.t_out, block.t_in, block
+    if kind == "ssvm":
+        params = RegimeParams(beta_r=1.0, beta_s=-1.0, beta_p=-1.0).with_gamma_bar(1.0)
+        return (params, *default_ssvm_grids(params, PumpSpec(tau_p=0.2)), None)
+    if kind == "fig2-edge":
+        params, _, t_out, t_in = _fig2_edge_grid()
+        return params, t_out, t_in, None
+    if kind == "sparse":
+        params = RegimeParams(beta_r=0.1, beta_s=0.0, beta_p=0.0)
+        return params, np.linspace(0.0, 10.0, 41), np.linspace(0.05, 9.95, 34), None
+    rng = np.random.default_rng(int(arg))
+    params = RegimeParams(beta_r=rng.uniform(0.5, 3.0), beta_s=rng.uniform(-2.0, 0.4),
+                          beta_p=0.0, L=rng.uniform(0.3, 3.0))
+    t_out = np.sort(rng.uniform(-4.0, 4.0, 300))
+    picked = rng.choice(t_out, 40)
+    t_in = np.sort(np.concatenate([rng.uniform(-8.0, 6.0, 400),
+                                   picked[:5] - params.beta_r * params.L,
+                                   picked[:20] - params.beta_r * params.L,
+                                   picked[20:] - params.beta_s * params.L]))
+    assert np.any(np.diff(t_in) == 0.0)
+    return params, t_out, t_in, None
+
+
+@pytest.mark.parametrize("case", ["fig6 0.1", "fig6 1.15", "fig6 2.5", "ssvm", "fig2-edge", "sparse",
+                                  "random 0", "random 1", "random 2", *_WEAK_CASES])
+def test_band_blocks_follow_band_mask(case):
+    """The pieces' masks, placed on the full grid, equal ``band_mask`` and
+    the kernels' former test ``tau >= tau'``, ``xi >= 0`` sample for
+    sample, also where samples sit exactly on an edge.  Every span is
+    exact, a band sample in its first and last column, and on a sampled
+    block the spans are the Krylov's pieces, its nonzero column spans."""
+    params, t_out, t_in, block = _band_rule_case(case)
+    placed = np.zeros((t_out.size, t_in.size), dtype=bool)
+    spans = []
+    for rows, cols, mask in _band_blocks(params, t_out, t_in):
+        assert mask[:, 0].any() and mask[:, -1].any()
+        placed[rows, cols] = mask
+        spans.append((rows, cols))
+    tt, pp = t_out[:, None], t_in[None, :]
+    L = params.L
+    tau, xi = tt - params.beta_s * L, params.beta_r * L - tt + pp
+    assert np.array_equal(placed, band_mask(params, tt, pp))
+    assert np.array_equal(placed, (tau >= pp) & (xi >= 0.0))
+    if case.startswith("random"):
+        assert (pp == tt - params.beta_r * L).any() and (pp == tt - params.beta_s * L).any()
+    if block is not None:
+        assert spans == schmidt._pieces(block.g_rs)
 
 
 def test_sample_low_ce_delta_lines_and_edge_weight():
@@ -385,7 +450,7 @@ def test_ssvm_kernel_variables_once_per_row_block(monkeypatch):
     params = RegimeParams(beta_r=2.0, beta_s=0.0, beta_p=0.0).with_gamma_bar(1.0)
     pump = PumpSpec(tau_p=0.1)
     t_out, t_in = default_ssvm_grids(params, pump)
-    n_blocks = len(_band_blocks(params, t_out, t_in))
+    n_blocks = len(list(_band_blocks(params, t_out, t_in)))
     gf = ssvm_gf(params, pump, t_out, t_in)
     assert len(calls) == n_blocks > 1
     kernel = ssvm_gf(params, pump, t_out, t_in, weighted=True)

@@ -88,6 +88,9 @@ def test_sweep_spec_validation():
         _tiny_spec(axes=(("tau_p", ()),))
     with pytest.raises(ConfigurationError):
         _tiny_spec(n_report=0)
+    with pytest.raises(ConfigurationError, match="n_report must be an integer"):
+        replace(cases.fig6_spec(), n_report=8.7)
+    assert type(replace(cases.fig6_spec(), n_report=8.0).n_report) is int
     for bad in ({"low_ce_n": 1}, {"low_ce_n": 64.5}, {"low_ce_margin": 0.0},
                 {"low_ce_margin": -1.0}, {"low_ce_margin": float("nan")},
                 {"low_ce_margin": float("inf")}):
@@ -465,8 +468,8 @@ def test_pool_workers_start_with_scipy_special(monkeypatch):
 
 
 def test_numeric_engine_runs_without_scipy():
-    """Importing tmfc and running a numeric sweep loads no scipy module;
-    the first analytic kernel loads ``scipy.special``."""
+    """Importing tmfc and running a numeric sweep loads no scipy module and
+    not ``numpy.ma``; the first analytic kernel loads ``scipy.special``."""
     code = """
 import sys
 import numpy as np
@@ -483,6 +486,7 @@ spec = SweepSpec(params=RegimeParams(beta_r=1.0, beta_s=0.0, beta_p=0.0).with_ga
                  axes=(("gamma_bar", (0.5,)),))
 assert run_sweep(spec).records[0]["error"] == ""
 assert scipy_modules() == [], scipy_modules()
+assert "numpy.ma" not in sys.modules
 t = np.linspace(-3.0, 3.0, 16)
 ssvm_gf(spec.params, spec.pump, t, t, blocks=("rs",))
 assert "scipy.special" in sys.modules
@@ -743,6 +747,35 @@ def test_gf_container_rejects_malformed_payload(tmp_path, fault):
     assert str(err.value) == message
 
 
+@pytest.fixture(scope="module")
+def basis_gf_bytes(tmp_path_factory):
+    """The container bytes of a saved basis-form function."""
+    params = RegimeParams(beta_r=1.0, beta_s=0.0, beta_p=0.0).with_gamma_bar(0.5)
+    path = tmp_path_factory.mktemp("basis") / "basis.gf"
+    save_gf(assemble_gf(params, PUMP, n_r=10, n_s=10, tol_leak=0.05), str(path))
+    return path.read_bytes()
+
+
+@pytest.mark.parametrize("pattern, repl, message", [
+    (rb"\nbasis_in_s = [^\n]*", b"", "basis form requires basis specs for block rs"),
+    (rb"\nmeta\.n_t = [^\n]*", b"\nmeta.n_t = 1", "n_t must be an integer >= 2"),
+], ids=["no basis_in_s", "n_t 1"])
+def test_gf_container_rejects_basis_header_its_constructor_rejects(
+        tmp_path, capsys, basis_gf_bytes, pattern, repl, message):
+    """A basis-form header that the function's or grid's constructor
+    rejects is a :class:`DataError` naming the file, and exit code 2."""
+    head, sep, payload = basis_gf_bytes.partition(b"\nend\n")
+    head, count = re.subn(pattern, repl, head)
+    assert count == 1
+    path = tmp_path / "basis.gf"
+    path.write_bytes(head + sep + payload)
+    with pytest.raises(DataError) as err:
+        load_gf(str(path))
+    assert str(err.value) == f"{path}: {message}"
+    assert main(["decompose", str(path)]) == 2
+    assert capsys.readouterr().err == f"error: {path}: {message}\n"
+
+
 @pytest.mark.parametrize("key", ["form", "n_in", "shape_g_rs", "meta.engine"])
 def test_gf_container_rejects_repeated_header_key(tmp_path, key):
     _, path = _saved_weak_gf(tmp_path)
@@ -952,12 +985,41 @@ def test_spec_from_config_builds_chirped_and_tabulated_pumps():
     ("{n: 1}", "low_ce_n must be at least 2"),
     ("{margin: -1}", "low_ce_margin must be a positive finite number"),
     ("{margin: 0}", "low_ce_margin must be a positive finite number"),
+    ("{n: 64.5}", "low_ce_n must be an integer"),
 ])
 def test_cli_run_rejects_bad_low_ce_grid(tmp_path, capsys, low_ce, message):
     cfg = tmp_path / "low_ce.yaml"
     cfg.write_text(_PARAMS_LINE + f"engine: low-ce\nlow_ce: {low_ce}\n")
     assert main(["run", str(cfg)]) == 2
     assert capsys.readouterr().err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize("line, message", [
+    ("grid: {t_min: -9, t_max: 9, n_t: 64.7, n_z: 10}", "n_t must be an integer >= 2"),
+    ("grid: {t_min: -9, t_max: 9, n_t: 64, n_z: 10.2}", "n_z must be an integer >= 1"),
+    ("n_report: 7.9", "n_report must be an integer"),
+], ids=["n_t", "n_z", "n_report"])
+def test_cli_run_rejects_non_integral_setting(tmp_path, capsys, line, message):
+    """A count in the config reaches its constructor as written, so a
+    fraction is rejected rather than truncated."""
+    cfg = tmp_path / "fraction.yaml"
+    cfg.write_text(_PARAMS_LINE + line + "\n")
+    assert main(["run", str(cfg)]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
+def test_cli_run_takes_whole_floats_as_integers(tmp_path, capsys):
+    cfg = tmp_path / "whole.yaml"
+    cfg.write_text(_PARAMS_LINE + "engine: low-ce\nlow_ce: {n: 64.0}\nn_report: 3.0\n")
+    assert main(["run", str(cfg)]) == 0
+    header = capsys.readouterr().out.splitlines()[0].split(",")
+    assert header[-6:] == ["ce_1", "ce_2", "ce_3", "selectivity", "separability", "error"]
+    spec = spec_from_config({"params": {"beta_r": 1.0, "beta_s": 0.0, "beta_p": 0.0},
+                             "pump": {}, "low_ce": {"n": 64.0}, "engine": "low-ce"})
+    assert type(spec.low_ce_n) is int and spec.low_ce_n == 64
+    grid = spec_from_config({"params": {"beta_r": 1.0, "beta_s": 0.0, "beta_p": 0.0},
+                             "grid": {"t_min": -9, "t_max": 9, "n_t": 64.0, "n_z": 10.0}}).grid
+    assert grid == TemporalGrid(-9.0, 9.0, 64, 10) and type(grid.n_t) is int
 
 
 @pytest.mark.parametrize("lines, message", [
