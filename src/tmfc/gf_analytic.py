@@ -247,14 +247,19 @@ def low_ce_gf_freq(params: RegimeParams, pump: PumpSpec,
     omega_prime = np.asarray(omega_prime, dtype=float)
     brs = params.beta_rs
     L = params.L
-    gbar = params.gamma_bar
-    diff = omega - omega_prime
+    # the pump-centre phase exp(i D c), the shift and exp(i L W (beta_r +
+    # beta_s)) each split into an output factor times an input factor
+    shift = L * params.beta_r * params.beta_sp / brs
+    walk = L * (params.beta_r + params.beta_s) / (2.0 * brs)
+    out_phase = np.exp(1j * omega * (pump.center - shift + walk * params.beta_rp))
+    in_phase = np.exp(-1j * omega_prime * (pump.center - shift + walk * params.beta_sp))
     wbar = (params.beta_rp * omega - params.beta_sp * omega_prime) / (2.0 * brs)
-    pump_fac = 1j * gbar * pump_spectrum(pump, diff) \
-        * np.exp(-1j * L * params.beta_r * diff * params.beta_sp / brs)
-    match_fac = brs * L * np.sinc(wbar * brs * L / math.pi) \
-        * np.exp(1j * L * wbar * (params.beta_r + params.beta_s))
-    return pump_fac * match_fac
+    g = pump_spectrum(replace(pump, center=0.0), omega - omega_prime)
+    g *= np.sinc(wbar * (brs * L / math.pi))
+    g *= out_phase
+    g *= in_phase
+    g *= 1j * params.gamma_bar * brs * L
+    return g
 
 
 # ---------------------------------------------------------------------------

@@ -40,6 +40,8 @@ from .model import (
     PumpSpec,
     RegimeParams,
     TemporalGrid,
+    _coverage_window,
+    _next_fast_len,
     hermite_gauss_basis,
 )
 from .solver import Propagator
@@ -326,6 +328,24 @@ def grid_for_basis(params: RegimeParams, pump: PumpSpec,
     return TemporalGrid.for_interaction(params, pump, dt_max=dt_req, extra=edges)
 
 
+def _propagation_window(params: RegimeParams, pump: PumpSpec, grid: TemporalGrid,
+                        inputs: Sequence[BasisSpec]) -> slice:
+    """The slice of ``grid`` that :func:`assemble_gf` propagates for the
+    input bases ``inputs``; its docstring states the rule."""
+    delays = (0.0, params.beta_r * params.L, params.beta_s * params.L)
+    cover_lo, cover_hi = _coverage_window(params, pump)
+    lo = min(cover_lo, min(spec.extent()[0] for spec in inputs) + min(delays))
+    hi = max(cover_hi, max(spec.extent()[1] for spec in inputs) + max(delays))
+    t = grid.times
+    first = int(np.searchsorted(t, lo, side="right")) - 1
+    last = int(np.searchsorted(t, hi, side="left"))
+    size = _next_fast_len(last - first + 1)
+    if first < 0 or last >= grid.n_t or size >= grid.n_t:
+        return slice(0, grid.n_t)
+    first = min(first, grid.n_t - size)
+    return slice(first, first + size)
+
+
 def assemble_gf(
     params: RegimeParams,
     pump: PumpSpec,
@@ -349,44 +369,62 @@ def assemble_gf(
     columns of the full assembly.  Projections use the grid quadrature
     against the (real, orthonormal) output bases.
 
-    Parameters default to the layout of :func:`default_basis_layout`.
+    The batch runs on a window of ``grid`` (same samples, ``dt`` and
+    ``n_z``) that holds every place the propagated inputs' light can reach:
+    their bases' extents widened by the light cone ``[min(0, beta_r L,
+    beta_s L), max(0, beta_r L, beta_s L)]`` (a field launched at ``t'``
+    lies in ``t' + [min(beta) z, max(beta) z]`` at every depth, whatever
+    the pump does), united with the grid's coverage window and rounded up
+    to a fast FFT length.  When that window
+    does not fit strictly inside ``grid``, the whole grid is propagated.
+    Projections, energies and leaks are taken over the window; the result
+    keeps ``grid`` and its metadata.
+
+    Parameters default to the layout of :func:`default_basis_layout`.  An
+    explicit ``grid`` must contain the tails of the propagated input bases
+    and of both output bases (a ``CoverageError`` otherwise).
     ``tol_leak`` bounds the per-column energy not captured by the output
     bases; exceeding it raises a truncation error naming the worst column.
     The leak check and the ``leak_*`` and ``*_energy_*`` metadata cover the
     propagated columns only (an input side not propagated has empty
     arrays).  Column order is fixed, so the result is bit-reproducible for
-    identical inputs, and each block is the same whichever other blocks
-    are requested.
+    identical inputs.  Each block is the same whichever other blocks are
+    requested: bit for bit when the propagated input sides give the same
+    window, and to FFT round-off otherwise.
     """
     blocks = tuple(blocks)
     if not blocks or any(b not in _BLOCKS for b in blocks):
         raise ConfigurationError(
             f"blocks must be a non-empty subset of {_BLOCKS}, got {blocks!r}")
-    inputs = {f"in_{b[1]}" for b in blocks}
+    # an input basis no requested block reads is neither propagated nor checked
+    inputs = [f"in_{c}" for c in "rs" if any(b[1] == c for b in blocks)]
+    sampled = inputs + ["out_r", "out_s"]
     if layout is None:
         layout = default_basis_layout(params, pump, n_r=n_r, n_s=n_s,
                                       width_r=width_r, width_s=width_s)
     if grid is None:
         grid = grid_for_basis(params, pump, layout)
     else:
-        lo = min(e for spec in layout.values() for e in spec.extent())
-        hi = max(e for spec in layout.values() for e in spec.extent())
+        lo = min(layout[k].extent()[0] for k in sampled)
+        hi = max(layout[k].extent()[1] for k in sampled)
         if grid.t_min > lo or grid.t_max < hi:
             raise CoverageError(
                 f"grid [{grid.t_min}, {grid.t_max}] does not contain the basis "
                 f"tails [{lo:.3g}, {hi:.3g}]"
             )
     dt = grid.dt
-    # an input basis no requested block reads contributes no columns
-    bases = {k: spec.sample(grid.times) if k in inputs or k.startswith("out_")
-             else np.zeros((0, grid.n_t)) for k, spec in layout.items()}
+    window = _propagation_window(params, pump, grid, [layout[k] for k in inputs])
+    t = grid.times[window]
+    bases = {k: layout[k].sample(t) if k in sampled else np.zeros((0, t.size))
+             for k in layout}
     n_s_in = bases["in_s"].shape[0]
 
     # one batch: the s-input columns first, then the r-input columns
     zeros_s = np.zeros_like(bases["in_s"])
     zeros_r = np.zeros_like(bases["in_r"])
-    out = Propagator(params, pump, grid).run(np.vstack([zeros_s, bases["in_r"]]),
-                                             np.vstack([bases["in_s"], zeros_r]))
+    window_grid = TemporalGrid(float(t[0]), float(t[-1]), t.size, grid.n_z)
+    out = Propagator(params, pump, window_grid).run(
+        np.vstack([zeros_s, bases["in_r"]]), np.vstack([bases["in_s"], zeros_r]))
     proj_r = (out.a_r @ bases["out_r"].T) * dt
     proj_s = (out.a_s @ bases["out_s"].T) * dt
     energy_r = dt * np.sum(np.abs(out.a_r) ** 2, axis=1)
@@ -408,7 +446,7 @@ def assemble_gf(
         "n_t": grid.n_t, "n_z": grid.n_z,
         "t_min": grid.t_min, "t_max": grid.t_max,
         "leak_s": leak_s, "leak_r": leak_r,
-        # unprojected per-column output energies: these see the full grid,
+        # unprojected per-column output energies: these see the whole window,
         # so their sums estimate the Hilbert-Schmidt weights of the blocks
         # without the output-basis truncation of the coefficient matrices
         "conv_energy_s": energy_r[:n_s_in], "trans_energy_s": energy_s[:n_s_in],

@@ -370,7 +370,7 @@ def run_sweep(spec: SweepSpec, workers: int = 1) -> SweepResult:
     sweeps of the same size run in the same workers; a sweep of another
     size replaces it.  A reused pool found broken (a worker died since the
     last sweep) is rebuilt and the sweep run again, and the interpreter's
-    exit shuts the pool down.  Idle workers keep their memory: about 48 MB
+    exit shuts the pool down.  Idle workers keep their memory: about 47 MB
     resident each after the ``numeric-ssvm-pool`` points of perfbench, and
     58 MB after a fig6 sweep (2-CPU x86-64 VM, numpy 2.4).  A pool worker
     runs any sweep it calls serially.

@@ -277,7 +277,8 @@ def pump_spectrum(pump: PumpSpec, omega) -> np.ndarray:
         raise UnsupportedConfigurationError("closed-form spectra require an unchirped pump")
     omega = np.asarray(omega, dtype=float)
     tau = pump.tau_p
-    phase = np.exp(1j * omega * pump.center)
+    # a pump centred at 0 needs no phase (low_ce_gf_freq applies its own)
+    phase = np.exp(1j * omega * pump.center) if pump.center else 1.0 + 0j
     if pump.shape == PumpShape.GAUSSIAN.value:
         return math.sqrt(2.0) * _PI_QUARTER * math.sqrt(tau) * np.exp(-0.5 * (omega * tau) ** 2) * phase
     if pump.shape == PumpShape.HERMITE_GAUSS_1.value:
@@ -296,7 +297,7 @@ def pump_spectrum(pump: PumpSpec, omega) -> np.ndarray:
     for i in range(0, len(flat), chunk):
         w = flat[i : i + chunk, None]
         out[i : i + chunk] = np.sum(np.exp(1j * w * fine_t[None, :]) * fine_v[None, :], axis=1) * dt
-    return (out * np.exp(1j * flat * pump.center)).reshape(omega.shape)
+    return out.reshape(omega.shape) * phase
 
 
 # ---------------------------------------------------------------------------
@@ -443,6 +444,14 @@ def _next_fast_len(n: int) -> int:
         m += 1
 
 
+def _coverage_window(params: RegimeParams, pump: PumpSpec) -> Tuple[float, float]:
+    """The interval :meth:`TemporalGrid.covers` asks a grid to contain."""
+    L = params.L
+    m = 5.0 * pump.tau_p
+    delays = (0.0, params.beta_s * L, params.beta_r * L)
+    return min(delays) + pump.center - m, max(delays) + pump.center + m
+
+
 @dataclass(frozen=True)
 class TemporalGrid:
     """Uniform time grid over ``[t_min, t_max]`` plus a z-step count.
@@ -481,10 +490,7 @@ class TemporalGrid:
     def covers(self, params: RegimeParams, pump: PumpSpec) -> bool:
         """Check the coverage contract: window reaches five pump widths
         beyond the earliest and latest free exit delays (0, beta_s L, beta_r L)."""
-        L = params.L
-        m = 5.0 * pump.tau_p
-        lo = min(0.0, params.beta_s * L, params.beta_r * L) + pump.center - m
-        hi = max(0.0, params.beta_s * L, params.beta_r * L) + pump.center + m
+        lo, hi = _coverage_window(params, pump)
         return self.t_min <= lo + 1e-12 and self.t_max >= hi - 1e-12
 
     def require_coverage(self, params: RegimeParams, pump: PumpSpec) -> None:

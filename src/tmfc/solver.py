@@ -37,7 +37,10 @@ each shift: a round-off-level difference for resolved fields.
 
 The time window is treated as periodic; the grid coverage contract (five
 pump widths of margin beyond every exit delay) keeps wrap-around at the
-level of Gaussian tails.
+level of Gaussian tails.  The window need not be a whole assembly grid:
+``gf_numeric.assemble_gf`` propagates on a window of its grid that meets
+the contract and also holds the light cone of its inputs, so no field
+reaches the window's edges.
 """
 
 from __future__ import annotations

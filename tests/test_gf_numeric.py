@@ -235,6 +235,62 @@ def test_explicit_grid_must_cover_basis_tails():
                     layout=layout)
 
 
+POOL = RegimeParams(beta_r=2.0, beta_s=0.0, beta_p=0.0).with_gamma_bar(1.1)
+POOL_PUMP = PumpSpec(tau_p=0.1)
+
+
+def test_explicit_grid_needs_the_propagated_input_tails_only():
+    """An rs/ss assembly reads no r input, so a grid without the r-input
+    tails [-7.5, 5.5] runs; one without an output tail still raises."""
+    from tmfc import TemporalGrid
+
+    layout = default_basis_layout(POOL, POOL_PUMP)
+    gf = assemble_gf(POOL, POOL_PUMP, grid=TemporalGrid(-5.6, 7.6, 1536, 480),
+                     blocks=("rs", "ss"))
+    assert gf.g_rs.shape == (40, 40) and gf.grid.n_t == 1536
+    assert layout["out_r"].extent()[1] == pytest.approx(7.5)
+    with pytest.raises(CoverageError):
+        assemble_gf(POOL, POOL_PUMP, grid=TemporalGrid(-5.6, 7.4, 1536, 480),
+                    blocks=("rs", "ss"))
+
+
+@pytest.mark.parametrize("params, pump, n, inside", [
+    (POOL, POOL_PUMP, 12, True),
+    (SSVM, PUMP, 8, False),  # the light cone reaches the grid edge
+], ids=["pool-window", "ssvm-full-grid"])
+def test_assembly_propagates_light_cone_window(monkeypatch, params, pump, n, inside):
+    """The one batch runs on a window of the grid where the window fits
+    strictly inside it, and on the whole grid otherwise; blocks, energies
+    and leaks agree with a propagation over the whole grid."""
+    calls = []
+    run = Propagator.run
+
+    def counting_run(self, a_r, a_s):
+        calls.append(np.shape(a_r))
+        return run(self, a_r, a_s)
+
+    monkeypatch.setattr(Propagator, "run", counting_run)
+    gf = assemble_gf(params, pump, n_r=n, n_s=n, tol_leak=0.5, blocks=("rs", "ss"))
+    assert len(calls) == 1 and calls[0][0] == n
+    assert (calls[0][1] < gf.grid.n_t) if inside else (calls[0][1] == gf.grid.n_t)
+
+    t, dt = gf.grid.times, gf.grid.dt
+    b_in = gf.basis_in_s.sample(t)
+    out = run(Propagator(params, pump, gf.grid), np.zeros_like(b_in), b_in)
+    proj_r = (out.a_r @ gf.basis_out_r.sample(t).T) * dt
+    proj_s = (out.a_s @ gf.basis_out_s.sample(t).T) * dt
+    conv = dt * np.sum(np.abs(out.a_r) ** 2, axis=1)
+    trans = dt * np.sum(np.abs(out.a_s) ** 2, axis=1)
+    captured = np.sum(np.abs(proj_r) ** 2, axis=1) + np.sum(np.abs(proj_s) ** 2, axis=1)
+    ref = {"rs": proj_r.T, "ss": proj_s.T, "conv_energy_s": conv,
+           "trans_energy_s": trans,
+           "leak_s": np.maximum(0.0, 1.0 - captured / (conv + trans))}
+    got = {"rs": gf.g_rs, "ss": gf.g_ss,
+           **{k: gf.metadata[k] for k in ("conv_energy_s", "trans_energy_s", "leak_s")}}
+    for key, want in ref.items():
+        assert np.max(np.abs(got[key] - want)) <= 1e-12 * np.max(np.abs(want)), key
+
+
 def test_grid_for_basis_resolves_highest_mode():
     layout = default_basis_layout(SSVM, PUMP, n_r=30, n_s=30)
     grid = grid_for_basis(SSVM, PUMP, layout)
@@ -334,7 +390,9 @@ def test_partial_assembly_propagates_read_inputs(monkeypatch):
 
     monkeypatch.setattr(Propagator, "run", counting_run)
     gf = assemble_gf(SSVM, PUMP, n_r=6, n_s=4, tol_leak=0.5, blocks=("sr",))
-    assert calls == [(6, gf.grid.n_t)]
+    # the r-input window: the coverage window [-5, 6] holds the r-input light,
+    # 805 of the grid's 1024 samples, rounded up to the fast length 810
+    assert calls == [(6, 810)]
     assert gf.g_sr.shape == (4, 6) and gf.g_rs is None
     assert gf.metadata["leak_s"].size == 0
 
