@@ -339,7 +339,7 @@ def _propagation_window(params: RegimeParams, pump: PumpSpec, grid: TemporalGrid
     t = grid.times
     first = int(np.searchsorted(t, lo, side="right")) - 1
     last = int(np.searchsorted(t, hi, side="left"))
-    size = _next_fast_len(last - first + 1)
+    size = _next_fast_len(last - first + 1, primes=(2, 3, 5))
     if first < 0 or last >= grid.n_t or size >= grid.n_t:
         return slice(0, grid.n_t)
     first = min(first, grid.n_t - size)
@@ -375,7 +375,8 @@ def assemble_gf(
     beta_s L), max(0, beta_r L, beta_s L)]`` (a field launched at ``t'``
     lies in ``t' + [min(beta) z, max(beta) z]`` at every depth, whatever
     the pump does), united with the grid's coverage window and rounded up
-    to a fast FFT length.  When that window
+    to the smallest length with no prime factor above 5 (pocketfft's cost
+    grows with the prime factors of the length).  When that window
     does not fit strictly inside ``grid``, the whole grid is propagated.
     Projections, energies and leaks are taken over the window; the result
     keeps ``grid`` and its metadata.

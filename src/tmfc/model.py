@@ -429,14 +429,19 @@ def conversion_support(params: RegimeParams, pump: PumpSpec,
     return t_out, t_in
 
 
-def _next_fast_len(n: int) -> int:
-    """Smallest integer ``>= n`` with no prime factor above 11, the sizes
-    pocketfft transforms fastest; ``scipy.fft.next_fast_len(n)`` returns
-    the same."""
+def _next_fast_len(n: int, primes: Tuple[int, ...] = (2, 3, 5, 7, 11)) -> int:
+    """Smallest integer ``>= n`` with no prime factor outside ``primes``.
+
+    The default is the grid's rule (:meth:`TemporalGrid.for_interaction`),
+    kept equal to ``scipy.fft.next_fast_len(n)``: ``n_t`` fixes ``dt`` and
+    so every record.  An assembly's propagation window passes ``(2, 3, 5)``:
+    pocketfft's cost grows with the prime factors, and a shift of 40 rows
+    (rfft, phase, irfft) takes 210 us at 539 = 7^2 11 samples against
+    125 us at 540 = 2^2 3^3 5 (2-CPU x86-64 host, numpy 2.4.6)."""
     m = max(n, 1)
     while True:
         k = m
-        for p in (2, 3, 5, 7, 11):
+        for p in primes:
             while k % p == 0:
                 k //= p
         if k == 1:

@@ -291,6 +291,57 @@ def test_assembly_propagates_light_cone_window(monkeypatch, params, pump, n, ins
         assert np.max(np.abs(got[key] - want)) <= 1e-12 * np.max(np.abs(want)), key
 
 
+def _largest_prime_factor(n):
+    p, k, largest = 2, n, 1
+    while k > 1:
+        while k % p == 0:
+            k, largest = k // p, p
+        p += 1
+    return largest
+
+
+@pytest.mark.parametrize("params, pump, n_r, n_s, inputs, size", [
+    (POOL, POOL_PUMP, 12, 12, ("in_s",), 360),
+    (POOL, POOL_PUMP, 24, 24, ("in_s",), 384),
+    (POOL, POOL_PUMP, 40, 40, ("in_r",), None),
+    (SSVM, PUMP, 40, 40, ("in_s",), None),
+    (SSVM, PUMP, 6, 4, ("in_r",), 810),
+    (SSVM, PUMP, 24, 24, ("in_r",), 540),
+    (SSVM, PUMP, 40, 40, ("in_r",), 512),
+], ids=["pool-s12", "pool-s24", "pool-r40", "ssvm-s40", "ssvm-r6", "ssvm-r24",
+        "ssvm-r40"])
+def test_propagation_window_is_5_smooth(params, pump, n_r, n_s, inputs, size):
+    """A window inside the grid has a length with no prime factor above 5;
+    ``None`` marks a case whose window is the whole grid.  The pool point
+    itself is :func:`test_pool_point_propagates_540_samples`."""
+    from tmfc.gf_numeric import _propagation_window
+
+    layout = default_basis_layout(params, pump, n_r=n_r, n_s=n_s)
+    grid = grid_for_basis(params, pump, layout)
+    window = _propagation_window(params, pump, grid, [layout[k] for k in inputs])
+    length = window.stop - window.start
+    if size is None:
+        assert window == slice(0, grid.n_t)
+    else:
+        assert length == size < grid.n_t
+        assert _largest_prime_factor(length) <= 5
+
+
+def test_pool_point_propagates_540_samples(monkeypatch):
+    """The pool point's rs/ss assembly runs its one batch on 540 = 2^2 3^3 5
+    of the grid's 1728 samples, not on the 11-smooth 539 = 7^2 11."""
+    calls = []
+    run = Propagator.run
+
+    def counting_run(self, a_r, a_s):
+        calls.append(np.shape(a_r))
+        return run(self, a_r, a_s)
+
+    monkeypatch.setattr(Propagator, "run", counting_run)
+    gf = assemble_gf(POOL, POOL_PUMP, blocks=("rs", "ss"))
+    assert calls == [(40, 540)] and gf.grid.n_t == 1728
+
+
 def test_grid_for_basis_resolves_highest_mode():
     layout = default_basis_layout(SSVM, PUMP, n_r=30, n_s=30)
     grid = grid_for_basis(SSVM, PUMP, layout)

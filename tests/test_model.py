@@ -290,6 +290,18 @@ def test_next_fast_len_matches_scipy():
     assert got == [next_fast_len(n) for n in range(1, 20001)]
 
 
+def test_next_fast_len_5_smooth_matches_brute_force():
+    """With primes (2, 3, 5), the helper returns the smallest 2^a 3^b 5^c
+    at or above n."""
+    import bisect
+
+    smooth = sorted(2 ** a * 3 ** b * 5 ** c
+                    for a in range(16) for b in range(10) for c in range(7)
+                    if 2 ** a * 3 ** b * 5 ** c <= 1 << 15)
+    got = [_next_fast_len(n, primes=(2, 3, 5)) for n in range(1, 20001)]
+    assert got == [smooth[bisect.bisect_left(smooth, n)] for n in range(1, 20001)]
+
+
 def test_field_state_immutable():
     grid = TemporalGrid(-1.0, 1.0, 8, 4)
     state = FieldState.zero(grid)
