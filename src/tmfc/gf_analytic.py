@@ -45,12 +45,22 @@ from .gf_numeric import (
     DeltaLine,
     GreenFunction,
     WeightedRs,
+    _check_blocks,
     _read_only,
-    _row_blocks,
     _run_metadata,
     _spectral_shift,
     _sqrt_steps,
 )
+
+
+# samples per row block of a sampled kernel (and Krylov piece): temporaries fit in L2
+_ROW_BLOCK = 1 << 16
+
+
+def _row_blocks(n_rows: int, n_cols: int) -> List[slice]:
+    """Row slices, about ``_ROW_BLOCK`` samples each, covering ``n_rows``."""
+    step = max(1, _ROW_BLOCK // max(n_cols, 1))
+    return [slice(i, i + step) for i in range(0, n_rows, step)]
 
 
 def _require_real_gamma(params: RegimeParams, what: str) -> float:
@@ -117,16 +127,13 @@ def low_ce_gf(params: RegimeParams, pump: PumpSpec, t, t_prime,
     ``ss`` blocks are the pure transmission deltas and are not sampled here;
     requesting them raises an error.
     """
+    _check_blocks((block,), ("rs", "sr"))
     return 1j * _low_ce_over_i(params, pump, t, t_prime, block, band_mask(params, t, t_prime))
 
 
 def _low_ce_over_i(params: RegimeParams, pump: PumpSpec, t, t_prime,
                    block: str, mask: np.ndarray) -> np.ndarray:
     """:func:`low_ce_gf` over ``i``, real for a real ``gbar Ap``, on the band ``mask``."""
-    if block not in ("rs", "sr"):
-        raise ConfigurationError(
-            "the weak-conversion kernel has only rs/sr smooth blocks"
-        )
     t = np.asarray(t, dtype=float)
     t_prime = np.asarray(t_prime, dtype=float)
     L = params.L
@@ -165,14 +172,14 @@ def _over_i_block(shape: Tuple[int, int], dtype, weighted: bool,
 
 
 def _sampled(engine: str, params: RegimeParams, pump: PumpSpec,
-             t_out: np.ndarray, t_in: np.ndarray, data: dict,
+             t_out: np.ndarray, t_in: np.ndarray, data: dict, spans: list,
              weighted: bool, deltas) -> GreenFunction | WeightedRs:
-    """A sampler's result: the :class:`WeightedRs` of ``data["g_rs"]`` if
-    ``weighted``, else the grid-form :class:`GreenFunction` of the blocks
-    in ``data``, handed over read-only, with the unit delta lines of the
-    blocks named in ``deltas``."""
+    """A sampler's result: the :class:`WeightedRs` of ``data["g_rs"]`` and its
+    band ``spans`` if ``weighted``, else the grid-form :class:`GreenFunction`
+    of the blocks in ``data``, handed over read-only, with the unit delta
+    lines of the blocks named in ``deltas``."""
     if weighted:
-        return WeightedRs(data["g_rs"], t_out, t_in)
+        return WeightedRs(data["g_rs"], t_out, t_in, tuple(spans))
     return GreenFunction(
         form="grid", t_out=t_out, t_in=t_in,
         delta_rr=DeltaLine(params.beta_r * params.L) if "rr" in deltas else None,
@@ -201,11 +208,13 @@ def sample_low_ce(params: RegimeParams, pump: PumpSpec,
     Each requested block comes from :func:`_over_i_block` and is filled in
     one loop over the :func:`_band_blocks`, whose masks zero a piece's
     samples outside their row's band; on-edge samples are found once for
-    all blocks, and no temporary spans the full grid.  With ``weighted`` the
-    rs block alone, whatever ``blocks`` says, fills a :class:`WeightedRs`,
-    from which :func:`~tmfc.schmidt.decompose` reads values and modes, and
-    no complex block is built.  ``t_in`` must be ascending.
+    all blocks, and no temporary spans the full grid.  ``blocks`` must be
+    rs, sr or both.  With ``weighted`` the rs block alone, whatever
+    ``blocks`` says, fills a :class:`WeightedRs` with its band spans, from
+    which :func:`~tmfc.schmidt.decompose` reads values and modes, and no
+    complex block is built.  ``t_in`` must be ascending.
     """
+    blocks = _check_blocks(blocks, ("rs", "sr"))
     t_out = np.asarray(t_out, dtype=float)
     t_in = np.asarray(t_in, dtype=float)
     real = pump.is_real and not isinstance(params.gamma, complex)
@@ -215,7 +224,9 @@ def sample_low_ce(params: RegimeParams, pump: PumpSpec,
             (t_out.size, t_in.size), float if real else complex, weighted, t_out, t_in)
     steps = [g[1] - g[0] for g in (t_out, t_in) if g.size > 1]
     tol = 1e-6 * min(steps) if steps else 0.0
+    spans = []
     for rows, cols, mask in _band_blocks(params, t_out, t_in):
+        spans.append((rows, cols))
         tt = t_out[rows, None]
         pp = t_in[None, cols]
         on_edge = (np.abs(pp - (tt - params.beta_r * params.L)) <= tol) \
@@ -225,7 +236,7 @@ def sample_low_ce(params: RegimeParams, pump: PumpSpec,
             np.multiply(piece, 0.5, out=piece, where=on_edge)
             piece *= scale
             view[rows, cols] = piece
-    return _sampled("low-ce", params, pump, t_out, t_in, data, weighted, ("rr", "ss"))
+    return _sampled("low-ce", params, pump, t_out, t_in, data, spans, weighted, ("rr", "ss"))
 
 
 def low_ce_gf_freq(params: RegimeParams, pump: PumpSpec,
@@ -357,13 +368,14 @@ def ssvm_gf(params: RegimeParams, pump: PumpSpec,
     :func:`_band_blocks`, whose mask zeroes a piece's samples outside their
     row's band.  There ``J0(x)`` overwrites the one float buffer of ``x``,
     after ``2 J1(x) / x`` for rr and ss, and becomes ``G_rs / i`` in place
-    for a real amplitude.  With ``weighted`` only that piece is formed,
-    into a :class:`WeightedRs` that gives values and modes, whatever
-    ``blocks`` says, and no complex block is built.  ``t_in`` must be
-    ascending.
+    for a real amplitude.  ``blocks`` is a non-empty subset of the four.
+    With ``weighted`` only that piece is formed, into a :class:`WeightedRs`
+    with its band spans that gives values and modes, whatever ``blocks``
+    says, and no complex block is built.  ``t_in`` must be ascending.
     """
     from scipy import special
 
+    blocks = _check_blocks(blocks)
     gamma_real = _check_ssvm(params)
     t_out = np.asarray(t_out, dtype=float)
     t_in = np.asarray(t_in, dtype=float)
@@ -382,7 +394,9 @@ def ssvm_gf(params: RegimeParams, pump: PumpSpec,
     if "rs" in need:
         data["g_rs"], rs_view, scale = _over_i_block(
             shape, np.result_type(gap, float), weighted, t_out, t_in)
+    spans = []
     for rows, cols, mask in _band_blocks(params, t_out, t_in):
+        spans.append((rows, cols))
         kv = _kernel_variables(params, t_out[rows, None], tau_prime[:, cols],
                                f_out[rows], f_in[:, cols], mask)
         j1x = _j1_over_x(kv.x) if need & {"rr", "ss"} else None
@@ -403,7 +417,7 @@ def ssvm_gf(params: RegimeParams, pump: PumpSpec,
             np.copyto(piece, 0.0, where=~kv.mask)
             piece *= scale
             rs_view[rows, cols] = piece
-    return _sampled("analytic-ssvm", params, pump, t_out, t_in, data, weighted, need)
+    return _sampled("analytic-ssvm", params, pump, t_out, t_in, data, spans, weighted, need)
 
 
 def default_ssvm_grids(params: RegimeParams, pump: PumpSpec,

@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -47,14 +47,15 @@ from .model import (
 from .solver import Propagator
 
 _BLOCKS = ("rr", "rs", "sr", "ss")
-# samples per row block of a sampled kernel or Krylov piece: its temporaries fit in L2
-_ROW_BLOCK = 1 << 16
 
 
-def _row_blocks(n_rows: int, n_cols: int) -> List[slice]:
-    """Row slices, about ``_ROW_BLOCK`` samples each, covering ``n_rows``."""
-    step = max(1, _ROW_BLOCK // max(n_cols, 1))
-    return [slice(i, i + step) for i in range(0, n_rows, step)]
+def _check_blocks(blocks: Sequence[str], allowed: Sequence[str] = _BLOCKS) -> Tuple[str, ...]:
+    """``blocks`` as a tuple, checked to be a non-empty subset of ``allowed``."""
+    blocks = tuple(blocks)
+    if not blocks or any(b not in allowed for b in blocks):
+        raise ConfigurationError(
+            f"blocks must be a non-empty subset of {tuple(allowed)}, got {blocks!r}")
+    return blocks
 
 
 @dataclass(frozen=True)
@@ -192,8 +193,7 @@ class GreenFunction:
             and abs(self.dt_out - self.dt_in) <= 1e-12 * self.dt_in)
 
     def block(self, name: str) -> Optional[np.ndarray]:
-        if name not in _BLOCKS:
-            raise ConfigurationError(f"unknown block {name!r}")
+        _check_blocks((name,))
         return getattr(self, f"g_{name}")
 
     def delta(self, name: str) -> Optional[DeltaLine]:
@@ -209,12 +209,15 @@ class WeightedRs:
     a real pump) and complex otherwise, a dtype the analytic samplers know
     before they write a piece.  They return it when ``weighted``;
     :func:`~tmfc.schmidt.decompose` reads values and modes from it, and no
-    complex block is built.  As for a :class:`GreenFunction` holding the
-    rs block alone, the other blocks are ``None``."""
+    complex block is built.  ``spans``, the ``(rows, cols)`` band pieces the
+    sampler wrote, hold every nonzero entry; the Krylov iteration reads
+    only them.  As for a :class:`GreenFunction` holding the rs block alone,
+    the other blocks are ``None``."""
 
     g_rs: np.ndarray
     t_out: np.ndarray
     t_in: np.ndarray
+    spans: Tuple[Tuple[slice, slice], ...]
     g_rr = g_sr = g_ss = None
 
 
@@ -393,10 +396,7 @@ def assemble_gf(
     requested: bit for bit when the propagated input sides give the same
     window, and to FFT round-off otherwise.
     """
-    blocks = tuple(blocks)
-    if not blocks or any(b not in _BLOCKS for b in blocks):
-        raise ConfigurationError(
-            f"blocks must be a non-empty subset of {_BLOCKS}, got {blocks!r}")
+    blocks = _check_blocks(blocks)
     # an input basis no requested block reads is neither propagated nor checked
     inputs = [f"in_{c}" for c in "rs" if any(b[1] == c for b in blocks)]
     sampled = inputs + ["out_r", "out_s"]

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import List, Optional, Tuple
+from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -28,7 +28,6 @@ from .errors import ConfigurationError, DataError, UnsupportedConfigurationError
 from .gf_numeric import (
     GreenFunction,
     WeightedRs,
-    _row_blocks,
     _sqrt_steps,
     apply_block,
     to_grid_form,
@@ -134,8 +133,8 @@ def decompose(gf: GreenFunction | WeightedRs, n_report: int = 10,
     ``tau``.  Otherwise only the leading ``n_report`` values are found, by
     block Krylov iteration run to round-off (Halko, Martinsson and Tropp,
     SIAM Rev. 53, 217 (2011); Musco and Musco, NeurIPS 2015; see
-    :func:`_leading_values`), which reads the block's nonzero row pieces
-    once per depth, and ``sum_rho_sq`` is the squared Frobenius norm of the
+    :func:`_leading_values`) over a :class:`WeightedRs`'s band spans or a
+    whole block, and ``sum_rho_sq`` is the squared Frobenius norm of the
     weighted block, which equals the sum of all squared singular values.
     Where the basis would reach the smaller side or its depth cap, the full
     values-only SVD runs instead, so ``n_report = min(gf.g_rs.shape)`` with
@@ -175,9 +174,9 @@ def decompose(gf: GreenFunction | WeightedRs, n_report: int = 10,
     pair_rr, pair_ss = applicable("rr"), applicable("ss")
     vectors = want_modes or pair_rr or pair_ss
     if weighted:
-        mat, unit = gf.g_rs, 1j
+        mat, unit, pieces = gf.g_rs, 1j, gf.spans
     else:
-        g = gf.g_rs
+        g, pieces = gf.g_rs, [(slice(None), slice(None))]
         # a real kernel up to the factor i: the real SVD, i rides on the outputs
         if not g.real.any():
             part, unit = np.imag, 1j
@@ -195,7 +194,7 @@ def decompose(gf: GreenFunction | WeightedRs, n_report: int = 10,
             sum_rho_sq = float(sum(np.einsum("ij,ij->", p, p) for p in parts))
         if not math.isfinite(sum_rho_sq) and not np.isfinite(mat).all():
             raise DataError("the rs block contains non-finite entries")
-    sig = None if vectors else _leading_values(mat, n_report)
+    sig = None if vectors else _leading_values(mat, n_report, pieces)
     if sig is None:
         if vectors:
             u, sig, vh = np.linalg.svd(mat, full_matrices=False)
@@ -257,22 +256,7 @@ def decompose(gf: GreenFunction | WeightedRs, n_report: int = 10,
     )
 
 
-def _pieces(mat: np.ndarray) -> List[Tuple[slice, slice]]:
-    """``(rows, cols)`` pieces holding every nonzero entry of ``mat``.
-
-    Rows are taken in the samplers' row blocks (:func:`_row_blocks`, about
-    64 k entries each), each block with the span between its first and last
-    nonzero column; all-zero row blocks are left out.
-    """
-    pieces = []
-    for rows in _row_blocks(*mat.shape):
-        cols = np.flatnonzero(mat[rows].any(axis=0))
-        if cols.size:
-            pieces.append((rows, slice(int(cols[0]), int(cols[-1]) + 1)))
-    return pieces
-
-
-def _leading_values(mat: np.ndarray, k: int) -> Optional[np.ndarray]:
+def _leading_values(mat: np.ndarray, k: int, pieces: Sequence) -> Optional[np.ndarray]:
     """The ``k`` leading singular values of ``mat`` by block Krylov (block
     Lanczos) iteration, or ``None`` where the full SVD should run instead.
 
@@ -286,17 +270,16 @@ def _leading_values(mat: np.ndarray, k: int) -> Optional[np.ndarray]:
     space, are returned (Musco and Musco, NeurIPS 2015).  ``None`` when the
     basis would reach the smaller side of ``mat`` or ``_MAX_DEPTH`` blocks.
 
-    Each depth reads ``mat`` once, in one pass over its :func:`_pieces`: a
-    piece gives its rows of ``y_j`` and, still in cache, adds its share of
-    ``y_j^H mat``.  The zeros outside a sampled kernel's interaction band
-    are never read, and rows that no piece covers stay zero in ``y``.  For
-    an analytic sweep point, ``mat`` is the block the sampler wrote for its
-    :class:`WeightedRs`, not a copy out of a complex block.
+    Each depth reads ``mat`` once, in one pass over ``pieces``, ``(rows,
+    cols)`` slices outside which ``mat`` is zero: a piece gives its rows of
+    ``y_j`` and, still in cache, adds its share of ``y_j^H mat``; rows no
+    piece covers stay zero in ``y``.  :func:`decompose` passes the band
+    spans of a :class:`WeightedRs`, so the zeros outside the band are never
+    read, and any other block, such as one loaded from a file, whole.
     """
     depth = min(_MAX_DEPTH, (min(mat.shape) - 1) // k)
     if depth < 2:
         return None
-    pieces = _pieces(mat)
     # q and y are preallocated for the depth cap, columns never written cost
     # no memory; gram grows, as preallocated it pushed a fig6 point's heap
     # past glibc's trim threshold and about 7 MB was re-faulted every point

@@ -40,7 +40,6 @@ from tmfc import (
     ssvm_to_ecop_limit_check,
 )
 import tmfc.gf_analytic
-from tmfc import schmidt
 from tmfc.gf_analytic import _band_blocks, _j1_over_x, _row_blocks
 from tmfc.gf_numeric import apply_block
 from tmfc.harness.cases import _WEAK_CASES, fig6_spec, low_ce_spec
@@ -153,6 +152,25 @@ def _fig2_edge_grid():
         np.linspace(-6.0, 8.0, 1023)
 
 
+@pytest.mark.parametrize("sample, params, t_out, blocks", [
+    (ssvm_gf, RegimeParams(beta_r=1.0, beta_s=0.0, beta_p=0.0), np.linspace(-3.0, 3.0, 64),
+     ("rs", "xx")),
+    (ssvm_gf, RegimeParams(beta_r=1.0, beta_s=0.0, beta_p=0.0), np.linspace(-3.0, 3.0, 64),
+     ("xx",)),
+    (ssvm_gf, RegimeParams(beta_r=1.0, beta_s=0.0, beta_p=0.0), np.linspace(-3.0, 3.0, 64),
+     ()),
+    (sample_low_ce, RegimeParams(beta_r=1.0, beta_s=-1.0, beta_p=1.0),
+     np.linspace(50.0, 60.0, 64), ("rs", "rr")),
+], ids=["ssvm-unknown", "ssvm-only-unknown", "ssvm-empty", "low-ce-rr-no-band"])
+def test_samplers_reject_blocks_outside_their_set(sample, params, t_out, blocks):
+    """A sampler checks the block names before it samples: an unknown name
+    is not dropped, and a block the weak kernel has no smooth part for is
+    rejected also where no band piece is ever reached."""
+    with pytest.raises(ConfigurationError, match="blocks must be a non-empty subset"):
+        sample(params.with_gamma_bar(0.5), PUMP, t_out, np.linspace(-3.0, 3.0, 64),
+               blocks=blocks)
+
+
 def test_band_blocks_skip_empty_rows_and_need_ascending_inputs():
     params = RegimeParams(beta_r=2.0, beta_s=0.0, beta_p=0.0).with_gamma_bar(1.0)
     t_out = np.linspace(-10.0, -5.0, 50)
@@ -209,8 +227,10 @@ def test_band_blocks_follow_band_mask(case):
     """The pieces' masks, placed on the full grid, equal ``band_mask`` and
     the kernels' former test ``tau >= tau'``, ``xi >= 0`` sample for
     sample, also where samples sit exactly on an edge.  Every span is
-    exact, a band sample in its first and last column, and on a sampled
-    block the spans are the Krylov's pieces, its nonzero column spans."""
+    exact, a band sample in its first and last column.  A sweep point's
+    weighted sample carries these spans, and they are its nonzero spans:
+    they hold every nonzero entry, and each runs from the first to the last
+    column of its rows that holds one."""
     params, t_out, t_in, block = _band_rule_case(case)
     placed = np.zeros((t_out.size, t_in.size), dtype=bool)
     spans = []
@@ -226,7 +246,14 @@ def test_band_blocks_follow_band_mask(case):
     if case.startswith("random"):
         assert (pp == tt - params.beta_r * L).any() and (pp == tt - params.beta_s * L).any()
     if block is not None:
-        assert spans == schmidt._pieces(block.g_rs)
+        assert block.spans == tuple(spans)
+        g = block.g_rs
+        inside = np.zeros(g.shape, dtype=bool)
+        for rows, cols in spans:
+            inside[rows, cols] = True
+            nonzero = np.flatnonzero(g[rows].any(axis=0))
+            assert cols == slice(nonzero[0], nonzero[-1] + 1)
+        assert not g[~inside].any()
 
 
 def test_sample_low_ce_delta_lines_and_edge_weight():

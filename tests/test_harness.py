@@ -183,8 +183,11 @@ def test_run_sweep_workers_match_serial():
 
 @pytest.mark.parametrize("engine", ["analytic-ssvm", "low-ce"])
 def test_analytic_sweep_records_match_full_block_gf(engine):
-    """Analytic sweeps sample the rs block alone; their records equal those
-    of the Green function with every block sampled."""
+    """Analytic sweeps sample the rs block alone, weighted; that block is the
+    weighted rs block of the Green function with every block sampled, bit
+    for bit, and the records are its values, read through the sampler's
+    band spans.  ``decompose`` reads the grid-form block whole, so its
+    values agree with the records to round-off."""
     if engine == "analytic-ssvm":
         base = RegimeParams(beta_r=2.0, beta_s=0.0, beta_p=0.0,
                             L=2.0).with_gamma_bar(0.8)
@@ -199,11 +202,19 @@ def test_analytic_sweep_records_match_full_block_gf(engine):
         gf = sample_low_ce(params, pump, np.linspace(o_lo, o_hi, spec.low_ce_n),
                            np.linspace(i_lo, i_hi, spec.low_ce_n))
     (rec,) = run_sweep(spec).records
-    res = decompose(gf, n_report=3, want_modes=False)
+    kernel = sweep_module._gf_for_point(spec, params, pump)
+    assert not gf.g_rs.real.any()
+    assert np.array_equal(kernel.g_rs,
+                          gf.g_rs.imag * (math.sqrt(gf.dt_out) * math.sqrt(gf.dt_in)))
+    res = decompose(kernel, n_report=3, want_modes=False)
     assert rec["error"] == ""
     assert rec["rho"] == [float(x) for x in res.rho]
     assert rec["selectivity"] == res.selectivity
     assert rec["separability"] == res.separability
+    whole = decompose(gf, n_report=3, want_modes=False)
+    assert np.max(np.abs(whole.rho - res.rho)) <= 1e-14 * res.rho[0]
+    for name in ("selectivity", "separability"):
+        assert math.isclose(getattr(whole, name), getattr(res, name), rel_tol=1e-14)
 
 
 @pytest.mark.parametrize("spec", [

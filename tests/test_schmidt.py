@@ -29,7 +29,7 @@ from tmfc import (
     ssvm_gf,
 )
 from tmfc import GreenFunction, schmidt
-from tmfc.gf_numeric import WeightedRs, _row_blocks
+from tmfc.gf_numeric import WeightedRs
 from tmfc.harness.cases import fig6_spec, low_ce_spec
 from tmfc.harness.sweep import _gf_for_point
 
@@ -159,10 +159,13 @@ def _with_spectrum(sig, m, n, seed=5, dtype=float):
     return (u * sig) @ v.conj().T
 
 
-def _leading_error(mat, k=8):
+WHOLE = [(slice(None), slice(None))]
+
+
+def _leading_error(mat, k=8, pieces=WHOLE):
     """Largest deviation of the iterated leading values from LAPACK's,
     relative to the largest value; ``None`` when the iteration declined."""
-    got = schmidt._leading_values(mat, k)
+    got = schmidt._leading_values(mat, k, pieces)
     ref = np.linalg.svd(mat, compute_uv=False)[:k]
     if got is None:
         return None
@@ -206,31 +209,42 @@ def test_leading_values_on_hard_spectra(sig, dtype):
     assert err is not None and err <= 1e-14
 
 
-def _table1_gf(chirp=None):
-    """The 1024 x 1024 table1-a Green function on the weak catalog's grids;
-    about a fifth of its block lies in the interaction band."""
+def _table1_gf(chirp=None, weighted=False):
+    """The 1024 x 1024 table1-a Green function on the weak catalog's grids,
+    or its :class:`WeightedRs` if ``weighted``; about a fifth of its block
+    lies in the interaction band."""
     spec = low_ce_spec("table1-a")
     pump = replace(spec.pump, chirp=chirp)
     (o_lo, o_hi), (i_lo, i_hi) = conversion_support(spec.params, pump,
                                                     margin=spec.low_ce_margin)
     return sample_low_ce(spec.params, pump, np.linspace(o_lo, o_hi, spec.low_ce_n),
-                         np.linspace(i_lo, i_hi, spec.low_ce_n), blocks=("rs",))
+                         np.linspace(i_lo, i_hi, spec.low_ce_n), blocks=("rs",),
+                         weighted=weighted)
 
 
-def _fig6_gf():
-    """A fig6 Green function (1153 x 513); more than half of its block lies
-    in the band."""
+def _fig6_gf(weighted=False):
+    """A fig6 Green function (1153 x 513), or its :class:`WeightedRs` if
+    ``weighted``; more than half of its block lies in the band."""
     params = RegimeParams(beta_r=2.0, beta_s=0.0, beta_p=0.0).with_gamma_bar(1.0)
     pump = PumpSpec(tau_p=0.1)
-    return ssvm_gf(params, pump, *default_ssvm_grids(params, pump), blocks=("rs",))
+    return ssvm_gf(params, pump, *default_ssvm_grids(params, pump), blocks=("rs",),
+                   weighted=weighted)
 
 
-def _table1_block(chirp=None):
-    return _weighted(_table1_gf(chirp))
+def _table1_kernel(chirp=None):
+    kernel = _table1_gf(chirp, weighted=True)
+    return kernel.g_rs, kernel.spans
 
 
-def _fig6_block():
-    return _weighted(_fig6_gf())
+def _fig6_kernel():
+    kernel = _fig6_gf(weighted=True)
+    return kernel.g_rs, kernel.spans
+
+
+def _padded(mat, pieces, top=150, bottom=200):
+    """``mat`` between all-zero rows, and its ``pieces`` moved with it."""
+    return np.pad(mat, ((top, bottom), (0, 0))), \
+        [(slice(rows.start + top, rows.stop + top), cols) for rows, cols in pieces]
 
 
 class _RowReads(np.ndarray):
@@ -242,30 +256,28 @@ class _RowReads(np.ndarray):
 
 
 @pytest.mark.parametrize("make", [
-    _table1_block,
-    lambda: _table1_block(QuadraticChirp(5.0)),
-    lambda: np.pad(_table1_block(), ((150, 200), (0, 0))),
-    _fig6_block,
-    lambda: _with_spectrum(1.0 / np.arange(1, 201), 300, 200),
+    _table1_kernel,
+    lambda: _table1_kernel(QuadraticChirp(5.0)),
+    lambda: _padded(*_table1_kernel()),
+    _fig6_kernel,
+    lambda: (_with_spectrum(1.0 / np.arange(1, 201), 300, 200),
+             [(slice(0, 100), slice(None)), (slice(100, 300), slice(None))]),
 ], ids=["table1", "table1-chirped", "zero-end-rows", "fig6", "dense"])
 def test_leading_values_band_pieces(monkeypatch, make):
-    """The pieces hold every nonzero entry, each between its row block's
-    first and last nonzero column, and leave out all-zero row blocks; one
-    call scans every row block once, then each depth of the iteration
-    indexes every piece once, and the values agree with LAPACK's to
-    round-off."""
-    mat = make()
-    err = _leading_error(mat)
-    assert err is not None and err <= 1e-14
-    pieces = schmidt._pieces(mat)
+    """Given a block and pieces holding its nonzero entries (a sampler's
+    band spans, or row pieces of a dense block), each depth of the
+    iteration indexes every piece once and nothing else, with no read of
+    the block before the first depth; the values agree with LAPACK's to
+    round-off, and the block read as one whole piece gives the same
+    values."""
+    mat, pieces = make()
     inside = np.zeros(mat.shape, dtype=bool)
     for rows, cols in pieces:
         inside[rows, cols] = True
-        assert mat[rows, cols.start].any() and mat[rows, cols.stop - 1].any()
     assert not mat[~inside].any()
-    step = _row_blocks(*mat.shape)[0].stop
-    live_blocks = {r // step for r in np.flatnonzero(mat.any(axis=1))}
-    assert [rows.start // step for rows, _ in pieces] == sorted(live_blocks)
+    for given in (pieces, WHOLE):
+        err = _leading_error(mat, pieces=given)
+        assert err is not None and err <= 1e-14
     # one eigvalsh call per depth reached
     depths = []
     eigvalsh = np.linalg.eigvalsh
@@ -277,10 +289,9 @@ def test_leading_values_band_pieces(monkeypatch, make):
     monkeypatch.setattr(np.linalg, "eigvalsh", spy)
     reader = mat.view(_RowReads)
     reader.reads = []
-    assert schmidt._leading_values(reader, 8) is not None
-    # the scan reads row blocks by a slice, the products pieces by (rows, cols)
+    assert schmidt._leading_values(reader, 8, pieces) is not None
     assert len(depths) >= 2
-    assert reader.reads == _row_blocks(*mat.shape) + pieces * len(depths)
+    assert reader.reads == list(pieces) * len(depths)
 
 
 def test_decompose_values_path_zero_block():
@@ -484,6 +495,27 @@ def test_values_only_falls_back_to_full_svd(monkeypatch, n_in, max_depth, n_repo
     _assert_same_values(got, ref)
 
 
+def test_decompose_reads_band_spans_or_whole_block(monkeypatch):
+    """``decompose`` hands the iteration a :class:`WeightedRs`'s band spans,
+    and a grid-form block, whose band it does not look for, as one whole
+    piece."""
+    t_out, t_in = np.linspace(-4.0, 6.0, 400), np.linspace(-5.0, 5.0, 513)
+    kernel = sample_low_ce(WEAK, PUMP, t_out, t_in, weighted=True)
+    full = sample_low_ce(WEAK, PUMP, t_out, t_in, blocks=("rs",))
+    given = []
+    leading = schmidt._leading_values
+
+    def spy(mat, k, pieces):
+        given.append(pieces)
+        return leading(mat, k, pieces)
+
+    monkeypatch.setattr(schmidt, "_leading_values", spy)
+    for gf in (kernel, full):
+        decompose(gf, 8, want_modes=False)
+    assert len(kernel.spans) > 1
+    assert given == [kernel.spans, WHOLE]
+
+
 def test_values_only_of_a_zero_kernel():
     """A pump far from the grids: the kernel is zero, and S is 0 without a
     warning."""
@@ -506,7 +538,7 @@ def test_values_only_rejects_non_finite_samples(bad):
     mat = kernel.g_rs.copy()
     mat[t.size // 2, t.size // 2] = bad
     with pytest.raises(DataError):
-        decompose(WeightedRs(mat, t, t), 8, want_modes=False)
+        decompose(WeightedRs(mat, t, t, kernel.spans), 8, want_modes=False)
     block = np.zeros(mat.shape, complex)
     block.imag = mat
     with pytest.raises(DataError):
